@@ -30,6 +30,7 @@
 pub mod collapse;
 pub mod dictionary;
 mod error;
+mod event;
 pub mod fault;
 pub mod fault_sim;
 pub mod path_atpg;

@@ -7,6 +7,7 @@
 //! is a PODEM-style search over the two input frames with three-valued
 //! implication.
 
+use crate::event::EventQueue;
 use crate::fault::PathDelayFault;
 use crate::path_sens::{path_constraints, Constraints, SensitizationMode};
 use crate::pattern::TestPattern;
@@ -122,49 +123,41 @@ fn justify_two_frames(
     config: PodemConfig,
     seed: u64,
 ) -> Result<TestPattern, AtpgError> {
-    let n_pi = circuit.primary_inputs().len();
-    let mut pi_position = vec![None; circuit.num_nodes()];
-    for (k, &pi) in circuit.primary_inputs().iter().enumerate() {
-        pi_position[pi.index()] = Some(k);
-    }
-    // assignment[frame][pi]
-    let mut assignment: [Vec<Option<bool>>; 2] = [vec![None; n_pi], vec![None; n_pi]];
-    let mut values: [Vec<V3>; 2] = [
-        vec![V3::X; circuit.num_nodes()],
-        vec![V3::X; circuit.num_nodes()],
+    const WHAT: &str = "path test justification";
+    let pi_position = pi_positions(circuit);
+    let mut frames = [
+        FrameSim::new(circuit, &pi_position),
+        FrameSim::new(circuit, &pi_position),
     ];
     let requirements = constraints.requirements();
 
     struct Decision {
         frame: usize,
-        pi: usize,
+        pi: NodeId,
         value: bool,
         flipped: bool,
     }
     let mut stack: Vec<Decision> = Vec::new();
     let mut backtracks = 0usize;
     let mut implications = 0usize;
-    let what = "path test justification".to_owned();
 
     loop {
         implications += 1;
         if implications > config.max_implications {
-            return Err(AtpgError::Aborted { what, backtracks });
+            return Err(AtpgError::Aborted {
+                what: WHAT.to_owned(),
+                backtracks,
+            });
         }
         // Imply both frames.
-        for frame in 0..2 {
-            simulate_v3(
-                circuit,
-                &assignment[frame],
-                &pi_position,
-                &mut values[frame],
-            );
+        for frame in &mut frames {
+            frame.imply();
         }
         // Check constraints.
         let mut conflict = false;
         let mut open: Option<(usize, usize, bool)> = None;
         for &(ix, frame, value) in &requirements {
-            match values[frame][ix].to_bool() {
+            match frames[frame].values[ix].to_bool() {
                 Some(v) if v != value => {
                     conflict = true;
                     break;
@@ -183,8 +176,8 @@ fn justify_two_frames(
                     // All requirements implied: quiet-fill the free
                     // inputs (don't-cares do not switch).
                     return Ok(crate::podem::fill_pattern_quiet(
-                        &assignment[0],
-                        &assignment[1],
+                        &frames[0].assignment,
+                        &frames[1].assignment,
                         seed,
                     ));
                 }
@@ -192,14 +185,12 @@ fn justify_two_frames(
                     // Backtrace through X-valued nodes to a free PI.
                     match backtrace_v3(
                         circuit,
-                        &values[frame],
-                        &pi_position,
+                        &frames[frame].values,
                         NodeId::from_index(ix),
                         value,
                     ) {
                         Some((pi, v)) => {
-                            debug_assert!(assignment[frame][pi].is_none());
-                            assignment[frame][pi] = Some(v);
+                            frames[frame].assign(pi, Some(v));
                             stack.push(Decision {
                                 frame,
                                 pi,
@@ -216,61 +207,128 @@ fn justify_two_frames(
         if conflict {
             loop {
                 let Some(top) = stack.last_mut() else {
-                    return Err(AtpgError::Untestable { what });
+                    return Err(AtpgError::Untestable {
+                        what: WHAT.to_owned(),
+                    });
                 };
+                let (frame, pi) = (top.frame, top.pi);
                 if top.flipped {
-                    assignment[top.frame][top.pi] = None;
                     stack.pop();
+                    frames[frame].assign(pi, None);
                     continue;
                 }
                 top.flipped = true;
                 top.value = !top.value;
-                assignment[top.frame][top.pi] = Some(top.value);
+                let value = top.value;
+                frames[frame].assign(pi, Some(value));
                 break;
             }
             backtracks += 1;
             if backtracks > config.max_backtracks {
-                return Err(AtpgError::Aborted { what, backtracks });
+                return Err(AtpgError::Aborted {
+                    what: WHAT.to_owned(),
+                    backtracks,
+                });
             }
         }
     }
 }
 
-fn simulate_v3(
-    circuit: &Circuit,
-    assignment: &[Option<bool>],
-    pi_position: &[Option<usize>],
-    values: &mut [V3],
-) {
-    let mut fanin_buf: Vec<V3> = Vec::with_capacity(8);
-    for &id in circuit.topo_order() {
-        let node = circuit.node(id);
-        values[id.index()] = if node.kind() == GateKind::Input {
-            let k = pi_position[id.index()].expect("input has a position");
-            match assignment[k] {
+/// Input position of every primary input node (`None` elsewhere).
+fn pi_positions(circuit: &Circuit) -> Vec<Option<usize>> {
+    let mut pi_position = vec![None; circuit.num_nodes()];
+    for (k, &pi) in circuit.primary_inputs().iter().enumerate() {
+        pi_position[pi.index()] = Some(k);
+    }
+    pi_position
+}
+
+/// One frame of [`justify_two_frames`]: a partial input assignment and
+/// its three-valued implication, kept current by event-driven passes.
+#[derive(Debug)]
+struct FrameSim<'a> {
+    circuit: &'a Circuit,
+    /// Input position of every primary input node.
+    pi_position: &'a [Option<usize>],
+    /// `assignment[k]` is the value of the `k`-th primary input.
+    assignment: Vec<Option<bool>>,
+    /// Three-valued node values implied by `assignment`.
+    values: Vec<V3>,
+    /// Inputs changed since the last pass.
+    events: EventQueue,
+}
+
+impl<'a> FrameSim<'a> {
+    /// The empty assignment, whose implication is all-X (every gate has
+    /// a fanin, and a gate over all-X fanins evaluates to X).
+    fn new(circuit: &'a Circuit, pi_position: &'a [Option<usize>]) -> FrameSim<'a> {
+        FrameSim {
+            circuit,
+            pi_position,
+            assignment: vec![None; circuit.primary_inputs().len()],
+            values: vec![V3::X; circuit.num_nodes()],
+            events: EventQueue::new(circuit),
+        }
+    }
+
+    /// Assigns (or, with `None`, frees) a primary input and schedules it
+    /// for the next pass.
+    fn assign(&mut self, pi: NodeId, value: Option<bool>) {
+        let k = self.pi_position[pi.index()].expect("decisions are made on inputs");
+        self.assignment[k] = value;
+        self.events.schedule(self.circuit, pi);
+    }
+
+    /// Re-evaluates `id` from the assignment or its fanins; returns
+    /// whether its value changed.
+    fn update(&mut self, id: NodeId) -> bool {
+        let node = self.circuit.node(id);
+        let v = if node.kind() == GateKind::Input {
+            let k = self.pi_position[id.index()].expect("input has a position");
+            match self.assignment[k] {
                 Some(true) => V3::One,
                 Some(false) => V3::Zero,
                 None => V3::X,
             }
         } else {
-            fanin_buf.clear();
-            fanin_buf.extend(node.fanins().iter().map(|f| values[f.index()]));
-            V3::eval_gate(node.kind(), &fanin_buf)
+            let values = &self.values;
+            V3::eval_iter(node.kind(), node.fanins().iter().map(|f| values[f.index()]))
         };
+        let changed = self.values[id.index()] != v;
+        self.values[id.index()] = v;
+        changed
+    }
+
+    /// Event-driven implication of the inputs changed since the last
+    /// pass: equal to a full re-simulation of the assignment.
+    fn imply(&mut self) {
+        let mut events = std::mem::take(&mut self.events);
+        events.propagate(self.circuit, |id| self.update(id));
+        self.events = events;
+    }
+
+    /// Full three-valued simulation of the assignment: the oracle the
+    /// differential tests compare [`FrameSim::imply`] against.
+    #[cfg(test)]
+    fn imply_full(&mut self) {
+        for &id in self.circuit.topo_order() {
+            self.update(id);
+        }
     }
 }
 
+/// Walks a requirement back through X-valued nodes to a primary input,
+/// returning the input and the value to try on it.
 fn backtrace_v3(
     circuit: &Circuit,
     values: &[V3],
-    pi_position: &[Option<usize>],
     mut node: NodeId,
     mut value: bool,
-) -> Option<(usize, bool)> {
+) -> Option<(NodeId, bool)> {
     loop {
         let n = circuit.node(node);
         if n.kind() == GateKind::Input {
-            return pi_position[node.index()].map(|k| (k, value));
+            return Some((node, value));
         }
         if n.kind().inverts() {
             value = !value;
@@ -408,5 +466,64 @@ mod tests {
         let a = generate_robust_or_nonrobust(&c, &fault, PodemConfig::default(), 7).ok();
         let b = generate_robust_or_nonrobust(&c, &fault, PodemConfig::default(), 7).ok();
         assert_eq!(a, b);
+    }
+
+    fn profile_circuit(name: &str) -> Circuit {
+        let profile = sdd_netlist::profiles::by_name(name).expect("known profile");
+        sdd_netlist::generator::generate(&profile.to_config(2))
+            .expect("profile generates")
+            .to_combinational()
+            .expect("scan cut")
+    }
+
+    /// Drives both frames of an event-driven two-frame state and of a
+    /// full-sweep one through the same random decision/flip/undo
+    /// sequence, comparing every value after each implication pass.
+    #[test]
+    fn differential_incremental_frames_match_full_sweep() {
+        use rand::prelude::*;
+        use rand_chacha::ChaCha8Rng;
+        for (ci, c) in [
+            c17_like(),
+            profile_circuit("s1196"),
+            profile_circuit("s1423"),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let mut rng = ChaCha8Rng::seed_from_u64(ci as u64);
+            let pi_position = pi_positions(c);
+            let mut fast = [
+                FrameSim::new(c, &pi_position),
+                FrameSim::new(c, &pi_position),
+            ];
+            let mut oracle = [
+                FrameSim::new(c, &pi_position),
+                FrameSim::new(c, &pi_position),
+            ];
+            let pis = c.primary_inputs();
+            for step in 0..200 {
+                for _ in 0..rng.gen_range(1..4) {
+                    let frame = rng.gen_range(0..2usize);
+                    let pi = pis[rng.gen_range(0..pis.len())];
+                    let k = pi_position[pi.index()].unwrap();
+                    let value = match (fast[frame].assignment[k], rng.gen_range(0..3)) {
+                        (Some(v), 0) => Some(!v),
+                        (Some(_), 1) => None,
+                        _ => Some(rng.gen()),
+                    };
+                    fast[frame].assign(pi, value);
+                    oracle[frame].assign(pi, value);
+                }
+                for frame in 0..2 {
+                    fast[frame].imply();
+                    oracle[frame].imply_full();
+                    assert_eq!(
+                        fast[frame].values, oracle[frame].values,
+                        "circuit {ci}, step {step}, frame {frame}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -4,9 +4,11 @@
 //! The implementation is a textbook PODEM: decisions are made only on
 //! primary inputs, objectives are derived from fault activation and the
 //! D-frontier, and a backtrace walks each objective to an unassigned
-//! input. Five-valued simulation ([`crate::value::V5`]) implies the
-//! consequences of every decision.
+//! input. Event-driven five-valued implication ([`crate::value::V5`])
+//! re-evaluates the fanout of the inputs each step changed, giving the
+//! same values as a full simulation of the assignment.
 
+use crate::event::EventQueue;
 use crate::fault::{StuckAtFault, StuckValue, TransitionDirection, TransitionFault};
 use crate::fault_sim::stuck_at_detects_words;
 use crate::pattern::{PatternSet, TestPattern};
@@ -22,9 +24,10 @@ use sdd_netlist::{Circuit, GateKind, NodeId};
 pub struct PodemConfig {
     /// Maximum number of backtracks before aborting.
     pub max_backtracks: usize,
-    /// Maximum number of implication passes (each decision, flip or
-    /// retry runs one full five-valued simulation); this is the knob
-    /// that actually bounds wall-clock time on large circuits.
+    /// Maximum number of implication passes. The search runs one pass
+    /// per step (a decision, or a backtrack's undos and flip), which
+    /// re-evaluates the fanout of the inputs that step changed; this is
+    /// the knob that actually bounds wall-clock time on large circuits.
     pub max_implications: usize,
 }
 
@@ -245,7 +248,7 @@ pub fn generate_transition_assignments_diverse(
     // Branch fault at the arc: the test must propagate the fault effect
     // through this specific segment, not just some fanout of the driver.
     let mut engine = Engine::new(circuit, StuckAtFault::new(driver, stuck));
-    engine.fault_edge = Some(fault.edge);
+    engine.set_fault_edge(fault.edge);
     engine.decision_rng = decision_seed.map(ChaCha8Rng::seed_from_u64);
     let v2 = engine.run(config)?;
     let mut engine = Engine::new(
@@ -406,12 +409,27 @@ struct Engine<'a> {
     /// When set, the stuck value applies only to this arc (a *branch*
     /// fault): the faulty machine sees it at the arc's sink pin, while
     /// the driver's other fanouts see the good value. `fault.node` is the
-    /// arc's driver.
+    /// arc's driver. Set through [`Engine::set_fault_edge`].
     fault_edge: Option<sdd_netlist::EdgeId>,
+    /// The driver of `fault_edge`.
+    branch_driver: Option<NodeId>,
     values: Vec<V5>,
     pi_assignment: Vec<Option<bool>>,
     pi_position: Vec<Option<usize>>,
+    /// Inputs changed since the last implication pass wait here.
+    events: EventQueue,
+    /// The transitive fanout cone of the fault site, ascending by id:
+    /// the only nodes that can carry a fault effect, and hence the only
+    /// D-frontier candidates.
+    cone: Vec<NodeId>,
     justify_only: bool,
+}
+
+/// The transitive fanout cone of `seed` (inclusive), ascending by id.
+fn sorted_fanout_cone(circuit: &Circuit, seed: NodeId) -> Vec<NodeId> {
+    let mut cone = circuit.fanout_cone(seed);
+    cone.sort_unstable();
+    cone
 }
 
 struct Decision {
@@ -426,53 +444,101 @@ impl<'a> Engine<'a> {
         for (k, &pi) in circuit.primary_inputs().iter().enumerate() {
             pi_position[pi.index()] = Some(k);
         }
+        // All-X values are the implication of the empty assignment: every
+        // gate has a fanin, and a gate over all-X fanins evaluates to X
+        // (at the fault site, X in the good machine recombines to X).
         Engine {
             circuit,
             fault,
             decision_rng: None,
             fault_edge: None,
+            branch_driver: None,
             values: vec![V5::X; circuit.num_nodes()],
             pi_assignment: vec![None; circuit.primary_inputs().len()],
             pi_position,
+            events: EventQueue::new(circuit),
+            cone: sorted_fanout_cone(circuit, fault.node),
             justify_only: false,
         }
     }
 
-    /// Full five-valued simulation from the current PI assignment.
-    fn imply(&mut self) {
-        let branch_driver = self.fault_edge.map(|e| self.circuit.edge(e).from());
-        let mut fanin_buf: Vec<V5> = Vec::with_capacity(8);
-        for &id in self.circuit.topo_order() {
-            let node = self.circuit.node(id);
-            let mut v = if node.kind() == GateKind::Input {
-                let k = self.pi_position[id.index()].expect("input has a position");
-                match self.pi_assignment[k] {
-                    Some(true) => V5::One,
-                    Some(false) => V5::Zero,
-                    None => V5::X,
-                }
-            } else {
-                fanin_buf.clear();
-                for (&from, &e) in node.fanins().iter().zip(node.fanin_edges()) {
-                    let mut fv = self.values[from.index()];
-                    // Branch fault: the fault effect exists only on the
-                    // faulted arc; every other fanout of the driver sees
-                    // the good value.
-                    if Some(from) == branch_driver && Some(e) != self.fault_edge {
-                        fv = V5::from_parts(fv.good(), fv.good());
-                    }
-                    fanin_buf.push(fv);
-                }
-                V5::eval_gate(node.kind(), &fanin_buf)
-            };
-            if id == self.fault.node && !self.justify_only {
-                // Fault site (the arc's driver for branch faults): the
-                // faulty machine is pinned to the stuck value; activation
-                // shows as D or D'.
-                let faulty = V3::from_bool(self.fault.value.as_bool());
-                v = V5::from_parts(v.good(), faulty);
+    /// Turns the fault into a branch fault on `edge` (whose driver must
+    /// be the fault site).
+    fn set_fault_edge(&mut self, edge: sdd_netlist::EdgeId) {
+        self.fault_edge = Some(edge);
+        self.branch_driver = Some(self.circuit.edge(edge).from());
+    }
+
+    /// Assigns (or, with `None`, frees) a primary input and schedules it
+    /// for the next implication pass.
+    fn assign(&mut self, pi: NodeId, value: Option<bool>) {
+        let k = self.pi_position[pi.index()].expect("decisions are made on inputs");
+        self.pi_assignment[k] = value;
+        self.events.schedule(self.circuit, pi);
+    }
+
+    /// The five-valued value of `id` implied by the current assignment
+    /// and the current values of its fanins.
+    fn node_value(&self, id: NodeId) -> V5 {
+        let node = self.circuit.node(id);
+        let v = if node.kind() == GateKind::Input {
+            let k = self.pi_position[id.index()].expect("input has a position");
+            match self.pi_assignment[k] {
+                Some(true) => V5::One,
+                Some(false) => V5::Zero,
+                None => V5::X,
             }
-            self.values[id.index()] = v;
+        } else {
+            let fanins = node
+                .fanins()
+                .iter()
+                .zip(node.fanin_edges())
+                .map(|(&from, &e)| {
+                    let fv = self.values[from.index()];
+                    // Branch fault: the fault effect exists only on the
+                    // faulted arc; every other fanout of the driver sees the
+                    // good value.
+                    if Some(from) == self.branch_driver && Some(e) != self.fault_edge {
+                        V5::from_parts(fv.good(), fv.good())
+                    } else {
+                        fv
+                    }
+                });
+            V5::eval_iter(node.kind(), fanins)
+        };
+        if id == self.fault.node && !self.justify_only {
+            // Fault site (the arc's driver for branch faults): the faulty
+            // machine is pinned to the stuck value; activation shows as D
+            // or D'.
+            let faulty = V3::from_bool(self.fault.value.as_bool());
+            V5::from_parts(v.good(), faulty)
+        } else {
+            v
+        }
+    }
+
+    /// Re-evaluates `id`; returns whether its value changed.
+    fn update(&mut self, id: NodeId) -> bool {
+        let v = self.node_value(id);
+        let changed = self.values[id.index()] != v;
+        self.values[id.index()] = v;
+        changed
+    }
+
+    /// Event-driven five-valued implication of the inputs changed since
+    /// the last pass: equal to a full re-simulation of the assignment.
+    fn imply(&mut self) {
+        let mut events = std::mem::take(&mut self.events);
+        events.propagate(self.circuit, |id| self.update(id));
+        self.events = events;
+    }
+
+    /// Full five-valued simulation of the assignment: the oracle the
+    /// differential tests compare [`Engine::imply`] against.
+    #[cfg(test)]
+    fn imply_full(&mut self) {
+        for &id in self.circuit.topo_order() {
+            self.update(id);
         }
     }
 
@@ -496,8 +562,27 @@ impl<'a> Engine<'a> {
             .any(|o| self.values[o.index()].is_fault_effect())
     }
 
+    /// The first D-frontier gate in node-id order, with the objective of
+    /// setting one of its X side inputs to the non-controlling value.
+    ///
+    /// A fault effect can only sit in the fault site's fanout cone, so
+    /// scanning the id-sorted cone finds the same gate as scanning every
+    /// node.
+    ///
+    /// For a branch fault the scan reads the driver's *raw* value, so a
+    /// D/D' driver puts X-valued gates on its other fanouts into the
+    /// frontier although they see the good value there (their
+    /// implication masks the effect). The search is pinned to this
+    /// behaviour: changing it would change search decisions, and with
+    /// them the campaign's pattern sets and Table-I numbers.
     fn d_frontier_objective(&self) -> Option<(NodeId, bool)> {
-        for id in self.circuit.node_ids() {
+        self.d_frontier_among(self.cone.iter().copied())
+    }
+
+    /// [`Engine::d_frontier_objective`] over explicit candidates, scanned
+    /// in the order given.
+    fn d_frontier_among(&self, candidates: impl Iterator<Item = NodeId>) -> Option<(NodeId, bool)> {
+        for id in candidates {
             let node = self.circuit.node(id);
             if node.kind() == GateKind::Input || self.values[id.index()] != V5::X {
                 continue;
@@ -538,34 +623,45 @@ impl<'a> Engine<'a> {
             // Follow an X-valued fanin: the first one deterministically,
             // or a random one when diversified test generation is
             // requested (different choices sensitize different paths).
-            let x_fanins: Vec<NodeId> = n
+            let values = &self.values;
+            let is_x = |f: &&NodeId| values[f.index()] == V5::X;
+            let n_x = n.fanins().iter().filter(is_x).count();
+            if n_x == 0 {
+                return None;
+            }
+            let pick = match &mut self.decision_rng {
+                Some(rng) => rng.gen_range(0..n_x),
+                None => 0,
+            };
+            node = *n
                 .fanins()
                 .iter()
-                .copied()
-                .filter(|f| self.values[f.index()] == V5::X)
-                .collect();
-            let next = match (&mut self.decision_rng, x_fanins.as_slice()) {
-                (_, []) => return None,
-                (Some(rng), xs) => xs[rng.gen_range(0..xs.len())],
-                (None, xs) => xs[0],
-            };
-            node = next;
+                .filter(is_x)
+                .nth(pick)
+                .expect("pick is below the X-fanin count");
+        }
+    }
+
+    /// Names the search in error reports.
+    fn what(&self) -> String {
+        if self.justify_only {
+            format!("justification of {}", self.fault.node)
+        } else {
+            format!("test for {}", self.fault)
         }
     }
 
     fn run(&mut self, config: PodemConfig) -> Result<PiAssignment, AtpgError> {
-        let what = if self.justify_only {
-            format!("justification of {}", self.fault.node)
-        } else {
-            format!("test for {}", self.fault)
-        };
         let mut stack: Vec<Decision> = Vec::new();
         let mut backtracks = 0usize;
         let mut implications = 0usize;
         loop {
             implications += 1;
             if implications > config.max_implications {
-                return Err(AtpgError::Aborted { what, backtracks });
+                return Err(AtpgError::Aborted {
+                    what: self.what(),
+                    backtracks,
+                });
             }
             self.imply();
             let success = if self.justify_only {
@@ -590,9 +686,9 @@ impl<'a> Engine<'a> {
             let choice = objective.and_then(|(n, v)| self.backtrace(n, v));
             match choice {
                 Some((pi, value)) => {
-                    let k = self.pi_position[pi.index()].expect("backtrace reached a PI");
-                    debug_assert!(self.pi_assignment[k].is_none());
-                    self.pi_assignment[k] = Some(value);
+                    // Backtrace stops only at X-valued, i.e. free, inputs.
+                    debug_assert_eq!(self.values[pi.index()], V5::X);
+                    self.assign(pi, Some(value));
                     stack.push(Decision {
                         pi,
                         value,
@@ -603,22 +699,26 @@ impl<'a> Engine<'a> {
                     // Dead end: backtrack.
                     loop {
                         let Some(top) = stack.last_mut() else {
-                            return Err(AtpgError::Untestable { what });
+                            return Err(AtpgError::Untestable { what: self.what() });
                         };
-                        let k = self.pi_position[top.pi.index()].unwrap();
+                        let pi = top.pi;
                         if top.flipped {
-                            self.pi_assignment[k] = None;
                             stack.pop();
+                            self.assign(pi, None);
                             continue;
                         }
                         top.flipped = true;
                         top.value = !top.value;
-                        self.pi_assignment[k] = Some(top.value);
+                        let value = top.value;
+                        self.assign(pi, Some(value));
                         break;
                     }
                     backtracks += 1;
                     if backtracks > config.max_backtracks {
-                        return Err(AtpgError::Aborted { what, backtracks });
+                        return Err(AtpgError::Aborted {
+                            what: self.what(),
+                            backtracks,
+                        });
                     }
                 }
             }
@@ -885,5 +985,136 @@ mod tests {
         assert!(!set.detected[0]);
         assert!(set.detected[1]);
         assert_eq!(set.generated, 1);
+    }
+
+    fn profile_circuit(name: &str) -> Circuit {
+        let profile = sdd_netlist::profiles::by_name(name).expect("known profile");
+        sdd_netlist::generator::generate(&profile.to_config(2))
+            .expect("profile generates")
+            .to_combinational()
+            .expect("scan cut")
+    }
+
+    /// One step of a search on `pi`: a decision, a flip or an undo.
+    fn random_step(rng: &mut ChaCha8Rng, current: Option<bool>) -> Option<bool> {
+        match (current, rng.gen_range(0..3)) {
+            (Some(v), 0) => Some(!v),
+            (Some(_), 1) => None,
+            _ => Some(rng.gen()),
+        }
+    }
+
+    /// Drives an event-driven engine and a full-sweep engine through the
+    /// same random decision/flip/undo sequence and compares every value
+    /// (and the D-frontier objective against an all-node scan) after
+    /// each implication pass.
+    fn differential<'c>(
+        circuit: &'c Circuit,
+        make: impl Fn() -> Engine<'c>,
+        steps: usize,
+        seed: u64,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let (mut fast, mut oracle) = (make(), make());
+        let pis = circuit.primary_inputs();
+        for step in 0..steps {
+            // A backtrack may undo several decisions before its flip.
+            for _ in 0..rng.gen_range(1..4) {
+                let pi = pis[rng.gen_range(0..pis.len())];
+                let k = fast.pi_position[pi.index()].unwrap();
+                let value = random_step(&mut rng, fast.pi_assignment[k]);
+                fast.assign(pi, value);
+                oracle.assign(pi, value);
+            }
+            fast.imply();
+            oracle.imply_full();
+            assert_eq!(fast.values, oracle.values, "step {step}");
+            if !fast.justify_only {
+                assert_eq!(
+                    fast.d_frontier_objective(),
+                    oracle.d_frontier_among(circuit.node_ids()),
+                    "step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn differential_incremental_implication_matches_full_sweep() {
+        let circuits = [
+            c17_like(),
+            profile_circuit("s1196"),
+            profile_circuit("s1423"),
+        ];
+        for (ci, c) in circuits.iter().enumerate() {
+            let mut rng = ChaCha8Rng::seed_from_u64(ci as u64);
+            for round in 0..4u64 {
+                let seed = ci as u64 * 100 + round;
+                let node = NodeId::from_index(rng.gen_range(0..c.num_nodes()));
+                let value = if rng.gen() {
+                    StuckValue::One
+                } else {
+                    StuckValue::Zero
+                };
+                let fault = StuckAtFault::new(node, value);
+                let steps = 60;
+                // Stuck-at test generation.
+                differential(c, || Engine::new(c, fault), steps, seed);
+                // Justification (no fault pinned).
+                let justify = || {
+                    let mut e = Engine::new(c, fault);
+                    e.justify_only = true;
+                    e
+                };
+                differential(c, justify, steps, seed);
+                // Branch fault on an arc (the transition-test engine).
+                let edge = sdd_netlist::EdgeId::from_index(rng.gen_range(0..c.num_edges()));
+                let driver = c.edge(edge).from();
+                let branch = || {
+                    let mut e = Engine::new(c, StuckAtFault::new(driver, value));
+                    e.set_fault_edge(edge);
+                    e
+                };
+                differential(c, branch, steps, seed);
+            }
+        }
+    }
+
+    /// The branch-fault D-frontier quirk, pinned: the driver's raw D
+    /// makes an X gate on a *non-faulted* fanout a frontier candidate,
+    /// although that gate's implication only sees the good value.
+    #[test]
+    fn branch_fault_frontier_reads_the_raw_driver_value() {
+        let mut b = CircuitBuilder::new("branch");
+        let a = b.input("a");
+        let x = b.input("x");
+        let y = b.input("y");
+        let side = b.gate("side", GateKind::And, &[a, x]).unwrap();
+        let faulted = b.gate("faulted", GateKind::And, &[a, y]).unwrap();
+        b.output(side);
+        b.output(faulted);
+        let c = b.finish().unwrap();
+        let edge = c.node(faulted).fanin_edges()[0];
+        assert_eq!(c.edge(edge).from(), a);
+
+        let mut engine = Engine::new(&c, StuckAtFault::new(a, StuckValue::Zero));
+        engine.set_fault_edge(edge);
+        engine.assign(a, Some(true));
+        engine.imply();
+        assert_eq!(engine.values[a.index()], V5::D);
+        // `side` (lower id) is chosen over `faulted`, the gate the effect
+        // actually reaches.
+        assert!(side.index() < faulted.index());
+        assert_eq!(engine.d_frontier_objective(), Some((x, true)));
+        // Meeting that objective propagates nothing: `side` sees a = 1.
+        engine.assign(x, Some(true));
+        engine.imply();
+        assert_eq!(engine.values[side.index()], V5::One);
+        assert_eq!(engine.d_frontier_objective(), Some((y, true)));
+        // The search still finds the test through the faulted arc.
+        let fault = TransitionFault::new(edge, TransitionDirection::Rise);
+        let (_, v2) = generate_transition_assignments(&c, fault, PodemConfig::default()).unwrap();
+        assert_eq!(v2[1], Some(true), "the side objective was decided first");
+        assert_eq!(v2[2], Some(true));
     }
 }

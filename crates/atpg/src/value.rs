@@ -62,14 +62,25 @@ impl V3 {
     ///
     /// Panics if `inputs` is empty for kinds requiring fanins.
     pub fn eval_gate(kind: GateKind, inputs: &[V3]) -> V3 {
+        V3::eval_iter(kind, inputs.iter().copied())
+    }
+
+    /// [`V3::eval_gate`] over fanin values supplied by an iterator, so
+    /// callers can evaluate straight from a value table without
+    /// collecting the fanins first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is empty for kinds requiring fanins.
+    pub(crate) fn eval_iter(kind: GateKind, mut inputs: impl Iterator<Item = V3>) -> V3 {
         match kind {
             GateKind::Input => panic!("primary input has no logic function"),
-            GateKind::Dff | GateKind::Buf => inputs[0],
-            GateKind::Not => inputs[0].not(),
+            GateKind::Dff | GateKind::Buf => inputs.next().expect("gate has a fanin"),
+            GateKind::Not => inputs.next().expect("gate has a fanin").not(),
             GateKind::And | GateKind::Nand => {
                 let mut any_x = false;
                 let mut out = V3::One;
-                for &v in inputs {
+                for v in inputs {
                     match v {
                         V3::Zero => {
                             out = V3::Zero;
@@ -90,7 +101,7 @@ impl V3 {
             GateKind::Or | GateKind::Nor => {
                 let mut any_x = false;
                 let mut out = V3::Zero;
-                for &v in inputs {
+                for v in inputs {
                     match v {
                         V3::One => {
                             out = V3::One;
@@ -110,7 +121,7 @@ impl V3 {
             }
             GateKind::Xor | GateKind::Xnor => {
                 let mut acc = false;
-                for &v in inputs {
+                for v in inputs {
                     match v {
                         V3::X => return V3::X,
                         V3::One => acc = !acc,
@@ -197,11 +208,99 @@ impl V5 {
     ///
     /// Panics if `inputs` is empty for kinds requiring fanins.
     pub fn eval_gate(kind: GateKind, inputs: &[V5]) -> V5 {
-        let good: Vec<V3> = inputs.iter().map(|v| v.good()).collect();
-        let faulty: Vec<V3> = inputs.iter().map(|v| v.faulty()).collect();
-        V5::from_parts(V3::eval_gate(kind, &good), V3::eval_gate(kind, &faulty))
+        V5::eval_iter(kind, inputs.iter().copied())
+    }
+
+    /// The value's machine components as bits: [`GOOD_0`], [`GOOD_1`],
+    /// [`FAULTY_0`] and [`FAULTY_1`] (none for X).
+    fn component_bits(self) -> u8 {
+        match self {
+            V5::Zero => GOOD_0 | FAULTY_0,
+            V5::One => GOOD_1 | FAULTY_1,
+            V5::X => 0,
+            V5::D => GOOD_1 | FAULTY_0,
+            V5::Db => GOOD_0 | FAULTY_1,
+        }
+    }
+
+    /// [`V5::eval_gate`] over fanin values supplied by an iterator,
+    /// evaluating both machines in one branch-light, allocation-free
+    /// pass. Equal to evaluating the good and faulty components
+    /// separately with [`V3::eval_gate`] and recombining them with
+    /// [`V5::from_parts`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is empty for kinds requiring fanins.
+    pub(crate) fn eval_iter(kind: GateKind, mut inputs: impl Iterator<Item = V5>) -> V5 {
+        // `any`: some input has the component; `all`: every input has it.
+        let (mut any, mut all) = (0u8, 0xFu8);
+        let (good, faulty) = match kind {
+            GateKind::Input => panic!("primary input has no logic function"),
+            GateKind::Dff | GateKind::Buf => return inputs.next().expect("gate has a fanin"),
+            GateKind::Not => {
+                let v = inputs.next().expect("gate has a fanin");
+                (v.good().not(), v.faulty().not())
+            }
+            GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+                for v in inputs {
+                    let m = v.component_bits();
+                    any |= m;
+                    all &= m;
+                }
+                // A controlling input decides the machine; otherwise it
+                // is known only if every input is non-controlling.
+                let (ctl, nc, ctl_value) = match kind.controlling_value() {
+                    Some(false) => (GOOD_0, GOOD_1, V3::Zero),
+                    _ => (GOOD_1, GOOD_0, V3::One),
+                };
+                let settle = |shift: u8| {
+                    let out = if any & (ctl << shift) != 0 {
+                        ctl_value
+                    } else if all & (nc << shift) != 0 {
+                        ctl_value.not()
+                    } else {
+                        V3::X
+                    };
+                    if kind.inverts() {
+                        out.not()
+                    } else {
+                        out
+                    }
+                };
+                (settle(0), settle(2))
+            }
+            GateKind::Xor | GateKind::Xnor => {
+                // `any` accumulates the parity of the 1-components; `all`
+                // keeps a machine's 0-bit while every input is known in it.
+                for v in inputs {
+                    let m = v.component_bits();
+                    any ^= m;
+                    all &= m | (m >> 1);
+                }
+                let invert = kind == GateKind::Xnor;
+                let settle = |shift: u8| {
+                    if all & (GOOD_0 << shift) == 0 {
+                        V3::X
+                    } else {
+                        V3::from_bool((any & (GOOD_1 << shift) != 0) != invert)
+                    }
+                };
+                (settle(0), settle(2))
+            }
+        };
+        V5::from_parts(good, faulty)
     }
 }
+
+/// [`V5::component_bits`]: the good machine is 0.
+const GOOD_0: u8 = 1;
+/// [`V5::component_bits`]: the good machine is 1.
+const GOOD_1: u8 = 2;
+/// [`V5::component_bits`]: the faulty machine is 0.
+const FAULTY_0: u8 = 4;
+/// [`V5::component_bits`]: the faulty machine is 1.
+const FAULTY_1: u8 = 8;
 
 impl fmt::Display for V5 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -284,6 +383,31 @@ mod tests {
         assert_eq!(V5::eval_gate(GateKind::Xor, &[V5::D, V5::D]), V5::Zero);
         // AND(D, D') = 0 in both machines.
         assert_eq!(V5::eval_gate(GateKind::And, &[V5::D, V5::Db]), V5::Zero);
+    }
+
+    /// The one-pass five-valued evaluator equals the componentwise
+    /// definition on every input combination of up to three fanins.
+    #[test]
+    fn v5_one_pass_eval_matches_componentwise() {
+        const ALL: [V5; 5] = [V5::Zero, V5::One, V5::X, V5::D, V5::Db];
+        let kinds = [GateKind::Buf, GateKind::Dff, GateKind::Not]
+            .into_iter()
+            .chain(GateKind::MULTI_INPUT_KINDS);
+        for kind in kinds {
+            let (lo, hi) = kind.arity();
+            for arity in lo..=hi.min(3) {
+                for code in 0..5usize.pow(arity as u32) {
+                    let inputs: Vec<V5> = (0..arity)
+                        .map(|i| ALL[code / 5usize.pow(i as u32) % 5])
+                        .collect();
+                    let good: Vec<V3> = inputs.iter().map(|v| v.good()).collect();
+                    let faulty: Vec<V3> = inputs.iter().map(|v| v.faulty()).collect();
+                    let expected =
+                        V5::from_parts(V3::eval_gate(kind, &good), V3::eval_gate(kind, &faulty));
+                    assert_eq!(V5::eval_gate(kind, &inputs), expected, "{kind} {inputs:?}");
+                }
+            }
+        }
     }
 
     #[test]
