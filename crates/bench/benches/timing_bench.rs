@@ -1,11 +1,14 @@
 //! Criterion benches for the statistical timing substrate: Monte-Carlo
 //! static analysis, dynamic (per-pattern) simulation, cone-incremental
-//! defect re-analysis and exact waveform simulation.
+//! defect re-analysis and exact waveform simulation — plus the netlist
+//! bring-up they all start from (generation + scan cut of the 100k-gate
+//! synthetic profile).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sdd_bench::bench_profile;
-use sdd_netlist::generator::generate;
+use sdd_netlist::generator::{generate, generate_combinational};
 use sdd_netlist::logic::simulate_pair;
+use sdd_netlist::profiles::SYNTH100K;
 use sdd_netlist::{Circuit, EdgeId};
 use sdd_timing::dynamic::{transition_arrivals, DefectCone, NO_EVENT};
 use sdd_timing::{sta, waveform, CellLibrary, CircuitTiming, VariationModel};
@@ -95,6 +98,12 @@ fn bench_waveform(c: &mut Criterion) {
     });
 }
 
+fn bench_netlist_build(c: &mut Criterion) {
+    c.bench_function("netlist_build_synth100k", |b| {
+        b.iter(|| black_box(generate_combinational(&SYNTH100K, 1).expect("synth100k builds")))
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(2)).warm_up_time(Duration::from_millis(500));
@@ -105,4 +114,9 @@ criterion_group!(
     bench_defect_cone,
     bench_waveform
 );
-criterion_main!(benches);
+criterion_group!(
+    name = netlist_build;
+    config = Criterion::default().sample_size(5).measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
+    targets = bench_netlist_build
+);
+criterion_main!(benches, netlist_build);

@@ -38,7 +38,7 @@
 //! checkpointed in the background whenever simulation extends them.
 
 use crate::dictionary::{
-    assemble_from_masks, assemble_from_probs, screen_survivors, simulate_fail_masks,
+    assemble_from_masks, assemble_from_probs, defect_cones, screen_survivors, simulate_fail_masks,
     simulate_fail_probs_analytic, AnalyticSuspect, BatchCache, BitGrid, DictionaryConfig,
     ProbabilisticDictionary, SimKernel, SuspectMasks,
 };
@@ -48,7 +48,6 @@ use crate::store::{fingerprint_model, DictionaryStore, PatternKey, StoreKey};
 use crate::BehaviorMatrix;
 use sdd_atpg::PatternSet;
 use sdd_netlist::{Circuit, EdgeId};
-use sdd_timing::dynamic::DefectCone;
 use sdd_timing::{CircuitTiming, Dist};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -365,10 +364,7 @@ impl DictionaryCache {
                 m.record_cache_miss();
                 m.add_samples_simulated((patterns.len() * config.n_samples) as u64);
             }
-            let cones: Vec<DefectCone> = missing
-                .iter()
-                .map(|&e| DefectCone::new(circuit, e))
-                .collect();
+            let cones = defect_cones(circuit, &missing);
             let per_pattern = simulate_fail_masks(
                 circuit,
                 timing,
@@ -509,10 +505,7 @@ impl DictionaryCache {
             if let Some(m) = metrics {
                 m.record_cache_miss();
             }
-            let cones: Vec<DefectCone> = missing
-                .iter()
-                .map(|&e| DefectCone::new(circuit, e))
-                .collect();
+            let cones = defect_cones(circuit, &missing);
             let (m_crt, suspects) = simulate_fail_probs_analytic(
                 circuit,
                 timing,
@@ -637,10 +630,7 @@ impl DictionaryCache {
                 // One shared population answers every pattern.
                 m.add_samples_simulated(config.n_samples as u64);
             }
-            let cones: Vec<DefectCone> = missing
-                .iter()
-                .map(|&e| DefectCone::new(circuit, e))
-                .collect();
+            let cones = defect_cones(circuit, &missing);
             let per_pattern = crate::dictionary::simulate_fail_masks_shared(
                 circuit,
                 timing,

@@ -410,10 +410,7 @@ impl ProbabilisticDictionary {
             );
         }
         let n_out = circuit.primary_outputs().len();
-        let cones: Vec<DefectCone> = suspect_edges
-            .iter()
-            .map(|&e| DefectCone::new(circuit, e))
-            .collect();
+        let cones = defect_cones(circuit, suspect_edges);
         if config.kernel == SimKernel::Analytic {
             let (m_crt, suspects) = simulate_fail_probs_analytic(
                 circuit,
@@ -807,6 +804,16 @@ fn sample_delta(seed: u64, instance_index: u64, edge: EdgeId, defect_size: &Dist
     defect_size.sample(&mut rng).max(0.0)
 }
 
+/// The defect cones of `suspects`, in suspect order. Extraction is
+/// independent per suspect, so it runs across the pool; `collect` keeps
+/// the order.
+pub(crate) fn defect_cones(circuit: &Circuit, suspects: &[EdgeId]) -> Vec<DefectCone> {
+    suspects
+        .par_iter()
+        .map(|&e| DefectCone::new(circuit, e))
+        .collect()
+}
+
 /// Phase 1 of the dictionary build: Monte-Carlo simulate every (pattern,
 /// chip sample) and record, as bit grids, which outputs exceed `clk` —
 /// defect-free (baseline) and with a random-size defect on each cone's
@@ -815,8 +822,8 @@ fn sample_delta(seed: u64, instance_index: u64, edge: EdgeId, defect_size: &Dist
 /// Returns, per pattern, the baseline grid (samples × all outputs) and
 /// one grid per cone (samples × its reachable outputs).
 ///
-/// `metrics`, when given, accumulates the kernel wall-clock (summed over
-/// worker threads) and the number of (pattern, sample, suspect) cone
+/// `metrics`, when given, accumulates the wall clock of the kernel's
+/// parallel region and the number of (pattern, sample, suspect) cone
 /// evaluations. `batches`, when given, memoizes the manufactured chip
 /// batches across calls (batched kernel only — the scalar oracle stays
 /// the plain seed path).
@@ -970,8 +977,8 @@ pub(crate) struct AnalyticSuspect {
 /// than estimates. Results at different orders are *not* comparable, so
 /// the cache layer keys its analytic banks by the effective order.
 ///
-/// `metrics`, when given, accumulates the analytic wall-clock (summed
-/// over worker threads) and the number of cone propagations — the
+/// `metrics`, when given, accumulates the wall clock of the analytic
+/// parallel region and the number of cone propagations — the
 /// analytic counters, *not* the MC `cone_evals`/`kernel_nanos`, which
 /// must stay at zero under this kernel.
 #[allow(clippy::too_many_arguments)]
@@ -1001,20 +1008,23 @@ pub(crate) fn simulate_fail_probs_analytic(
         mean: delta_mean,
         variance: delta_var,
     };
+    let t_kernel = std::time::Instant::now();
     let columns: Vec<(Vec<f64>, Vec<Vec<f64>>)> = patterns
         .patterns()
         .par_iter()
         .map(|p| {
-            let t_kernel = std::time::Instant::now();
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
             let r = pattern_fail_probs(circuit, timing, &transitions, cones, delta, clk, &quad);
             if let Some(m) = metrics {
                 m.add_analytic_evals(r.cone_walks);
-                m.add_analytic_nanos(t_kernel.elapsed().as_nanos() as u64);
             }
             (r.baseline, r.per_cone)
         })
         .collect();
+    // Timed once on the calling thread, like `record_kernel_nanos`.
+    if let Some(m) = metrics {
+        m.add_analytic_nanos(t_kernel.elapsed().as_nanos() as u64);
+    }
     let mut m_crt = ProbMatrix::zeros(n_out, n_patterns);
     let mut suspects: Vec<AnalyticSuspect> = cones
         .iter()
@@ -1061,6 +1071,16 @@ pub(crate) fn assemble_from_probs(
     }
 }
 
+/// Books a Monte-Carlo kernel's parallel region, started at `start`,
+/// once on the calling thread. The region nests inside the caller's
+/// dictionary phase, so `kernel_nanos ⊆ dictionary_nanos` holds by
+/// construction; per-worker times summed over an idle pool would not.
+fn record_kernel_nanos(metrics: Option<&crate::metrics::MetricsSink>, start: std::time::Instant) {
+    if let Some(m) = metrics {
+        m.add_kernel_nanos(start.elapsed().as_nanos() as u64);
+    }
+}
+
 /// The original per-sample kernel: one full arrival pass plus one
 /// [`DefectCone::apply`] walk per (pattern, sample, suspect). Kept as
 /// the differential oracle for [`simulate_fail_masks_batched`].
@@ -1077,12 +1097,12 @@ fn simulate_fail_masks_scalar(
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     let n_out = circuit.primary_outputs().len();
     let outputs = circuit.primary_outputs();
-    patterns
+    let t_kernel = std::time::Instant::now();
+    let per_pattern = patterns
         .patterns()
         .par_iter()
         .enumerate()
         .map(|(j, p)| {
-            let t_kernel = std::time::Instant::now();
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
             let mut base = BitGrid::new(config.n_samples, n_out);
             let mut fails: Vec<BitGrid> = cones
@@ -1118,12 +1138,11 @@ fn simulate_fail_masks_scalar(
                     }
                 }
             }
-            if let Some(m) = metrics {
-                m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
-            }
             (base, fails)
         })
-        .collect()
+        .collect();
+    record_kernel_nanos(metrics, t_kernel);
+    per_pattern
 }
 
 /// The batched sample-major kernel: per pattern, manufacture the whole
@@ -1173,12 +1192,12 @@ fn simulate_fail_masks_batched(
             }
         }
     }
-    patterns
+    let t_kernel = std::time::Instant::now();
+    let per_pattern = patterns
         .patterns()
         .par_iter()
         .enumerate()
         .map(|(j, p)| {
-            let t_kernel = std::time::Instant::now();
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
             let batch = match (batches, model_fp) {
                 (Some(bc), Some(fp)) => bc.get_or_sample(fp, timing, config, j),
@@ -1221,12 +1240,11 @@ fn simulate_fail_masks_batched(
                     |g, s, k| fails[group[g]].set(s, k),
                 );
             }
-            if let Some(m) = metrics {
-                m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
-            }
             (base, fails)
         })
-        .collect()
+        .collect();
+    record_kernel_nanos(metrics, t_kernel);
+    per_pattern
 }
 
 /// The population-consistent refinement kernel of the screened
@@ -1306,11 +1324,11 @@ pub(crate) fn simulate_fail_masks_shared(
             }
         }
     }
-    patterns
+    let t_kernel = std::time::Instant::now();
+    let per_pattern = patterns
         .patterns()
         .par_iter()
         .map(|p| {
-            let t_kernel = std::time::Instant::now();
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
             let baseline = transition_arrivals_batch(circuit, &transitions, &batch);
             let mut base = BitGrid::new(n, n_out);
@@ -1346,12 +1364,11 @@ pub(crate) fn simulate_fail_masks_shared(
                     |g, s, k| fails[group[g]].set(s, k),
                 );
             }
-            if let Some(m) = metrics {
-                m.add_kernel_nanos(t_kernel.elapsed().as_nanos() as u64);
-            }
             (base, fails)
         })
-        .collect()
+        .collect();
+    record_kernel_nanos(metrics, t_kernel);
+    per_pattern
 }
 
 /// Phase 2 of the dictionary build: turn fail grids into `M_crt`, per

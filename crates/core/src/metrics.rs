@@ -539,8 +539,10 @@ impl MetricsSink {
     }
 
     /// Adds `nanos` spent inside the Monte-Carlo dictionary kernel (the
-    /// per-pattern sampling + cone-evaluation inner loop, excluding
-    /// suspect pruning and grid post-processing).
+    /// parallel per-pattern sampling + cone-evaluation region, excluding
+    /// suspect pruning and grid post-processing), timed once on the
+    /// thread that runs the dictionary phase so it stays a subset of
+    /// `dictionary_nanos`.
     pub fn add_kernel_nanos(&self, nanos: u64) {
         self.kernel_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
@@ -817,16 +819,18 @@ pub struct CampaignMetrics {
     /// Full-circuit dynamic timing simulations, one per (pattern, chip
     /// sample) pair, across clock estimation and dictionary builds.
     pub samples_simulated: u64,
-    /// Aggregate nanoseconds inside the Monte-Carlo dictionary kernel
-    /// (summed over threads); a subset of `dictionary_nanos`.
+    /// Aggregate nanoseconds inside the Monte-Carlo dictionary kernel's
+    /// parallel regions (wall clock on the calling thread); a subset of
+    /// `dictionary_nanos`.
     #[serde(default)]
     pub kernel_nanos: u64,
     /// Defect-cone evaluations, one per (pattern, chip sample, suspect)
     /// triple, across all dictionary builds.
     #[serde(default)]
     pub cone_evals: u64,
-    /// Aggregate nanoseconds inside the analytic dictionary kernel
-    /// (summed over threads); a subset of `dictionary_nanos`, disjoint
+    /// Aggregate nanoseconds inside the analytic dictionary kernel's
+    /// parallel regions (wall clock on the calling thread); a subset of
+    /// `dictionary_nanos`, disjoint
     /// from `kernel_nanos`.
     #[serde(default)]
     pub analytic_nanos: u64,

@@ -338,9 +338,11 @@ impl DiagnosisSession {
     /// A machine-readable observability report over the session's whole
     /// lifetime, labelled `tenant:<id>`: aggregate counters, per-phase
     /// and session-latency histograms, and the (bounded) trace ring.
+    /// `trials` counts every committed instance and behaviour diagnosis
+    /// — including those whose pattern phase never ran.
     pub fn metrics_report(&self) -> MetricsReport {
         let counters = self.metrics.snapshot(Duration::ZERO);
-        let trials = counters.phase_latency.patterns.count();
+        let trials = self.metrics.trace_seq();
         MetricsReport {
             schema_version: METRICS_SCHEMA_VERSION,
             circuit: format!("tenant:{}", self.tenant),

@@ -1,13 +1,19 @@
 //! Multi-session concurrency contracts over one [`ArtifactLayer`]:
 //! sessions with different kernels stay bit-identical to solo runs even
 //! when racing on the shared pool, and a second "client" over a warm
-//! layer (or a warm on-disk store) records loads with zero misses.
+//! layer (or a warm on-disk store) records loads with zero misses. A
+//! session's report also validates when its pool has nothing else to
+//! do, where per-worker kernel times would add up past the phase.
 
+use sdd_atpg::PatternSet;
 use sdd_core::dictionary::SimKernel;
 use sdd_core::inject::CampaignConfig;
 use sdd_core::session::ArtifactLayer;
 use sdd_core::testutil::TestDir;
+use sdd_core::{CaptureModel, ObservedBehavior};
+use sdd_netlist::generator::generate_combinational;
 use sdd_netlist::profiles;
+use sdd_timing::{sta, CellLibrary, CircuitTiming, Dist, VariationModel};
 
 #[test]
 fn racing_sessions_with_different_kernels_match_their_solo_runs() {
@@ -119,4 +125,46 @@ fn second_layer_over_a_warm_store_loads_with_zero_misses() {
         report_cold, report_warm,
         "store-warm run must stay bit-identical"
     );
+}
+
+#[test]
+fn idle_pool_diagnosis_report_validates() {
+    // Regression: the Monte-Carlo kernel booked each worker's per-pattern
+    // time, so on an otherwise idle pool `kernel_nanos` (a sum over
+    // both workers) exceeded the wall-clock `dictionary_nanos` and
+    // `MetricsReport::validate` rejected the report.
+    let circuit = generate_combinational(&profiles::S27, 4).expect("s27 generates");
+    let library = CellLibrary::default_025um();
+    let timing = CircuitTiming::characterize(&circuit, &library, VariationModel::default());
+    // Half the median circuit delay: a slow chip, failing on most
+    // sensitized outputs.
+    let clk = 0.5
+        * sta::static_mc(&circuit, &timing, 64, 4)
+            .expect("static timing")
+            .clock_at_quantile(0.5);
+    let patterns = PatternSet::random(&circuit, 32, 4);
+    let chip = timing.sample_instance_indexed(4, 0);
+    let behavior = ObservedBehavior::capture(&circuit, &patterns, &chip, CaptureModel::default())
+        .matrix_at(clk);
+    assert!(
+        !behavior.all_pass(),
+        "the chip must fail somewhere to be diagnosed"
+    );
+    let defect = Dist::defect_size(library.nominal_cell_delay());
+
+    for kernel in [SimKernel::Batched, SimKernel::Scalar, SimKernel::Analytic] {
+        // A fresh layer per kernel, so every request simulates.
+        let layer = ArtifactLayer::builder()
+            .num_threads(2)
+            .build()
+            .expect("two-thread layer");
+        let session = layer.session("idle").with_kernel(kernel);
+        session
+            .diagnose_behavior(&circuit, &timing, &patterns, &defect, &behavior)
+            .expect("diagnosis");
+        session
+            .metrics_report()
+            .validate()
+            .unwrap_or_else(|e| panic!("{kernel:?}: {e}"));
+    }
 }

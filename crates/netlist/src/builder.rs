@@ -38,7 +38,12 @@ pub struct CircuitBuilder {
     nodes: Vec<BuildNode>,
     names: HashMap<String, NodeId>,
     outputs: Vec<NodeId>,
-    pending: Vec<NodeId>,
+    /// One flag per node: already marked as an output.
+    is_output: Vec<bool>,
+    /// One flag per node: declared but not yet connected. A flag (not a
+    /// list of ids) keeps `set_fanins` O(1), so forward-referencing
+    /// constructions such as the scan cut stay linear in circuit size.
+    pending: Vec<bool>,
 }
 
 impl CircuitBuilder {
@@ -49,6 +54,7 @@ impl CircuitBuilder {
             nodes: Vec::new(),
             names: HashMap::new(),
             outputs: Vec::new(),
+            is_output: Vec::new(),
             pending: Vec::new(),
         }
     }
@@ -67,6 +73,8 @@ impl CircuitBuilder {
             kind,
             fanins: Vec::new(),
         });
+        self.is_output.push(false);
+        self.pending.push(false);
         self.names.insert(name.to_owned(), id);
         Ok(id)
     }
@@ -108,7 +116,7 @@ impl CircuitBuilder {
     /// Returns [`NetlistError::DuplicateName`] if `name` exists.
     pub fn declare_gate(&mut self, name: &str, kind: GateKind) -> Result<NodeId, NetlistError> {
         let id = self.add_node(name, kind)?;
-        self.pending.push(id);
+        self.pending[id.index()] = true;
         Ok(id)
     }
 
@@ -138,7 +146,7 @@ impl CircuitBuilder {
             });
         }
         self.nodes[id.index()].fanins = fanins.to_vec();
-        self.pending.retain(|&p| p != id);
+        self.pending[id.index()] = false;
         Ok(())
     }
 
@@ -153,7 +161,7 @@ impl CircuitBuilder {
         let id = self
             .add_node(name, GateKind::Dff)
             .expect("duplicate dff name");
-        self.pending.push(id);
+        self.pending[id.index()] = true;
         id
     }
 
@@ -168,8 +176,12 @@ impl CircuitBuilder {
     }
 
     /// Marks a node as a primary output. Duplicate marks are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not created by this builder.
     pub fn output(&mut self, id: NodeId) {
-        if !self.outputs.contains(&id) {
+        if !std::mem::replace(&mut self.is_output[id.index()], true) {
             self.outputs.push(id);
         }
     }
@@ -194,12 +206,12 @@ impl CircuitBuilder {
     /// # Errors
     ///
     /// * [`NetlistError::BadArity`] if any declared gate never received its
-    ///   fanins.
+    ///   fanins (the earliest-declared such gate is named).
     /// * [`NetlistError::Cyclic`] if the combinational graph has a cycle.
     /// * [`NetlistError::NoOutputs`] if no output was marked.
     pub fn finish(self) -> Result<Circuit, NetlistError> {
-        if let Some(&id) = self.pending.first() {
-            let node = &self.nodes[id.index()];
+        if let Some(i) = self.pending.iter().position(|&p| p) {
+            let node = &self.nodes[i];
             return Err(NetlistError::BadArity {
                 node: node.name.clone(),
                 kind: node.kind.to_string(),
@@ -252,6 +264,64 @@ mod tests {
             b.finish().unwrap_err(),
             NetlistError::BadArity { got: 0, .. }
         ));
+    }
+
+    fn unconnected_name(b: CircuitBuilder) -> String {
+        match b.finish().unwrap_err() {
+            NetlistError::BadArity { node, got: 0, .. } => node,
+            other => panic!("expected an unconnected gate, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn finish_names_the_gate_left_pending() {
+        // Two pending gates, either one connected: the other is named.
+        for connect_first in [true, false] {
+            let mut b = CircuitBuilder::new("t");
+            let a = b.input("a");
+            let g1 = b.declare_gate("g1", GateKind::Not).unwrap();
+            let g2 = b.declare_gate("g2", GateKind::Not).unwrap();
+            b.set_fanins(if connect_first { g1 } else { g2 }, &[a])
+                .unwrap();
+            b.output(a);
+            let expected = if connect_first { "g2" } else { "g1" };
+            assert_eq!(unconnected_name(b), expected);
+        }
+        // Several left pending: the earliest-declared one is named.
+        for connected in 0..3 {
+            let mut b = CircuitBuilder::new("t");
+            let a = b.input("a");
+            let gates: Vec<NodeId> = (0..3)
+                .map(|i| b.declare_gate(&format!("g{i}"), GateKind::Not).unwrap())
+                .collect();
+            b.set_fanins(gates[connected], &[a]).unwrap();
+            b.output(a);
+            let expected = if connected == 0 { "g1" } else { "g0" };
+            assert_eq!(unconnected_name(b), expected);
+        }
+    }
+
+    #[test]
+    fn set_fanins_twice_keeps_the_last_connection() {
+        let mut b = CircuitBuilder::new("t");
+        let a = b.input("a");
+        let c = b.input("c");
+        let g = b.declare_gate("g", GateKind::Buf).unwrap();
+        b.set_fanins(g, &[a]).unwrap();
+        b.set_fanins(g, &[c]).unwrap();
+        b.output(g);
+        let circuit = b.finish().unwrap();
+        assert_eq!(circuit.node(g).fanins(), &[c]);
+    }
+
+    #[test]
+    fn unconnected_dff_placeholder_fails_finish() {
+        let mut b = CircuitBuilder::new("t");
+        let a = b.input("a");
+        b.dff_placeholder("q");
+        let g = b.gate("g", GateKind::Not, &[a]).unwrap();
+        b.output(g);
+        assert_eq!(unconnected_name(b), "q");
     }
 
     #[test]

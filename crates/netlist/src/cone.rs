@@ -17,28 +17,63 @@
 //! Extraction cost is `O(cone · log cone)` — a DFS over the cone plus a
 //! sort by topological position — independent of circuit size, which is
 //! what lets s15850-class circuits (and the 100k-gate synthetic profile)
-//! build per-suspect dictionaries at cone-proportional cost.
+//! build per-suspect dictionaries at cone-proportional cost. One
+//! cone-sized node → slot map serves both the DFS membership test and
+//! the in-cone test of every fanin arc; it is dropped once the view is
+//! built, so a stored view costs no more than its own arrays.
 
 use crate::circuit::NONE_U32;
 use crate::{Circuit, EdgeId, NodeId};
-use std::collections::HashSet;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Cone-local fanin-slot sentinel: the driver of this arc lies outside
 /// the cone (read its value from full-circuit baseline state via
 /// [`ConeView::arc_sources`]).
 pub const EXTERNAL: u32 = NONE_U32;
 
+/// Multiplicative (FxHash-style) hasher for the node → slot map. Node
+/// ids are dense small integers, so one odd-constant multiply spreads
+/// them over both the bucket bits and the tag bits; SipHash's DoS
+/// resistance buys nothing here. The map is never iterated, so hash order cannot
+/// reach a result.
+#[derive(Default)]
+struct SlotHasher(u64);
+
+impl Hasher for SlotHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type SlotMap = HashMap<NodeId, u32, BuildHasherDefault<SlotHasher>>;
+
 /// A topologically ordered view of the induced fanout cone of one seed
 /// node, with cone-local arc renumbering. See the module docs.
 #[derive(Debug, Clone)]
 pub struct ConeView {
     seed: NodeId,
-    /// Cone nodes in circuit topological order; a node's index here is
-    /// its *slot*.
+    /// Cone nodes in circuit topological order (ascending
+    /// `topo_position`, the key [`ConeView::slot_of_in`] binary-searches);
+    /// a node's index here is its *slot*.
     nodes: Vec<NodeId>,
-    /// `topo_position` of each cone node; ascending (parallel to
-    /// `nodes`), the key [`ConeView::slot_of`] binary-searches.
-    topo_pos: Vec<u32>,
     /// Cone-local CSR row offsets, length `len + 1`: slot `s`'s fanin
     /// arcs are the local arc indices `offsets[s] .. offsets[s+1]`, in
     /// pin order.
@@ -58,18 +93,19 @@ pub struct ConeView {
 impl ConeView {
     /// Extracts the cone of `seed` from `circuit`.
     pub(crate) fn new(circuit: &Circuit, seed: NodeId) -> ConeView {
-        // DFS over fanout arcs; membership via a hash set so no
-        // full-circuit scratch is allocated. The set is only queried for
-        // membership, so hash iteration order cannot leak into results.
-        let mut members: HashSet<NodeId> = HashSet::new();
+        // DFS over fanout arcs. Membership lives in the node → slot map,
+        // so no full-circuit scratch is allocated; slots are filled in
+        // once the cone is sorted.
+        let mut slots = SlotMap::default();
         let mut stack = vec![seed];
-        members.insert(seed);
+        slots.insert(seed, EXTERNAL);
         let mut nodes = Vec::new();
         while let Some(id) = stack.pop() {
             nodes.push(id);
             for &e in circuit.fanout_edges(id) {
                 let to = circuit.edge(e).to();
-                if members.insert(to) {
+                if let Entry::Vacant(v) = slots.entry(to) {
+                    v.insert(EXTERNAL);
                     stack.push(to);
                 }
             }
@@ -77,7 +113,10 @@ impl ConeView {
         // Topological order == ascending topo_position (deterministic,
         // independent of discovery order).
         nodes.sort_unstable_by_key(|&n| circuit.topo_position(n));
-        let topo_pos: Vec<u32> = nodes.iter().map(|&n| circuit.topo_position(n)).collect();
+        for (s, n) in nodes.iter().enumerate() {
+            *slots.get_mut(n).expect("every cone node was inserted") =
+                u32::try_from(s).expect("cone size bounded by MAX_NODES");
+        }
 
         let n_arcs: usize = nodes.iter().map(|&n| circuit.node(n).fanins().len()).sum();
         let mut fanin_offsets = Vec::with_capacity(nodes.len() + 1);
@@ -88,13 +127,7 @@ impl ConeView {
         for &id in &nodes {
             let node = circuit.node(id);
             for (&from, &e) in node.fanins().iter().zip(node.fanin_edges()) {
-                // `topo_pos` is a bijection, so the driver is in the cone
-                // iff its topo position occurs in the sorted key array.
-                let slot = match topo_pos.binary_search(&circuit.topo_position(from)) {
-                    Ok(s) => u32::try_from(s).expect("cone size bounded by MAX_NODES"),
-                    Err(_) => EXTERNAL,
-                };
-                fanin_slots.push(slot);
+                fanin_slots.push(slots.get(&from).copied().unwrap_or(EXTERNAL));
                 fanin_nodes.push(from);
                 fanin_edges.push(e);
             }
@@ -116,7 +149,6 @@ impl ConeView {
         ConeView {
             seed,
             nodes,
-            topo_pos,
             fanin_offsets,
             fanin_slots,
             fanin_nodes,
@@ -160,8 +192,8 @@ impl ConeView {
     /// The slot of `node`, or `None` if the node is outside the cone.
     /// `O(log len)` (binary search over topological positions).
     pub fn slot_of_in(&self, circuit: &Circuit, node: NodeId) -> Option<usize> {
-        self.topo_pos
-            .binary_search(&circuit.topo_position(node))
+        self.nodes
+            .binary_search_by_key(&circuit.topo_position(node), |&n| circuit.topo_position(n))
             .ok()
     }
 

@@ -3,8 +3,9 @@
 //! helpers are pinned deterministic and duplicate-free on reconvergent
 //! graphs.
 
-use sdd_netlist::generator::{generate, GeneratorConfig};
-use sdd_netlist::{Circuit, CircuitBuilder, EdgeId, GateKind, NodeId};
+use sdd_netlist::generator::{generate, generate_combinational, GeneratorConfig};
+use sdd_netlist::{bench_format, profiles};
+use sdd_netlist::{Circuit, CircuitBuilder, EdgeId, GateKind, NodeId, EXTERNAL};
 use std::collections::HashMap;
 
 /// A diamond with two reconvergence points and a side branch:
@@ -153,4 +154,65 @@ fn reconvergent_cones_pin_exact_membership() {
     assert_eq!(names(&c.reachable_outputs(g1)), ["w", "y"]);
     let a = c.find("a").unwrap();
     assert_eq!(names(&c.fanout_cone(a)), ["a", "g1", "g2", "w", "y", "z"]);
+}
+
+/// ISCAS-85 c17.
+const C17: &str = "\
+INPUT(1)
+INPUT(2)
+INPUT(3)
+INPUT(6)
+INPUT(7)
+OUTPUT(22)
+OUTPUT(23)
+10 = NAND(1, 3)
+11 = NAND(3, 6)
+16 = NAND(2, 11)
+19 = NAND(11, 7)
+22 = NAND(10, 16)
+23 = NAND(16, 19)
+";
+
+#[test]
+fn cone_view_slot_map_matches_brute_force() {
+    let circuits = [
+        bench_format::parse("c17", C17).unwrap(),
+        generate_combinational(&profiles::by_name("s1196").unwrap(), 1).unwrap(),
+        generate(&GeneratorConfig::small("trav", 5))
+            .unwrap()
+            .to_combinational()
+            .unwrap(),
+    ];
+    for c in &circuits {
+        let (mut single_node, mut output_seed) = (false, false);
+        for seed in c.node_ids() {
+            let view = c.cone_view(seed);
+            // Reference slots: `fanout_cone` membership, ranked by
+            // topological position.
+            let mut members = c.fanout_cone(seed);
+            members.sort_unstable_by_key(|&n| c.topo_position(n));
+            let mut slot = vec![EXTERNAL; c.num_nodes()];
+            for (s, &n) in members.iter().enumerate() {
+                slot[n.index()] = s as u32;
+            }
+            let expected: Vec<u32> = members
+                .iter()
+                .flat_map(|&n| c.node(n).fanins().iter().map(|f| slot[f.index()]))
+                .collect();
+            assert_eq!(view.arc_slots(), &expected[..], "{} seed {seed}", c.name());
+            for n in c.node_ids() {
+                let reference = (slot[n.index()] != EXTERNAL).then(|| slot[n.index()] as usize);
+                assert_eq!(
+                    view.slot_of_in(c, n),
+                    reference,
+                    "{} seed {seed} node {n}",
+                    c.name()
+                );
+            }
+            single_node |= view.len() == 1;
+            output_seed |= c.output_position(seed).is_some();
+        }
+        assert!(single_node, "{}: no single-node cone exercised", c.name());
+        assert!(output_seed, "{}: no output seed exercised", c.name());
+    }
 }

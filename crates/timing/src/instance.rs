@@ -126,6 +126,25 @@ impl InstanceBatch {
         }
     }
 
+    /// Wraps an edge-major, sample-contiguous delay matrix
+    /// (`delays[e * n_samples + s]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delays.len() != n_edges * n_samples`.
+    pub(crate) fn from_edge_major(
+        n_edges: usize,
+        n_samples: usize,
+        delays: Vec<f64>,
+    ) -> InstanceBatch {
+        assert_eq!(delays.len(), n_edges * n_samples, "batch shape mismatch");
+        InstanceBatch {
+            n_edges,
+            n_samples,
+            delays,
+        }
+    }
+
     /// Number of samples (chip instances) in the batch.
     pub fn n_samples(&self) -> usize {
         self.n_samples

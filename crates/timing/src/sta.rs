@@ -82,16 +82,21 @@ pub fn node_arrival(circuit: &Circuit, instance: &TimingInstance, node: NodeId) 
     arrival_times(circuit, instance)[node.index()]
 }
 
-/// Samples per parallel work unit of [`static_mc`]. Fixed (rather than
-/// derived from the thread count) so results are bit-identical no matter
-/// how the chunks are scheduled.
+/// Largest number of samples per parallel work unit of [`static_mc`].
+/// Runs smaller than `MC_CHUNK × threads` use shorter chunks so every
+/// pool thread gets work. Results do not depend on the chunking: each
+/// sample's delays are drawn from its own keyed stream
+/// ([`CircuitTiming::sample_instance_indexed`]) and the chunks are
+/// concatenated in sample order, so chunk length only decides the work
+/// split.
 const MC_CHUNK: usize = 32;
 
 /// Runs Monte-Carlo static statistical timing analysis with `n_samples`
 /// manufactured instances drawn from `timing` (seeded, reproducible,
 /// parallelized over instances).
 ///
-/// Instances are simulated in fixed-size chunks; each chunk reuses one
+/// Instances are simulated in chunks of at most `MC_CHUNK` samples,
+/// spread over the pool; each chunk reuses one
 /// arrival buffer and writes its output-major block directly, so the
 /// working set is `O(outputs × samples)` and the per-sample hot loop
 /// performs no allocation.
@@ -135,7 +140,8 @@ pub fn static_mc(
     if outputs.is_empty() {
         return Err(TimingError::NoOutputs);
     }
-    let n_chunks = n_samples.div_ceil(MC_CHUNK);
+    let chunk_len = MC_CHUNK.min(n_samples.div_ceil(rayon::current_num_threads().max(1)));
+    let n_chunks = n_samples.div_ceil(chunk_len);
     // Each chunk yields its output-major block `arrivals[o][j]`
     // (flattened as `o * chunk_len + j`) plus the per-sample max, so no
     // sample-major intermediate ever exists and no transpose pass is
@@ -143,8 +149,8 @@ pub fn static_mc(
     let blocks: Vec<(Vec<f64>, Vec<f64>)> = (0..n_chunks)
         .into_par_iter()
         .map(|chunk| {
-            let lo = chunk * MC_CHUNK;
-            let hi = ((chunk + 1) * MC_CHUNK).min(n_samples);
+            let lo = chunk * chunk_len;
+            let hi = ((chunk + 1) * chunk_len).min(n_samples);
             let len = hi - lo;
             let mut block = vec![0.0f64; outputs.len() * len];
             let mut delta = Vec::with_capacity(len);
@@ -307,7 +313,9 @@ mod tests {
     #[test]
     fn chunked_reduction_matches_reference_transpose() {
         // Cross-check the chunk-folded implementation against a direct
-        // per-sample evaluation (the shape of the code it replaced).
+        // per-sample evaluation (the shape of the code it replaced), for
+        // runs below, at and above one chunk per thread, and across pool
+        // sizes (the chunk length follows the thread count).
         let c = generate(&GeneratorConfig::small("t", 8))
             .unwrap()
             .to_combinational()
@@ -317,18 +325,28 @@ mod tests {
             &CellLibrary::default_025um(),
             VariationModel::default(),
         );
-        let n = MC_CHUNK * 2 + 7; // exercise a ragged final chunk
-        let r = static_mc(&c, &t, n, 11).unwrap();
         let outputs = c.primary_outputs();
-        for i in 0..n {
-            let instance = t.sample_instance_indexed(11, i as u64);
-            let arr = arrival_times(&c, &instance);
-            let mut worst = f64::NEG_INFINITY;
-            for (o, out) in outputs.iter().enumerate() {
-                assert_eq!(r.output_arrivals[o].values()[i], arr[out.index()]);
-                worst = worst.max(arr[out.index()]);
+        let on_threads = |threads: usize, n: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| static_mc(&c, &t, n, 11).unwrap())
+        };
+        // 33 and 71 leave a ragged final chunk at every pool size.
+        for n in [1, 5, 20, 33, 71] {
+            let r = on_threads(1, n);
+            assert_eq!(r, on_threads(4, n), "n = {n}: 1 vs 4 threads");
+            for i in 0..n {
+                let instance = t.sample_instance_indexed(11, i as u64);
+                let arr = arrival_times(&c, &instance);
+                let mut worst = f64::NEG_INFINITY;
+                for (o, out) in outputs.iter().enumerate() {
+                    assert_eq!(r.output_arrivals[o].values()[i], arr[out.index()]);
+                    worst = worst.max(arr[out.index()]);
+                }
+                assert_eq!(r.circuit_delay.values()[i], worst);
             }
-            assert_eq!(r.circuit_delay.values()[i], worst);
         }
     }
 }

@@ -119,13 +119,18 @@ impl CircuitTiming {
         let delays = self
             .edge_means
             .iter()
-            .map(|&mean| {
-                let l = standard_normal(rng);
-                let factor = 1.0 + self.variation.global_frac * g + self.variation.local_frac * l;
-                (mean * factor).max(mean * 0.05)
-            })
+            .map(|&mean| self.draw_delay(mean, g, rng))
             .collect();
         TimingInstance::new(delays)
+    }
+
+    /// One arc's delay on a chip whose die-level factor is `g`: draws the
+    /// arc's local factor from `rng`.
+    #[inline]
+    fn draw_delay<R: Rng + ?Sized>(&self, mean: f64, g: f64, rng: &mut R) -> f64 {
+        let l = standard_normal(rng);
+        let factor = 1.0 + self.variation.global_frac * g + self.variation.local_frac * l;
+        (mean * factor).max(mean * 0.05)
     }
 
     /// Manufactures `n` instances reproducibly from a seed. Instance `i`
@@ -140,26 +145,42 @@ impl CircuitTiming {
     /// Manufactures the `index`-th instance of the stream identified by
     /// `seed`.
     pub fn sample_instance_indexed(&self, seed: u64, index: u64) -> TimingInstance {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        self.sample_instance(&mut rng)
+        self.sample_instance(&mut indexed_rng(seed, index))
     }
 
     /// Manufactures instances `first_index..first_index + n` of the
-    /// stream identified by `seed`, transposed into the sample-major
-    /// layout the batched dictionary kernel reads. Draws are keyed per
-    /// index, so `batch.delay(e, s)` is bit-identical to
+    /// stream identified by `seed`, directly in the sample-major layout
+    /// the batched dictionary kernel reads. Draws are keyed per index,
+    /// so `batch.delay(e, s)` is bit-identical to
     /// `sample_instance_indexed(seed, first_index + s).delay(e)`.
+    ///
+    /// The `n` keyed streams are seeded once and advanced together, arc
+    /// by arc: each stream sees the same draw sequence as a one-chip
+    /// walk, while every batch row is written contiguously and no
+    /// per-instance vector or transpose exists.
     pub fn sample_instance_batch(
         &self,
         seed: u64,
         first_index: u64,
         n: usize,
     ) -> crate::InstanceBatch {
-        let instances: Vec<TimingInstance> = (0..n as u64)
-            .map(|s| self.sample_instance_indexed(seed, first_index + s))
+        let mut rngs: Vec<ChaCha8Rng> = (0..n as u64)
+            .map(|s| indexed_rng(seed, first_index + s))
             .collect();
-        crate::InstanceBatch::from_instances(&instances)
+        let globals: Vec<f64> = rngs.iter_mut().map(standard_normal).collect();
+        let mut delays = Vec::with_capacity(self.edge_means.len() * n);
+        for &mean in &self.edge_means {
+            for (rng, &g) in rngs.iter_mut().zip(&globals) {
+                delays.push(self.draw_delay(mean, g, rng));
+            }
+        }
+        crate::InstanceBatch::from_edge_major(self.edge_means.len(), n, delays)
     }
+}
+
+/// The random stream of the `index`-th instance of the stream `seed`.
+fn indexed_rng(seed: u64, index: u64) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 #[cfg(test)]
@@ -220,6 +241,18 @@ mod tests {
             assert_eq!(a[i], b[i], "instance {i} depends on n");
         }
         assert_eq!(a[2], t.sample_instance_indexed(7, 2));
+    }
+
+    #[test]
+    fn batch_matches_indexed_instances() {
+        let (_, t) = demo();
+        for (first, n) in [(0u64, 1usize), (3, 5), (40, 17)] {
+            let batch = t.sample_instance_batch(9, first, n);
+            let reference: Vec<TimingInstance> = (0..n as u64)
+                .map(|s| t.sample_instance_indexed(9, first + s))
+                .collect();
+            assert_eq!(batch, crate::InstanceBatch::from_instances(&reference));
+        }
     }
 
     #[test]
