@@ -1,13 +1,15 @@
 //! Criterion benches for the diagnosis core: probabilistic fault
-//! dictionary construction, behaviour observation and error-function
-//! ranking — the operations behind every Table I cell.
+//! dictionary construction (cold, and a warm cache hit), behaviour
+//! observation and error-function ranking — the operations behind every
+//! Table I cell.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sdd_bench::bench_profile;
 use sdd_core::defect::SingleDefectModel;
 use sdd_core::dictionary::DictionaryConfig;
 use sdd_core::inject::{patterns_through_site, tested_delay_samples};
-use sdd_core::{BehaviorMatrix, Diagnoser, DiagnoserConfig, ErrorFunction};
+use sdd_core::suspects::collect_suspects;
+use sdd_core::{BehaviorMatrix, Diagnoser, DiagnoserConfig, DictionaryCache, ErrorFunction};
 use sdd_netlist::generator::generate;
 use sdd_netlist::{Circuit, EdgeId};
 use sdd_timing::{CellLibrary, CircuitTiming, VariationModel};
@@ -77,6 +79,57 @@ fn bench_dictionary_build(c: &mut Criterion) {
     });
 }
 
+fn bench_dictionary_cache_hit(c: &mut Criterion) {
+    // A served retest at the paper's budget: s1423, 20 patterns, 200
+    // samples. Once the bank is warm, a hit costs only the store key and
+    // the assembly of M_crt, E_crt and the joint estimate.
+    let circuit = generate(
+        &sdd_netlist::profiles::by_name("s1423")
+            .expect("s1423 profile exists")
+            .to_config(1),
+    )
+    .expect("profile generates")
+    .to_combinational()
+    .expect("scan cut");
+    let library = CellLibrary::default_025um();
+    let timing = CircuitTiming::characterize(&circuit, &library, VariationModel::default());
+    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let patterns = sdd_atpg::PatternSet::random(&circuit, 20, 7);
+    assert_eq!(patterns.len(), 20);
+    let clk = tested_delay_samples(&circuit, &timing, &patterns, 100, 3).quantile(0.35);
+    let (behavior, suspects) = circuit
+        .edge_ids()
+        .step_by(7)
+        .map(|site| {
+            let chip = timing
+                .sample_instance_indexed(9, 0)
+                .with_extra_delay(site, 0.12);
+            let behavior = BehaviorMatrix::observe(&circuit, &patterns, &chip, clk);
+            let suspects = collect_suspects(&circuit, &patterns, &behavior);
+            (behavior, suspects)
+        })
+        .find(|(_, suspects)| suspects.len() >= 10)
+        .expect("some defect implicates at least 10 suspects");
+    let cache = DictionaryCache::new();
+    let build = || {
+        cache.build_with_behavior(
+            &circuit,
+            &timing,
+            &model.size_dist(),
+            &patterns,
+            &suspects,
+            clk,
+            DictionaryConfig::default(),
+            Some(&behavior),
+            None,
+        )
+    };
+    build();
+    c.bench_function("dictionary_cache_hit_s1423_paper", |b| {
+        b.iter(|| black_box(build()))
+    });
+}
+
 fn bench_rank_all_functions(c: &mut Criterion) {
     let f = setup();
     let diagnoser = Diagnoser::new(
@@ -104,6 +157,7 @@ criterion_group!(
     targets =
     bench_observe,
     bench_dictionary_build,
+    bench_dictionary_cache_hit,
     bench_rank_all_functions
 );
 criterion_main!(benches);

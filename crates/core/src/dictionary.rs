@@ -583,6 +583,9 @@ impl ProbabilisticDictionary {
 
 /// A dense bit matrix: `rows` Monte-Carlo samples × `width` outputs,
 /// one bit per (sample, output) failure outcome.
+///
+/// Invariant: the padding bits past `width` in each row's last word are
+/// zero, so whole-word compares and masks see only real outcomes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BitGrid {
     width: usize,
@@ -617,6 +620,45 @@ impl BitGrid {
         self.width
     }
 
+    /// Number of rows (Monte-Carlo samples).
+    pub(crate) fn rows(&self) -> usize {
+        self.words.len() / self.words_per_row
+    }
+
+    /// The rows as word slices, in row order.
+    fn row_words(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words.chunks_exact(self.words_per_row)
+    }
+
+    /// Overwrites `counts[i]` with the number of rows whose bit `i` is
+    /// set. Visits set bits only.
+    fn count_columns(&self, counts: &mut [u32]) {
+        debug_assert_eq!(counts.len(), self.width);
+        counts.fill(0);
+        for row in self.row_words() {
+            for (w, &word) in row.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    counts[w * 64 + bits.trailing_zeros() as usize] += 1;
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+
+    /// Every row XOR'd with the one-row grid `row` of the same width.
+    fn xor_each_row(&self, row: &BitGrid) -> BitGrid {
+        debug_assert_eq!((row.rows(), row.width), (1, self.width));
+        BitGrid {
+            width: self.width,
+            words_per_row: self.words_per_row,
+            words: self
+                .row_words()
+                .flat_map(|r| r.iter().zip(&row.words).map(|(a, b)| a ^ b))
+                .collect(),
+        }
+    }
+
     /// The backing words, row-major (for store serialization).
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
@@ -624,10 +666,21 @@ impl BitGrid {
 
     /// Rebuilds a grid from its width and backing words (store
     /// deserialization). Returns `None` when the word count is not a
-    /// whole number of rows for that width.
+    /// whole number of rows for that width, or a padding bit is set.
     pub(crate) fn from_words(width: usize, words: Vec<u64>) -> Option<BitGrid> {
         let words_per_row = width.div_ceil(64).max(1);
         if !words.len().is_multiple_of(words_per_row) {
+            return None;
+        }
+        let padding = if width > 0 && width.is_multiple_of(64) {
+            0
+        } else {
+            !0u64 << (width % 64)
+        };
+        if words
+            .chunks_exact(words_per_row)
+            .any(|row| row[words_per_row - 1] & padding != 0)
+        {
             return None;
         }
         Some(BitGrid {
@@ -1375,7 +1428,133 @@ pub(crate) fn simulate_fail_masks_shared(
 /// suspect `E_crt` and (against an observed behaviour matrix) the joint
 /// consistency estimate. Pure counting — no simulation — so a dictionary
 /// assembled from cached grids is bit-identical to a fresh build.
+///
+/// Works on grid words, not single bits. `M_crt`/`E_crt` cells are
+/// per-column set-bit counts. The joint estimate splits into a
+/// suspect-independent half, done once per pattern ([`ObservedColumn`]),
+/// and a per-suspect test of two word compares per sample. Every count
+/// is the same integer the per-bit oracle (`assemble_from_masks_oracle`)
+/// produces, so the dictionaries are bit-identical.
+///
+/// Every grid must have `n_samples` rows and each suspect's `reachable`
+/// positions must be distinct; the store's shape check enforces both
+/// on loaded banks.
 pub(crate) fn assemble_from_masks(
+    clk: f64,
+    n_out: usize,
+    n_samples: usize,
+    base: &[&BitGrid],
+    suspects: &[(EdgeId, &SuspectMasks)],
+    behavior: Option<&crate::BehaviorMatrix>,
+) -> ProbabilisticDictionary {
+    let n_patterns = base.len();
+    let inv_n = 1.0 / n_samples as f64;
+    let mut m_crt = ProbMatrix::zeros(n_out, n_patterns);
+    let mut counts = vec![0u32; n_out];
+    for (j, grid) in base.iter().enumerate() {
+        debug_assert_eq!(grid.rows(), n_samples);
+        grid.count_columns(&mut counts);
+        for (i, &c) in counts.iter().enumerate() {
+            m_crt.set(i, j, c as f64 * inv_n);
+        }
+    }
+    let observed: Option<Vec<ObservedColumn>> = behavior.map(|b| {
+        base.iter()
+            .enumerate()
+            .map(|(j, grid)| ObservedColumn::new(b, j, grid))
+            .collect()
+    });
+    let suspects = suspects
+        .iter()
+        .map(|&(edge, masks)| {
+            let reach = masks.reachable.clone();
+            let mut err = ProbMatrix::zeros(reach.len(), n_patterns);
+            let mut counts = vec![0u32; reach.len()];
+            for (j, grid) in masks.fails.iter().enumerate() {
+                debug_assert_eq!(grid.rows(), n_samples);
+                grid.count_columns(&mut counts);
+                for (k, &c) in counts.iter().enumerate() {
+                    err.set(k, j, c as f64 * inv_n);
+                }
+            }
+            let joint = observed.as_ref().map(|columns| {
+                let mut reach_mask = BitGrid::new(1, n_out);
+                for &i in &reach {
+                    reach_mask.set(0, i);
+                }
+                columns
+                    .iter()
+                    .zip(&masks.fails)
+                    .map(|(column, grid)| {
+                        column.consistent_samples(grid, &reach, &reach_mask) as f64 * inv_n
+                    })
+                    .collect()
+            });
+            SuspectSignature {
+                edge,
+                reachable: reach,
+                err,
+                joint,
+            }
+        })
+        .collect();
+    ProbabilisticDictionary {
+        clk,
+        m_crt,
+        suspects,
+    }
+}
+
+/// The suspect-independent half of the joint-consistency test for one
+/// pattern `j`: the observed column `B[·, j]` as one row of output
+/// words, and each sample's defect-free mismatch `base_row ^ col`.
+struct ObservedColumn {
+    col: BitGrid,
+    mismatch: BitGrid,
+}
+
+impl ObservedColumn {
+    fn new(behavior: &crate::BehaviorMatrix, j: usize, base: &BitGrid) -> ObservedColumn {
+        let mut col = BitGrid::new(1, base.width());
+        for i in 0..base.width() {
+            if behavior.fails(i, j) {
+                col.set(0, i);
+            }
+        }
+        let mismatch = base.xor_each_row(&col);
+        ObservedColumn { col, mismatch }
+    }
+
+    /// Number of samples whose outcome matches the observed column with
+    /// the suspect's defect applied. A sample matches iff its fail row
+    /// equals the column gathered in reach order, and every defect-free
+    /// mismatch lies inside the reachable set. (Outputs outside the
+    /// reach keep their defect-free outcome.)
+    fn consistent_samples(&self, fails: &BitGrid, reach: &[usize], reach_mask: &BitGrid) -> u32 {
+        let mut want = BitGrid::new(1, reach.len());
+        for (k, &i) in reach.iter().enumerate() {
+            if self.col.get(0, i) {
+                want.set(0, k);
+            }
+        }
+        fails
+            .row_words()
+            .zip(self.mismatch.row_words())
+            .filter(|(fail, mismatch)| {
+                *fail == want.words.as_slice()
+                    && mismatch
+                        .iter()
+                        .zip(&reach_mask.words)
+                        .all(|(m, r)| m & !r == 0)
+            })
+            .count() as u32
+    }
+}
+
+/// The per-bit assembly [`assemble_from_masks`] replaced: the oracle the
+/// `differential_assembly_*` tests compare it against.
+#[cfg(test)]
+fn assemble_from_masks_oracle(
     clk: f64,
     n_out: usize,
     n_samples: usize,
@@ -1865,5 +2044,223 @@ mod tests {
             0.25,
             DictionaryConfig::default(),
         );
+    }
+
+    /// A random assembly input whose joint test takes every branch:
+    /// per sample, the defect-free row either equals the observed column
+    /// or carries random flips anywhere (inside or outside the reach),
+    /// and the fail row either equals the observed reach bits or has one
+    /// bit flipped.
+    struct AssemblyCase {
+        base: Vec<BitGrid>,
+        suspects: Vec<(EdgeId, SuspectMasks)>,
+        behavior: crate::BehaviorMatrix,
+    }
+
+    impl AssemblyCase {
+        fn random(
+            n_out: usize,
+            n_samples: usize,
+            n_patterns: usize,
+            reaches: &[Vec<usize>],
+            seed: u64,
+        ) -> AssemblyCase {
+            use rand::Rng;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut bits = sdd_atpg::dictionary::BitMatrix::zeros(n_out, n_patterns);
+            for i in 0..n_out {
+                for j in 0..n_patterns {
+                    bits.set(i, j, rng.gen_bool(0.3));
+                }
+            }
+            let behavior = crate::BehaviorMatrix::from_bits(bits, 1.0);
+            let flip = 2.0 / n_out as f64;
+            let mut base = Vec::new();
+            let mut fails: Vec<Vec<BitGrid>> = vec![Vec::new(); reaches.len()];
+            for j in 0..n_patterns {
+                let mut grid = BitGrid::new(n_samples, n_out);
+                for s in 0..n_samples {
+                    let anywhere = rng.gen_bool(0.5);
+                    for i in 0..n_out {
+                        if behavior.fails(i, j) != (anywhere && rng.gen_bool(flip)) {
+                            grid.set(s, i);
+                        }
+                    }
+                }
+                base.push(grid);
+                for (reach, out) in reaches.iter().zip(&mut fails) {
+                    let mut grid = BitGrid::new(n_samples, reach.len());
+                    for s in 0..n_samples {
+                        let flipped = (!reach.is_empty() && rng.gen_bool(0.3))
+                            .then(|| rng.gen_range(0..reach.len()));
+                        for (k, &i) in reach.iter().enumerate() {
+                            if behavior.fails(i, j) != (flipped == Some(k)) {
+                                grid.set(s, k);
+                            }
+                        }
+                    }
+                    out.push(grid);
+                }
+            }
+            let suspects = reaches
+                .iter()
+                .zip(fails)
+                .enumerate()
+                .map(|(e, (reach, fails))| {
+                    let masks = SuspectMasks {
+                        reachable: reach.clone(),
+                        fails,
+                    };
+                    (EdgeId::from_index(e), masks)
+                })
+                .collect();
+            AssemblyCase {
+                base,
+                suspects,
+                behavior,
+            }
+        }
+
+        /// Assembles with both implementations and asserts equality;
+        /// returns the word-parallel result.
+        fn assert_matches_oracle(&self, with_behavior: bool) -> ProbabilisticDictionary {
+            let n_out = self.base[0].width();
+            let n_samples = self.base[0].rows();
+            let base: Vec<&BitGrid> = self.base.iter().collect();
+            let suspects: Vec<(EdgeId, &SuspectMasks)> =
+                self.suspects.iter().map(|(e, m)| (*e, m)).collect();
+            let behavior = with_behavior.then_some(&self.behavior);
+            let fast = assemble_from_masks(0.5, n_out, n_samples, &base, &suspects, behavior);
+            let oracle =
+                assemble_from_masks_oracle(0.5, n_out, n_samples, &base, &suspects, behavior);
+            assert_eq!(
+                fast, oracle,
+                "n_out {n_out}, n_samples {n_samples}, behavior {with_behavior}"
+            );
+            fast
+        }
+    }
+
+    /// A random strictly increasing subset of `0..n_out`.
+    fn random_reach(rng: &mut ChaCha8Rng, n_out: usize) -> Vec<usize> {
+        use rand::Rng;
+        let p = rng.gen_range(0.05..=0.9);
+        (0..n_out).filter(|_| rng.gen_bool(p)).collect()
+    }
+
+    #[test]
+    fn differential_assembly_matches_oracle_across_shapes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xA55E);
+        let (mut consistent, mut inconsistent) = (0usize, 0usize);
+        for n_out in [1, 63, 64, 65, 76, 130] {
+            for n_samples in [1, 63, 64, 65, 200] {
+                let reaches: Vec<Vec<usize>> =
+                    (0..4).map(|_| random_reach(&mut rng, n_out)).collect();
+                let seed = (n_out * 1000 + n_samples) as u64;
+                let case = AssemblyCase::random(n_out, n_samples, 3, &reaches, seed);
+                assert!(case.assert_matches_oracle(false).suspects[0]
+                    .joint
+                    .is_none());
+                let dict = case.assert_matches_oracle(true);
+                for s in &dict.suspects {
+                    for &p in s.joint.as_ref().expect("joint estimate") {
+                        consistent += usize::from(p > 0.0);
+                        inconsistent += usize::from(p < 1.0);
+                    }
+                }
+            }
+        }
+        // The random cases must exercise both outcomes of the joint test.
+        assert!(consistent > 0 && inconsistent > 0);
+    }
+
+    #[test]
+    fn differential_assembly_matches_oracle_on_empty_and_full_reach() {
+        for n_out in [1, 63, 64, 65, 76, 130] {
+            for n_samples in [1, 64, 200] {
+                let reaches = vec![Vec::new(), (0..n_out).collect()];
+                let seed = (n_out * 7 + n_samples) as u64;
+                let case = AssemblyCase::random(n_out, n_samples, 2, &reaches, seed);
+                case.assert_matches_oracle(false);
+                case.assert_matches_oracle(true);
+            }
+        }
+    }
+
+    #[test]
+    fn differential_assembly_matches_oracle_on_simulated_grids() {
+        // Real Monte-Carlo grids and a real injected-chip behaviour, on
+        // a generated circuit with multi-output cones.
+        let c = sdd_netlist::generator::generate(&sdd_netlist::generator::GeneratorConfig::small(
+            "asm", 23,
+        ))
+        .unwrap()
+        .to_combinational()
+        .unwrap();
+        let t = CircuitTiming::characterize(
+            &c,
+            &CellLibrary::default_025um(),
+            VariationModel::new(0.05, 0.08),
+        );
+        let ps = PatternSet::random(&c, 5, 0x5EED);
+        let edges: Vec<EdgeId> = c.edge_ids().step_by(2).collect();
+        let cones: Vec<DefectCone> = edges.iter().map(|&e| DefectCone::new(&c, e)).collect();
+        // A clock inside the tested-delay spread, so outcomes vary.
+        let clk = crate::inject::tested_delay_samples(&c, &t, &ps, 100, 1).quantile(0.6);
+        let config = DictionaryConfig {
+            n_samples: 65,
+            seed: 0xD1C7,
+            ..DictionaryConfig::default()
+        };
+        let defect = Dist::Normal {
+            mean: 0.2,
+            std: 0.08,
+        };
+        let per_pattern =
+            simulate_fail_masks(&c, &t, &defect, &ps, &cones, clk, config, None, None);
+        let chip = t
+            .sample_instance_indexed(5, 0)
+            .with_extra_delay(edges[3], 0.3);
+        let behavior = crate::BehaviorMatrix::observe(&c, &ps, &chip, clk);
+        let base: Vec<&BitGrid> = per_pattern.iter().map(|(b, _)| b).collect();
+        let masks: Vec<SuspectMasks> = cones
+            .iter()
+            .enumerate()
+            .map(|(ci, cone)| SuspectMasks {
+                reachable: cone.reachable_outputs().to_vec(),
+                fails: per_pattern.iter().map(|(_, f)| f[ci].clone()).collect(),
+            })
+            .collect();
+        let suspects: Vec<(EdgeId, &SuspectMasks)> = edges.iter().copied().zip(&masks).collect();
+        let n_out = c.primary_outputs().len();
+        let mut joints: Vec<f64> = Vec::new();
+        for behavior in [None, Some(&behavior)] {
+            let fast = assemble_from_masks(clk, n_out, 65, &base, &suspects, behavior);
+            let oracle = assemble_from_masks_oracle(clk, n_out, 65, &base, &suspects, behavior);
+            assert_eq!(fast, oracle);
+            joints.extend(
+                fast.suspects
+                    .iter()
+                    .flat_map(|s| s.joint.iter().flatten().copied()),
+            );
+        }
+        assert!(joints.iter().any(|&p| p > 0.0) && joints.iter().any(|&p| p < 1.0));
+    }
+
+    #[test]
+    fn grid_from_words_rejects_set_padding_bits() {
+        for width in [0usize, 1, 63, 64, 65] {
+            let words_per_row = width.div_ceil(64).max(1);
+            let clean = vec![0u64; 2 * words_per_row];
+            assert!(BitGrid::from_words(width, clean.clone()).is_some());
+            if width % 64 != 0 || width == 0 {
+                let mut dirty = clean;
+                dirty[2 * words_per_row - 1] = 1u64 << (width % 64);
+                assert!(
+                    BitGrid::from_words(width, dirty).is_none(),
+                    "width {width}: padding bit accepted"
+                );
+            }
+        }
     }
 }

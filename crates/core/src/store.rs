@@ -308,8 +308,10 @@ impl DictionaryStore {
 
     /// Loads the checkpoint for `key`, if a valid one exists. *Any*
     /// failure — absent file, truncation, bit flip, version skew, key
-    /// mismatch, shape mismatch, I/O error — returns `None` (a miss that
-    /// degrades to recomputation), never a panic.
+    /// mismatch, shape mismatch (grid widths, row counts other than
+    /// `key.n_samples`, reach lists not strictly increasing), I/O error —
+    /// returns `None` (a miss that degrades to recomputation), never a
+    /// panic.
     pub(crate) fn load(
         &self,
         key: &StoreKey,
@@ -321,7 +323,7 @@ impl DictionaryStore {
         let bank = fs::read(self.dir.join(key.file_name()))
             .ok()
             .and_then(|bytes| decode_bank(&bytes, key).ok())
-            .filter(|bank| bank_fits(bank, n_patterns, n_outputs));
+            .filter(|bank| bank_fits(bank, key.n_samples, n_patterns, n_outputs));
         if let Some(m) = metrics {
             let nanos = start.elapsed().as_nanos() as u64;
             match bank {
@@ -474,15 +476,23 @@ impl Drop for DictionaryStore {
 
 /// A belt-and-braces shape check before a loaded bank reaches the
 /// assembly path: the key already pins patterns and model, but a grid of
-/// the wrong width would make downstream counting index out of bounds,
-/// so it is cheaper to re-simulate than to trust a mismatched file.
-fn bank_fits(bank: &StoredBank, n_patterns: usize, n_outputs: usize) -> bool {
+/// the wrong width or row count, or a reach list with repeated or
+/// unordered positions, would make downstream counting index out of
+/// bounds or miscount, so it is cheaper to re-simulate than to trust a
+/// mismatched file.
+fn bank_fits(bank: &StoredBank, n_samples: u64, n_patterns: usize, n_outputs: usize) -> bool {
+    let rows_fit = |g: &BitGrid| g.rows() as u64 == n_samples;
     bank.base.len() == n_patterns
-        && bank.base.iter().all(|g| g.width() == n_outputs)
         && bank
-            .suspects
+            .base
             .iter()
-            .all(|(_, m)| m.fails.len() == n_patterns && m.reachable.iter().all(|&r| r < n_outputs))
+            .all(|g| g.width() == n_outputs && rows_fit(g))
+        && bank.suspects.iter().all(|(_, m)| {
+            m.fails.len() == n_patterns
+                && m.fails.iter().all(rows_fit)
+                && m.reachable.windows(2).all(|w| w[0] < w[1])
+                && m.reachable.last().is_none_or(|&r| r < n_outputs)
+        })
 }
 
 /// Temp file + `fsync` + atomic rename (+ best-effort directory sync).
@@ -719,8 +729,9 @@ fn get_grid(r: &mut ByteReader<'_>) -> Result<BitGrid, FormatError> {
     // load, and this keeps it bounded by the single `fs::read` I/O.
     let mut words = Vec::new();
     r.get_u64_into(n_words, &mut words)?;
-    BitGrid::from_words(width, words)
-        .ok_or(FormatError::Malformed("grid word count not a whole row"))
+    BitGrid::from_words(width, words).ok_or(FormatError::Malformed(
+        "grid words not whole zero-padded rows",
+    ))
 }
 
 /// Re-exported for the corruption-injection integration tests: the raw
@@ -876,6 +887,46 @@ mod tests {
         let store = DictionaryStore::open(dir.path()).expect("reopens");
         assert_eq!(store.num_checkpoints(), 1);
         assert!(!dir.path().join(".orphan.tmp").exists(), "temp file swept");
+    }
+
+    #[test]
+    fn banks_assembly_cannot_handle_are_recorded_misses() {
+        // Internally valid files whose shape would break assembly: a
+        // grid with a row count other than the key's `n_samples`, and a
+        // reach list that is not strictly increasing. Each must load as
+        // a recorded miss, not reach the counting code.
+        let dir = crate::testutil::TestDir::new("store-shape");
+        let store = DictionaryStore::open(dir.path()).expect("opens");
+        let metrics = MetricsSink::new();
+        let mut short_base = demo_bank();
+        short_base.0[1] = grid(3, 7, |_, _| false);
+        let mut short_fails = demo_bank();
+        short_fails.1[0].1.fails[0] = grid(2, 9, |_, _| true);
+        let mut repeated = demo_bank();
+        repeated.1[0].1.reachable = vec![2, 2];
+        let mut unordered = demo_bank();
+        unordered.1[0].1.reachable = vec![2, 0];
+        let banks = [short_base, short_fails, repeated, unordered];
+        for (n, (base, suspects)) in banks.iter().enumerate() {
+            let mut key = demo_key();
+            key.seed = n as u64;
+            let refs: Vec<(EdgeId, &SuspectMasks)> =
+                suspects.iter().map(|(e, m)| (*e, m)).collect();
+            store.flush(&key, base, &refs, None);
+            store.sync();
+            assert!(
+                decode_bank(&fs::read(dir.path().join(key.file_name())).unwrap(), &key).is_ok()
+            );
+            assert!(
+                store.load(&key, 2, 3, Some(&metrics)).is_none(),
+                "bank {n} must not load"
+            );
+        }
+        let snap = metrics.snapshot(std::time::Duration::ZERO);
+        assert_eq!(
+            (snap.store_hits, snap.store_misses),
+            (0, banks.len() as u64)
+        );
     }
 
     fn demo_pattern_key() -> PatternKey {

@@ -67,6 +67,13 @@ pub struct Request {
     #[serde(default)]
     pub circuit: String,
     /// Campaign configuration; defaults to `CampaignConfig::quick(1)`.
+    ///
+    /// A behaviour submit reads only the circuit-generation fields
+    /// (`seed`, `variation`): it ignores `config.dictionary` and builds
+    /// its dictionary under the session's dictionary and kernel
+    /// overrides, starting from `DictionaryConfig::default()` (200
+    /// samples) when no dictionary override is set — exactly like the
+    /// in-process `DiagnosisSession::diagnose_behavior`.
     #[serde(default)]
     pub config: Option<CampaignConfig>,
     /// Kernel the tenant's session is pinned to: `""` (request/config
@@ -334,7 +341,6 @@ struct CampaignEnv {
     circuit: sdd_netlist::Circuit,
     timing: CircuitTiming,
     model: SingleDefectModel,
-    circuit_clk: Option<f64>,
 }
 
 fn campaign_env(profile_name: &str, config: &CampaignConfig) -> Result<CampaignEnv, String> {
@@ -346,21 +352,27 @@ fn campaign_env(profile_name: &str, config: &CampaignConfig) -> Result<CampaignE
         .map_err(|e| format!("scan cut: {e}"))?;
     let library = CellLibrary::default_025um();
     let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
-    let circuit_clk = match config.clock {
-        ClockPolicy::CircuitQuantile(q) => Some(
-            sta::static_mc(&circuit, &timing, config.sta_samples, config.seed)
-                .map_err(|e| format!("static timing: {e}"))?
-                .clock_at_quantile(q),
-        ),
-        ClockPolicy::TestedQuantile(_) | ClockPolicy::Sweep => None,
-    };
     let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
     Ok(CampaignEnv {
         circuit,
         timing,
         model,
-        circuit_clk,
     })
+}
+
+/// The campaign's circuit-level clock under
+/// [`ClockPolicy::CircuitQuantile`] (a `sta_samples`-sized static
+/// Monte-Carlo run), `None` under the other policies. Only chip submits
+/// need it: a behaviour submit carries its own `clk`.
+fn circuit_clk(env: &CampaignEnv, config: &CampaignConfig) -> Result<Option<f64>, String> {
+    match config.clock {
+        ClockPolicy::CircuitQuantile(q) => Ok(Some(
+            sta::static_mc(&env.circuit, &env.timing, config.sta_samples, config.seed)
+                .map_err(|e| format!("static timing: {e}"))?
+                .clock_at_quantile(q),
+        )),
+        ClockPolicy::TestedQuantile(_) | ClockPolicy::Sweep => Ok(None),
+    }
 }
 
 fn function_names() -> Vec<String> {
@@ -412,8 +424,10 @@ fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
         r.tenant = tenant.clone();
         write_response(writer, &r);
     } else if !request.chips.is_empty() {
-        let env = match campaign_env(&request.circuit, &config) {
-            Ok(env) => env,
+        let env = campaign_env(&request.circuit, &config)
+            .and_then(|env| Ok((circuit_clk(&env, &config)?, env)));
+        let (clk, env) = match env {
+            Ok(pair) => pair,
             Err(e) => {
                 let mut r = Response::error(e);
                 r.tenant = tenant;
@@ -425,7 +439,7 @@ fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
                 &env.circuit,
                 &env.timing,
                 &env.model,
-                env.circuit_clk,
+                clk,
                 &config,
                 chip as usize,
             );

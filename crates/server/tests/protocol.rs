@@ -3,13 +3,17 @@
 //! response and leave the connection serving follow-up requests. Also
 //! pins the screened-kernel protocol surface: `"kernel": "screened"` +
 //! `top_k` submits serve rankings bit-identical to an in-process
-//! screened session.
+//! screened session, and behaviour submits under a circuit-quantile
+//! clock policy answer exactly like the in-process `diagnose_behavior`.
 
 use sdd_core::defect::SingleDefectModel;
 use sdd_core::dictionary::SimKernel;
-use sdd_core::inject::CampaignConfig;
+use sdd_core::inject::{tested_delay_samples, CampaignConfig, ClockPolicy};
 use sdd_core::session::ArtifactLayer;
-use sdd_server::{Client, Request, Response, Server, ServerConfig, MAX_LINE_BYTES};
+use sdd_core::BehaviorMatrix;
+use sdd_server::{
+    Client, Request, Response, Server, ServerConfig, WireBehavior, WirePattern, MAX_LINE_BYTES,
+};
 use sdd_timing::{CellLibrary, CircuitTiming};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -97,6 +101,72 @@ fn screened_submit_is_bit_identical_to_in_process_screened_session() {
     let response = client.recv().expect("recv").expect("response");
     assert_eq!(response.op, "error", "{response:?}");
     assert!(response.error.contains("top_k"), "{response:?}");
+    assert_alive(&mut client);
+}
+
+#[test]
+fn behavior_submit_under_circuit_quantile_matches_in_process_diagnose_behavior() {
+    // The circuit-level clock is a chip-submit concern: a behaviour
+    // carries its own clk, so the policy must not change the answer.
+    let config = CampaignConfig::quick(3).with_clock(ClockPolicy::CircuitQuantile(0.95));
+    let profile = sdd_netlist::profiles::by_name("s27").unwrap();
+    let circuit = sdd_netlist::generator::generate(&profile.to_config(config.seed))
+        .unwrap()
+        .to_combinational()
+        .unwrap();
+    let library = CellLibrary::default_025um();
+    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
+    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let patterns = sdd_atpg::PatternSet::random(&circuit, 6, 11);
+    let clk = tested_delay_samples(&circuit, &timing, &patterns, 100, 2).quantile(0.5);
+    // The first arc whose injected defect makes some output fail.
+    let behavior = circuit
+        .edge_ids()
+        .map(|site| {
+            let chip = timing
+                .sample_instance_indexed(4, 0)
+                .with_extra_delay(site, 0.5);
+            BehaviorMatrix::observe(&circuit, &patterns, &chip, clk)
+        })
+        .find(|b| (0..b.num_patterns()).any(|j| !b.failing_outputs(j).is_empty()))
+        .expect("some arc's defect is observable");
+
+    let mut request = Request::new("submit");
+    request.tenant = "behavior-t".into();
+    request.circuit = "s27".into();
+    request.config = Some(config);
+    request.behavior = Some(WireBehavior {
+        patterns: patterns
+            .iter()
+            .map(|p| WirePattern {
+                v1: p.v1.clone(),
+                v2: p.v2.clone(),
+            })
+            .collect(),
+        fails: (0..behavior.num_outputs())
+            .map(|i| {
+                (0..behavior.num_patterns())
+                    .map(|j| behavior.fails(i, j))
+                    .collect()
+            })
+            .collect(),
+        clk,
+    });
+    let mut client = connect(start_server());
+    let responses = client.submit(&request).expect("behaviour submit");
+    assert_eq!(responses.len(), 1, "{responses:?}");
+    let served = &responses[0];
+    assert_eq!(served.op, "outcome", "{served:?}");
+    assert!(served.detected, "the injected defect must be detected");
+
+    let local = ArtifactLayer::new()
+        .session("local")
+        .diagnose_behavior(&circuit, &timing, &patterns, &model.size_dist(), &behavior)
+        .expect("local diagnosis");
+    assert_eq!(
+        served.rankings, local,
+        "served behaviour rankings must be bit-identical"
+    );
     assert_alive(&mut client);
 }
 
