@@ -189,6 +189,10 @@ fn main() {
                 report.metrics.kernel_nanos, 0,
                 "analytic kernel booked MC kernel time"
             );
+            assert_eq!(
+                report.metrics.cone_walks, 0,
+                "analytic kernel booked MC cone walks"
+            );
             assert!(
                 report.metrics.analytic_evals > 0,
                 "analytic kernel booked no cone propagations"

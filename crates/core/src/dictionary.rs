@@ -36,7 +36,10 @@ use sdd_atpg::PatternSet;
 use sdd_netlist::logic::simulate_pair;
 use sdd_netlist::{Circuit, EdgeId};
 use sdd_timing::crit::ProbMatrix;
-use sdd_timing::dynamic::{transition_arrivals, transition_arrivals_batch, DefectCone, NO_EVENT};
+use sdd_timing::dynamic::{
+    transition_arrivals, transition_arrivals_batch, BaselineOutputs, DefectCone, FusedScratch,
+    NO_EVENT,
+};
 use sdd_timing::{CircuitTiming, Dist, InstanceBatch};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -83,10 +86,10 @@ use std::sync::{Arc, Mutex};
 /// never reach the `.sdds` store either.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SimKernel {
-    /// Sample-major batched evaluation: one pass over the cone topology
-    /// per (pattern, suspect) covering every chip sample
-    /// ([`DefectCone::apply_batch`]), reading delays from a contiguous
-    /// [`sdd_timing::InstanceBatch`].
+    /// Sample-major batched evaluation: one pruned pass over the cone
+    /// topology per (pattern, sink group) covering every chip sample
+    /// ([`DefectCone::apply_batch_fused`]), reading delays from a
+    /// contiguous [`sdd_timing::InstanceBatch`].
     #[default]
     Batched,
     /// One isolated [`DefectCone::apply`] walk per (pattern, sample,
@@ -1150,6 +1153,15 @@ fn simulate_fail_masks_scalar(
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     let n_out = circuit.primary_outputs().len();
     let outputs = circuit.primary_outputs();
+    if let Some(m) = metrics {
+        // Every (pattern, suspect) pair walks, once per sample.
+        let pairs = if config.n_samples > 0 {
+            patterns.len() * cones.len()
+        } else {
+            0
+        };
+        m.add_cone_walks(pairs as u64);
+    }
     let t_kernel = std::time::Instant::now();
     let per_pattern = patterns
         .patterns()
@@ -1200,16 +1212,17 @@ fn simulate_fail_masks_scalar(
 
 /// The batched sample-major kernel: per pattern, manufacture the whole
 /// chip-sample batch once (sample-major delay matrix), run one batched
-/// baseline arrival pass, then one [`DefectCone::apply_batch`] per
-/// suspect covering every sample. The cone topology walk, transition
-/// checks and scratch allocation are hoisted out of the sample loop —
-/// that hoisting, plus contiguous per-edge delay reads, is where the
-/// dictionary-phase wall-clock goes.
+/// baseline arrival pass and summarize its output verdicts
+/// ([`BaselineOutputs`]), then one pruned [`DefectCone::apply_batch_fused`]
+/// walk per sink group covering every member and sample. The walk
+/// reports idle and clock-settled members from the baseline summary and
+/// recomputes only the cone rows a defect changes.
 ///
 /// Every random quantity uses the same keyed draws as the scalar kernel
 /// (chip sample by `(seed, pattern, sample)`, defect size by `(seed,
-/// pattern, sample, arc)`), and every per-sample float operation runs in
-/// the same order, so the produced grids are bit-identical.
+/// pattern, sample, arc)`, drawn only for arcs the pattern exercises),
+/// and every computed per-sample float operation runs in the same order,
+/// so the produced grids are bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn simulate_fail_masks_batched(
     circuit: &Circuit,
@@ -1222,29 +1235,10 @@ fn simulate_fail_masks_batched(
     batches: Option<&BatchCache>,
     metrics: Option<&crate::metrics::MetricsSink>,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
-    let n_out = circuit.primary_outputs().len();
-    let outputs = circuit.primary_outputs();
     let n = config.n_samples;
     // One O(edges) hash buys memo lookups for every pattern position.
     let model_fp = batches.map(|_| crate::store::fingerprint_model(circuit, timing));
-    // Suspects whose defective arcs share a sink node share the exact
-    // ConeView; fuse their cone walks so the per-node transition checks,
-    // arc dereferences and delay-slice fetches are paid once per group
-    // instead of once per suspect. Group order follows first appearance
-    // and members keep suspect order, so the per-suspect draw and float
-    // sequences are unchanged.
-    let mut group_of_sink: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (ci, cone) in cones.iter().enumerate() {
-        match group_of_sink.entry(circuit.edge(cone.edge()).to().index()) {
-            std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].push(ci),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(groups.len());
-                groups.push(vec![ci]);
-            }
-        }
-    }
+    let groups = sink_groups(circuit, cones);
     let t_kernel = std::time::Instant::now();
     let per_pattern = patterns
         .patterns()
@@ -1256,48 +1250,105 @@ fn simulate_fail_masks_batched(
                 (Some(bc), Some(fp)) => bc.get_or_sample(fp, timing, config, j),
                 _ => Arc::new(timing.sample_instance_batch(config.seed, (j * n) as u64, n)),
             };
-            let baseline = transition_arrivals_batch(circuit, &transitions, &batch);
-            let mut base = BitGrid::new(n, n_out);
-            for (i, &o) in outputs.iter().enumerate() {
-                let row = &baseline[o.index() * n..(o.index() + 1) * n];
-                for (s, &arr) in row.iter().enumerate() {
-                    if arr > clk {
-                        base.set(s, i);
-                    }
-                }
-            }
-            let mut scratch: Vec<f64> = Vec::new();
-            let mut deltas: Vec<f64> = Vec::new();
-            let mut fails: Vec<BitGrid> = cones
-                .iter()
-                .map(|cone| BitGrid::new(n, cone.reachable_outputs().len()))
-                .collect();
-            for group in &groups {
-                let members: Vec<&DefectCone> = group.iter().map(|&ci| &cones[ci]).collect();
-                deltas.clear();
-                for &ci in group {
-                    deltas.extend((0..n).map(|s| {
+            walk_sink_groups(
+                circuit,
+                &transitions,
+                &batch,
+                cones,
+                &groups,
+                clk,
+                |ci, sizes| {
+                    for (s, d) in sizes.iter_mut().enumerate() {
                         let instance_index = (j * n + s) as u64;
-                        sample_delta(config.seed, instance_index, cones[ci].edge(), defect_size)
-                    }));
-                }
-                DefectCone::apply_batch_fused(
-                    &members,
-                    circuit,
-                    &transitions,
-                    &batch,
-                    &baseline,
-                    &deltas,
-                    clk,
-                    &mut scratch,
-                    |g, s, k| fails[group[g]].set(s, k),
-                );
-            }
-            (base, fails)
+                        *d = sample_delta(
+                            config.seed,
+                            instance_index,
+                            cones[ci].edge(),
+                            defect_size,
+                        );
+                    }
+                },
+                metrics,
+            )
         })
         .collect();
     record_kernel_nanos(metrics, t_kernel);
     per_pattern
+}
+
+/// Suspect positions grouped by the sink node of their defective arc.
+/// Such suspects share the exact [`sdd_netlist::ConeView`], so one fused
+/// walk pays the per-node transition checks, arc dereferences and
+/// delay-slice fetches once per group instead of once per suspect.
+/// Group order follows first appearance and members keep suspect order.
+fn sink_groups(circuit: &Circuit, cones: &[DefectCone]) -> Vec<Vec<usize>> {
+    let mut group_of_sink: HashMap<usize, usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (ci, cone) in cones.iter().enumerate() {
+        let sink = circuit.edge(cone.edge()).to().index();
+        match group_of_sink.get(&sink) {
+            Some(&g) => groups[g].push(ci),
+            None => {
+                group_of_sink.insert(sink, groups.len());
+                groups.push(vec![ci]);
+            }
+        }
+    }
+    groups
+}
+
+/// One pattern of the Monte-Carlo kernels: the baseline arrival pass on
+/// `batch`, its output verdicts as the baseline grid (samples × all
+/// outputs), then one pruned fused walk per sink group, filling one grid
+/// per suspect (samples × its reachable outputs). `draw(ci, sizes)` fills
+/// suspect `ci`'s defect size per sample; it runs only for suspects whose
+/// arc the pattern exercises. Books the suspects that walked a cone as
+/// `cone_walks`.
+#[allow(clippy::too_many_arguments)]
+fn walk_sink_groups(
+    circuit: &Circuit,
+    transitions: &[sdd_netlist::logic::Transition],
+    batch: &sdd_timing::InstanceBatch,
+    cones: &[DefectCone],
+    groups: &[Vec<usize>],
+    clk: f64,
+    mut draw: impl FnMut(usize, &mut [f64]),
+    metrics: Option<&crate::metrics::MetricsSink>,
+) -> (BitGrid, Vec<BitGrid>) {
+    let n = batch.n_samples();
+    let n_out = circuit.primary_outputs().len();
+    let baseline = transition_arrivals_batch(circuit, transitions, batch);
+    let outputs = BaselineOutputs::new(circuit, &baseline, n, clk);
+    let mut base = BitGrid::new(n, n_out);
+    for i in 0..n_out {
+        for &s in outputs.fails(i) {
+            base.set(s as usize, i);
+        }
+    }
+    let mut scratch = FusedScratch::default();
+    let mut fails: Vec<BitGrid> = cones
+        .iter()
+        .map(|cone| BitGrid::new(n, cone.reachable_outputs().len()))
+        .collect();
+    let mut walks = 0;
+    for group in groups {
+        let members: Vec<&DefectCone> = group.iter().map(|&ci| &cones[ci]).collect();
+        walks += DefectCone::apply_batch_fused(
+            &members,
+            circuit,
+            transitions,
+            batch,
+            &baseline,
+            &outputs,
+            |g, sizes| draw(group[g], sizes),
+            &mut scratch,
+            |g, s, k| fails[group[g]].set(s, k),
+        );
+    }
+    if let Some(m) = metrics {
+        m.add_cone_walks(walks as u64);
+    }
+    (base, fails)
 }
 
 /// The population-consistent refinement kernel of the screened
@@ -1338,8 +1389,6 @@ pub(crate) fn simulate_fail_masks_shared(
     if let Some(m) = metrics {
         m.add_cone_evals((patterns.len() * config.n_samples * cones.len()) as u64);
     }
-    let n_out = circuit.primary_outputs().len();
-    let outputs = circuit.primary_outputs();
     let n = config.n_samples;
     // The shared population: instances 0..n of the seed's stream — the
     // very chips the batched kernel manufactures for pattern position 0,
@@ -1363,61 +1412,23 @@ pub(crate) fn simulate_fail_masks_shared(
                 .collect()
         })
         .collect();
-    // Same sink-sharing fusion as the batched kernel (see
-    // `simulate_fail_masks_batched`).
-    let mut group_of_sink: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (ci, cone) in cones.iter().enumerate() {
-        match group_of_sink.entry(circuit.edge(cone.edge()).to().index()) {
-            std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].push(ci),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(groups.len());
-                groups.push(vec![ci]);
-            }
-        }
-    }
+    let groups = sink_groups(circuit, cones);
     let t_kernel = std::time::Instant::now();
     let per_pattern = patterns
         .patterns()
         .par_iter()
         .map(|p| {
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
-            let baseline = transition_arrivals_batch(circuit, &transitions, &batch);
-            let mut base = BitGrid::new(n, n_out);
-            for (i, &o) in outputs.iter().enumerate() {
-                let row = &baseline[o.index() * n..(o.index() + 1) * n];
-                for (s, &arr) in row.iter().enumerate() {
-                    if arr > clk {
-                        base.set(s, i);
-                    }
-                }
-            }
-            let mut scratch: Vec<f64> = Vec::new();
-            let mut deltas: Vec<f64> = Vec::new();
-            let mut fails: Vec<BitGrid> = cones
-                .iter()
-                .map(|cone| BitGrid::new(n, cone.reachable_outputs().len()))
-                .collect();
-            for group in &groups {
-                let members: Vec<&DefectCone> = group.iter().map(|&ci| &cones[ci]).collect();
-                deltas.clear();
-                for &ci in group {
-                    deltas.extend_from_slice(&deltas_of[ci]);
-                }
-                DefectCone::apply_batch_fused(
-                    &members,
-                    circuit,
-                    &transitions,
-                    &batch,
-                    &baseline,
-                    &deltas,
-                    clk,
-                    &mut scratch,
-                    |g, s, k| fails[group[g]].set(s, k),
-                );
-            }
-            (base, fails)
+            walk_sink_groups(
+                circuit,
+                &transitions,
+                &batch,
+                cones,
+                &groups,
+                clk,
+                |ci, sizes| sizes.copy_from_slice(&deltas_of[ci]),
+                metrics,
+            )
         })
         .collect();
     record_kernel_nanos(metrics, t_kernel);
@@ -1932,6 +1943,101 @@ mod tests {
             assert_eq!(bb, sb, "baseline grid differs at pattern {j}");
             assert_eq!(bf, sf, "suspect grids differ at pattern {j}");
         }
+    }
+
+    #[test]
+    fn shared_population_grids_match_per_sample_walks() {
+        // The screened pipeline's refinement kernel runs the pruned walk
+        // on one shared chip population; every bit must equal a scalar
+        // walk of that chip with its one (chip, arc) defect size.
+        let c = sdd_netlist::generator::generate(&sdd_netlist::generator::GeneratorConfig::small(
+            "shared", 5,
+        ))
+        .unwrap()
+        .to_combinational()
+        .unwrap();
+        let t = CircuitTiming::characterize(
+            &c,
+            &CellLibrary::default_025um(),
+            VariationModel::new(0.05, 0.08),
+        );
+        let ps = PatternSet::random(&c, 5, 0x5A);
+        let cones = defect_cones(&c, &c.edge_ids().collect::<Vec<_>>());
+        let defect = Dist::Normal {
+            mean: 0.2,
+            std: 0.08,
+        };
+        let (n, seed, clk) = (19, 11, 0.3);
+        let config = DictionaryConfig {
+            n_samples: n,
+            seed,
+            kernel: SimKernel::Batched,
+            screen: ScreenConfig::default(),
+        };
+        let grids =
+            simulate_fail_masks_shared(&c, &t, &defect, &ps, &cones, clk, config, None, None);
+        let outputs = c.primary_outputs();
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        for (p, (base, fails)) in ps.patterns().iter().zip(&grids) {
+            let trans = simulate_pair(&c, &p.v1, &p.v2);
+            for s in 0..n {
+                let inst = t.sample_instance_indexed(seed, s as u64);
+                let baseline = transition_arrivals(&c, &trans, &inst);
+                for (i, o) in outputs.iter().enumerate() {
+                    assert_eq!(base.get(s, i), baseline[o.index()] > clk);
+                }
+                for (cone, grid) in cones.iter().zip(fails) {
+                    let delta = sample_delta(seed, s as u64, cone.edge(), &defect);
+                    cone.apply(&c, &trans, &inst, &baseline, delta, &mut scratch, &mut out);
+                    for (k, &arr) in out.iter().enumerate() {
+                        assert_eq!(grid.get(s, k), arr > clk, "arc {} sample {s}", cone.edge());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cone_walks_count_only_the_pairs_that_walked() {
+        let c = sdd_netlist::generator::generate(&sdd_netlist::generator::GeneratorConfig::small(
+            "walk", 17,
+        ))
+        .unwrap()
+        .to_combinational()
+        .unwrap();
+        let t = CircuitTiming::characterize(
+            &c,
+            &CellLibrary::default_025um(),
+            VariationModel::new(0.05, 0.08),
+        );
+        let ps = PatternSet::random(&c, 6, 0xA5);
+        let cones = defect_cones(&c, &c.edge_ids().collect::<Vec<_>>());
+        let defect = Dist::Normal {
+            mean: 0.2,
+            std: 0.08,
+        };
+        let walks = |kernel| {
+            let m = crate::metrics::MetricsSink::new();
+            let config = DictionaryConfig {
+                n_samples: 16,
+                seed: 3,
+                kernel,
+                screen: ScreenConfig::default(),
+            };
+            simulate_fail_masks(&c, &t, &defect, &ps, &cones, 0.3, config, None, Some(&m));
+            let snap = m.snapshot(std::time::Duration::ZERO);
+            assert_eq!(snap.cone_evals, (ps.len() * 16 * cones.len()) as u64);
+            snap.cone_walks
+        };
+        let pairs = (ps.len() * cones.len()) as u64;
+        // The scalar oracle walks every pair; the pruned kernel settles
+        // most of them from the baseline.
+        assert_eq!(walks(SimKernel::Scalar), pairs);
+        let pruned = walks(SimKernel::Batched);
+        assert!(
+            pruned > 0 && pruned < pairs,
+            "{pruned} of {pairs} pairs walked"
+        );
     }
 
     #[test]

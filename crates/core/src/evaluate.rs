@@ -213,6 +213,7 @@ mod tests {
             pattern_cache_misses: 0,
             pattern_store_hits: 0,
             pattern_store_misses: 0,
+            cone_walks: 0,
             tenant: String::new(),
             outcome: crate::metrics::TraceOutcome::Undetected,
         });

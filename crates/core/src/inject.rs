@@ -769,6 +769,7 @@ pub(crate) fn diagnose_instance_impl(
         pattern_cache_misses: scratch.pattern_cache_misses,
         pattern_store_hits: scratch.pattern_store_hits,
         pattern_store_misses: scratch.pattern_store_misses,
+        cone_walks: scratch.cone_walks,
         tenant: String::new(),
         outcome,
     };

@@ -427,6 +427,10 @@ pub struct InstanceTrace {
     /// checkpoint.
     #[serde(default)]
     pub pattern_store_misses: u64,
+    /// (pattern, suspect) pairs whose defect cone this instance's
+    /// dictionary builds walked.
+    #[serde(default)]
+    pub cone_walks: u64,
     /// Tenant whose session committed this trace (empty for untenanted
     /// sinks; stamped by [`MetricsSink::record_instance`] when the sink
     /// was built via [`MetricsSink::for_tenant`]).
@@ -454,6 +458,7 @@ pub struct MetricsSink {
     samples_simulated: AtomicU64,
     kernel_nanos: AtomicU64,
     cone_evals: AtomicU64,
+    cone_walks: AtomicU64,
     analytic_nanos: AtomicU64,
     analytic_evals: AtomicU64,
     screen_nanos: AtomicU64,
@@ -551,6 +556,13 @@ impl MetricsSink {
     /// suspect) triple) to the kernel workload counter.
     pub fn add_cone_evals(&self, n: u64) {
         self.cone_evals.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds `n` (pattern, suspect) pairs that walked their defect cone;
+    /// the other pairs of a Monte-Carlo build were settled from the
+    /// defect-free baseline without a walk.
+    pub fn add_cone_walks(&self, n: u64) {
+        self.cone_walks.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds `nanos` spent inside the analytic dictionary kernel (moment
@@ -679,6 +691,8 @@ impl MetricsSink {
             .fetch_add(instance.kernel_nanos, Ordering::Relaxed);
         self.cone_evals
             .fetch_add(instance.cone_evals, Ordering::Relaxed);
+        self.cone_walks
+            .fetch_add(instance.cone_walks, Ordering::Relaxed);
         self.analytic_nanos
             .fetch_add(instance.analytic_nanos, Ordering::Relaxed);
         self.analytic_evals
@@ -769,6 +783,7 @@ impl MetricsSink {
             samples_simulated: self.samples_simulated.load(Ordering::Relaxed),
             kernel_nanos: self.kernel_nanos.load(Ordering::Relaxed),
             cone_evals: self.cone_evals.load(Ordering::Relaxed),
+            cone_walks: self.cone_walks.load(Ordering::Relaxed),
             analytic_nanos: self.analytic_nanos.load(Ordering::Relaxed),
             analytic_evals: self.analytic_evals.load(Ordering::Relaxed),
             screen_nanos: self.screen_nanos.load(Ordering::Relaxed),
@@ -828,6 +843,11 @@ pub struct CampaignMetrics {
     /// triple, across all dictionary builds.
     #[serde(default)]
     pub cone_evals: u64,
+    /// (pattern, suspect) pairs whose defect cone the Monte-Carlo kernel
+    /// actually walked; the rest of the `cone_evals` lanes were settled
+    /// from the defect-free baseline. Never exceeds `cone_evals`.
+    #[serde(default)]
+    pub cone_walks: u64,
     /// Aggregate nanoseconds inside the analytic dictionary kernel's
     /// parallel regions (wall clock on the calling thread); a subset of
     /// `dictionary_nanos`, disjoint
@@ -928,6 +948,7 @@ impl CampaignMetrics {
                 .saturating_sub(baseline.samples_simulated),
             kernel_nanos: self.kernel_nanos.saturating_sub(baseline.kernel_nanos),
             cone_evals: self.cone_evals.saturating_sub(baseline.cone_evals),
+            cone_walks: self.cone_walks.saturating_sub(baseline.cone_walks),
             analytic_nanos: self.analytic_nanos.saturating_sub(baseline.analytic_nanos),
             analytic_evals: self.analytic_evals.saturating_sub(baseline.analytic_evals),
             screen_nanos: self.screen_nanos.saturating_sub(baseline.screen_nanos),
@@ -1071,9 +1092,10 @@ impl CampaignMetrics {
         }
         if self.cone_evals > 0 {
             out.push_str(&format!(
-                "\n  dictionary kernel: {} cone evals in {}",
+                "\n  dictionary kernel: {} cone evals in {} ({} cone walks)",
                 self.cone_evals,
                 fmt_nanos(self.kernel_nanos),
+                self.cone_walks,
             ));
         }
         if self.analytic_evals > 0 {
@@ -1233,6 +1255,12 @@ impl MetricsReport {
                 self.counters.screen_nanos, self.counters.dictionary_nanos
             ));
         }
+        if self.counters.cone_walks > self.counters.cone_evals {
+            return Err(format!(
+                "cone_walks {} exceeds cone_evals {}",
+                self.counters.cone_walks, self.counters.cone_evals
+            ));
+        }
         if self.counters.suspects_refined > self.counters.suspects_screened {
             return Err(format!(
                 "suspects_refined {} exceeds suspects_screened {}",
@@ -1248,7 +1276,7 @@ impl MetricsReport {
         }
         if self.traces.len() as u64 == self.trials {
             let sums = |f: fn(&InstanceTrace) -> u64| self.traces.iter().map(f).sum::<u64>();
-            let checks: [(&str, u64, u64); 12] = [
+            let checks: [(&str, u64, u64); 13] = [
                 (
                     "patterns_nanos",
                     sums(|t| t.patterns_nanos),
@@ -1308,6 +1336,11 @@ impl MetricsReport {
                     "pattern_store_misses",
                     sums(|t| t.pattern_store_misses),
                     self.counters.pattern_store_misses,
+                ),
+                (
+                    "cone_walks",
+                    sums(|t| t.cone_walks),
+                    self.counters.cone_walks,
                 ),
             ];
             for (what, traced, aggregate) in checks {
@@ -1544,11 +1577,20 @@ mod tests {
         sink.add_kernel_nanos(2_000_000);
         sink.add_kernel_nanos(1_000_000);
         sink.add_cone_evals(640);
+        sink.add_cone_walks(3);
+        sink.add_cone_walks(2);
         let snap = sink.snapshot(Duration::ZERO);
         assert_eq!(snap.kernel_nanos, 3_000_000);
         assert_eq!(snap.cone_evals, 640);
+        assert_eq!(snap.cone_walks, 5);
         let text = snap.render();
         assert!(text.contains("640 cone evals"));
+        assert!(text.contains("(5 cone walks)"));
+        let later = MetricsSink::new();
+        later.add_cone_walks(9);
+        later.add_cone_evals(700);
+        let delta = later.snapshot(Duration::ZERO).since(&snap, Duration::ZERO);
+        assert_eq!((delta.cone_evals, delta.cone_walks), (60, 4));
         // A run that never built a dictionary stays silent about the kernel.
         assert!(!MetricsSink::new()
             .snapshot(Duration::ZERO)
@@ -1615,6 +1657,34 @@ mod tests {
     }
 
     #[test]
+    fn cone_walks_are_bounded_by_evals_and_traced() {
+        let good = consistent_report();
+        let mut evals = good.clone();
+        evals.counters.cone_evals = 640;
+        evals.counters.cone_walks = 640;
+        evals.traces[0].cone_walks = 640;
+        evals.validate().expect("every lane walking is legal");
+        let mut overflow = evals.clone();
+        overflow.counters.cone_walks = 641;
+        overflow.traces[0].cone_walks = 641;
+        assert!(overflow
+            .validate()
+            .unwrap_err()
+            .contains("cone_walks 641 exceeds cone_evals 640"));
+        // A kernel that books no MC lanes (the analytic one) walks none.
+        let mut analytic = good.clone();
+        analytic.counters.cone_walks = 1;
+        analytic.traces[0].cone_walks = 1;
+        assert!(analytic.validate().unwrap_err().contains("cone_walks"));
+        let mut untraced = evals;
+        untraced.traces[0].cone_walks -= 1;
+        assert!(untraced
+            .validate()
+            .unwrap_err()
+            .contains("trace sum of cone_walks"));
+    }
+
+    #[test]
     fn snapshot_roundtrips_through_json() {
         let hist = LatencyHistogram::new();
         hist.record(5);
@@ -1630,6 +1700,7 @@ mod tests {
             samples_simulated: 7,
             kernel_nanos: 12,
             cone_evals: 13,
+            cone_walks: 2,
             analytic_nanos: 20,
             analytic_evals: 21,
             screen_nanos: 22,
@@ -1862,6 +1933,7 @@ mod tests {
             pattern_cache_misses: 0,
             pattern_store_hits: 0,
             pattern_store_misses: 0,
+            cone_walks: 0,
             tenant: String::new(),
             outcome: TraceOutcome::Diagnosed,
         }

@@ -520,6 +520,7 @@ impl DiagnosisSession {
             pattern_cache_misses: scratch.pattern_cache_misses,
             pattern_store_hits: scratch.pattern_store_hits,
             pattern_store_misses: scratch.pattern_store_misses,
+            cone_walks: scratch.cone_walks,
             tenant: String::new(),
             outcome,
         };

@@ -474,137 +474,77 @@ impl DefectCone {
         );
     }
 
-    /// Batched, sample-major counterpart of [`DefectCone::apply`]:
-    /// recomputes the cone's arrivals for *every* sample of an
-    /// [`InstanceBatch`] in one pass over the cone topology, then tests
-    /// each reachable output against the cut-off period `clk` and calls
-    /// `on_fail(sample, slot)` for every sample whose arrival at
-    /// reachable-output slot `slot` strictly exceeds it.
+    /// Whether the defective arc is exercised under the pattern: both its
+    /// source and its sink switch. Otherwise the walk never reads the
+    /// defect's delay (the sink carries no event, or the arc's upstream
+    /// row is all [`NO_EVENT`]), so every cone row equals the
+    /// defect-free baseline.
+    fn is_exercised(&self, circuit: &Circuit, transitions: &[Transition]) -> bool {
+        let arc = circuit.edge(self.edge);
+        transitions[arc.from().index()].is_event() && transitions[arc.to().index()].is_event()
+    }
+
+    /// Whether no sample's verdict at any reachable output can differ
+    /// from the baseline under these per-sample defect sizes (see
+    /// `BaselineOutputs::settled`). A negative or NaN size settles
+    /// nothing.
+    fn settled(&self, outputs: &BaselineOutputs, deltas: &[f64]) -> bool {
+        let mut delta_max = 0.0f64;
+        for &d in deltas {
+            if d.is_nan() || d < 0.0 {
+                return false;
+            }
+            delta_max = delta_max.max(d);
+        }
+        self.reachable_outputs
+            .iter()
+            .all(|&p| outputs.settled(p, delta_max))
+    }
+
+    /// Fused multi-suspect, sample-major counterpart of
+    /// [`DefectCone::apply`]: evaluates every suspect in `group` over
+    /// every sample of an [`InstanceBatch`], tests each reachable output
+    /// against the cut-off period of `outputs`, and calls `on_fail(member,
+    /// sample, slot)` for every sample whose arrival at reachable-output
+    /// slot `slot` strictly exceeds it. Returns the number of members
+    /// that walked their cone.
     ///
-    /// The per-(pattern, suspect) invariants — cone walk, transition
-    /// lookups, fanin/edge dereferences — are hoisted out of the sample
-    /// loop, and every per-edge delay read is one contiguous slice; that
-    /// relayout is the entire speedup. Per sample, the arithmetic is the
-    /// exact operation sequence of [`DefectCone::apply`], so the pass/fail
-    /// outcomes are bit-identical to the scalar path.
+    /// All cones in `group` must share the same sink node (defects on
+    /// different input arcs of one gate), and therefore the same
+    /// [`ConeView`]; the walk runs on `group[0]`'s view, paying the
+    /// per-node transition lookups, arc dereferences and delay-slice
+    /// fetches once for the whole group.
+    ///
+    /// The walk is pruned but exact — the callbacks are the ones a full
+    /// recomputation of every member gives (DESIGN.md §4.4):
+    ///
+    /// * a member whose arc is not exercised (its source or its sink does
+    ///   not switch) is the baseline: its fails are read from `outputs`,
+    ///   and `draw_deltas` is never called for it;
+    /// * a member whose largest defect size cannot move a passing sample
+    ///   of any reachable output across the clock, allowing for rounding,
+    ///   cannot flip a verdict, so it too reports the baseline's fails
+    ///   without a walk;
+    /// * the remaining members walk, but a slot other than the sink
+    ///   whose in-cone fanins all equal the baseline reads the baseline
+    ///   row, and a computed row that comes out bitwise equal to the
+    ///   baseline stops propagating.
+    ///
+    /// Per (member, sample) lane the arithmetic of every computed row is
+    /// the operation sequence of [`DefectCone::apply`].
     ///
     /// * `baseline` — the defect-free arrival matrix for the same pattern
     ///   and batch, from [`transition_arrivals_batch`] (node-major,
     ///   sample-contiguous).
-    /// * `deltas` — the defect size per sample (length `n_samples`).
-    /// * `scratch` — a reusable buffer, resized to
-    ///   `cone.len() × n_samples` (cone-slot-major) and overwritten.
+    /// * `outputs` — the [`BaselineOutputs`] of that matrix at the
+    ///   cut-off period.
+    /// * `draw_deltas(member, sizes)` fills one member's defect size per
+    ///   sample (`sizes.len() == n_samples`).
     ///
     /// # Panics
     ///
-    /// Panics if `baseline` or `deltas` mismatch the circuit/batch shape.
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_batch(
-        &self,
-        circuit: &Circuit,
-        transitions: &[Transition],
-        batch: &InstanceBatch,
-        baseline: &[f64],
-        deltas: &[f64],
-        clk: f64,
-        scratch: &mut Vec<f64>,
-        mut on_fail: impl FnMut(usize, usize),
-    ) {
-        let n = batch.n_samples();
-        assert_eq!(
-            baseline.len(),
-            circuit.num_nodes() * n,
-            "baseline matrix shape mismatch"
-        );
-        assert_eq!(deltas.len(), n, "delta count mismatch");
-        let view = &self.view;
-        scratch.clear();
-        scratch.resize(view.len() * n, NO_EVENT);
-        let arc_slots = view.arc_slots();
-        let arc_sources = view.arc_sources();
-        let arc_edges = view.arc_edges();
-        for (slot, &id) in view.nodes().iter().enumerate() {
-            // Cone fanins always sit at earlier slots (topological
-            // order), so the scratch matrix splits cleanly at this row.
-            let (earlier, rest) = scratch.split_at_mut(slot * n);
-            let row = &mut rest[..n];
-            if !transitions[id.index()].is_event() {
-                continue; // row stays NO_EVENT
-            }
-            if circuit.node(id).kind() == GateKind::Input {
-                row.fill(0.0);
-                continue;
-            }
-            for k in view.arc_range(slot) {
-                let fs = arc_slots[k];
-                let ups: &[f64] = if fs != EXTERNAL {
-                    let base = fs as usize * n;
-                    &earlier[base..base + n]
-                } else {
-                    let from = arc_sources[k];
-                    &baseline[from.index() * n..(from.index() + 1) * n]
-                };
-                let e = arc_edges[k];
-                let ds = batch.edge_delays(e);
-                if e == self.edge {
-                    for s in 0..n {
-                        let upstream = ups[s];
-                        if upstream == NO_EVENT {
-                            continue;
-                        }
-                        let cand = upstream + (ds[s] + deltas[s]);
-                        if cand > row[s] {
-                            row[s] = cand;
-                        }
-                    }
-                } else {
-                    for s in 0..n {
-                        let upstream = ups[s];
-                        if upstream == NO_EVENT {
-                            continue;
-                        }
-                        let cand = upstream + ds[s];
-                        if cand > row[s] {
-                            row[s] = cand;
-                        }
-                    }
-                }
-            }
-        }
-        for (k, &(_, slot)) in view.output_slots().iter().enumerate() {
-            let slot = slot as usize;
-            let row = &scratch[slot * n..(slot + 1) * n];
-            for (s, &arr) in row.iter().enumerate() {
-                if arr > clk {
-                    on_fail(s, k);
-                }
-            }
-        }
-    }
-
-    /// Fused multi-suspect counterpart of [`DefectCone::apply_batch`]:
-    /// one walk over a shared cone topology evaluates *every* suspect in
-    /// `group` at once, amortizing the per-node transition lookups, arc
-    /// dereferences, and delay-slice fetches over all of them.
-    ///
-    /// All cones in `group` must share the same sink node (defects on
-    /// different input arcs of one gate), and therefore the same
-    /// [`ConeView`]; the walk runs on `group[0]`'s view. Per (suspect,
-    /// sample) lane the arithmetic is the exact operation sequence of
-    /// [`DefectCone::apply_batch`], so the `on_fail(suspect, sample,
-    /// slot)` callbacks are bit-identical to calling `apply_batch` once
-    /// per cone.
-    ///
-    /// * `deltas` — suspect-major defect sizes: `deltas[g * n_samples + s]`
-    ///   is suspect `g`'s extra delay for sample `s`.
-    /// * `scratch` — reusable buffer, resized to
-    ///   `cone.len() × group.len() × n_samples` (slot-major, then
-    ///   suspect, sample-contiguous) and overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is empty, the cones disagree on sink/view shape,
-    /// or `baseline`/`deltas` mismatch the circuit/batch shape.
+    /// Panics if `group` is empty, the cones disagree on the sink, or
+    /// `baseline` mismatches the circuit/batch shape.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_batch_fused(
         group: &[&DefectCone],
@@ -612,88 +552,136 @@ impl DefectCone {
         transitions: &[Transition],
         batch: &InstanceBatch,
         baseline: &[f64],
-        deltas: &[f64],
-        clk: f64,
-        scratch: &mut Vec<f64>,
+        outputs: &BaselineOutputs,
+        mut draw_deltas: impl FnMut(usize, &mut [f64]),
+        scratch: &mut FusedScratch,
         mut on_fail: impl FnMut(usize, usize, usize),
-    ) {
-        let lead = group.first().expect("empty cone group");
-        let sink = circuit.edge(lead.edge).to();
-        for c in group {
-            assert_eq!(
-                circuit.edge(c.edge).to(),
-                sink,
-                "fused cones must share a sink node"
-            );
-            debug_assert_eq!(c.view.nodes(), lead.view.nodes());
-        }
+    ) -> usize {
+        let lead = check_group(group, circuit);
         let n = batch.n_samples();
-        let ng = group.len();
         assert_eq!(
             baseline.len(),
             circuit.num_nodes() * n,
             "baseline matrix shape mismatch"
         );
-        assert_eq!(deltas.len(), ng * n, "delta matrix shape mismatch");
-        let view = &lead.view;
-        scratch.clear();
-        scratch.resize(view.len() * ng * n, NO_EVENT);
-        let arc_slots = view.arc_slots();
-        let arc_sources = view.arc_sources();
-        let arc_edges = view.arc_edges();
-        for (slot, &id) in view.nodes().iter().enumerate() {
-            let (earlier, rest) = scratch.split_at_mut(slot * ng * n);
-            let rows = &mut rest[..ng * n];
-            if !transitions[id.index()].is_event() {
-                continue; // rows stay NO_EVENT
+        let FusedScratch {
+            rows,
+            same,
+            deltas,
+            walked,
+        } = scratch;
+        walked.clear();
+        deltas.clear();
+        // The window test's rounding bound needs non-negative path terms.
+        let window = !batch.has_negative_delay();
+        for (g, cone) in group.iter().enumerate() {
+            if cone.is_exercised(circuit, transitions) {
+                let start = deltas.len();
+                deltas.resize(start + n, 0.0);
+                draw_deltas(g, &mut deltas[start..]);
+                if !(window && cone.settled(outputs, &deltas[start..])) {
+                    walked.push(g);
+                    continue;
+                }
+                deltas.truncate(start);
             }
-            if circuit.node(id).kind() == GateKind::Input {
-                rows.fill(0.0);
-                continue;
-            }
-            for k in view.arc_range(slot) {
-                let fs = arc_slots[k];
-                let e = arc_edges[k];
-                let ds = batch.edge_delays(e);
-                for (g, row) in rows.chunks_exact_mut(n).enumerate() {
-                    let ups: &[f64] = if fs != EXTERNAL {
-                        let base = (fs as usize * ng + g) * n;
-                        &earlier[base..base + n]
-                    } else {
-                        let from = arc_sources[k];
-                        &baseline[from.index() * n..(from.index() + 1) * n]
-                    };
-                    if e == group[g].edge {
-                        let dl = &deltas[g * n..(g + 1) * n];
-                        for s in 0..n {
-                            let upstream = ups[s];
-                            if upstream == NO_EVENT {
-                                continue;
-                            }
-                            let cand = upstream + (ds[s] + dl[s]);
-                            if cand > row[s] {
-                                row[s] = cand;
-                            }
-                        }
-                    } else {
-                        for s in 0..n {
-                            let upstream = ups[s];
-                            if upstream == NO_EVENT {
-                                continue;
-                            }
-                            let cand = upstream + ds[s];
-                            if cand > row[s] {
-                                row[s] = cand;
-                            }
-                        }
-                    }
+            for (k, &p) in cone.reachable_outputs.iter().enumerate() {
+                for &s in outputs.fails(p) {
+                    on_fail(g, s as usize, k);
                 }
             }
         }
-        for (k, &(_, slot)) in view.output_slots().iter().enumerate() {
+        let nw = walked.len();
+        if nw == 0 {
+            return 0;
+        }
+
+        let view = &lead.view;
+        let arc_slots = view.arc_slots();
+        let arc_sources = view.arc_sources();
+        let arc_edges = view.arc_edges();
+        let width = nw * n;
+        // Every row is filled before it is read, so stale contents need
+        // no clearing.
+        if rows.len() < view.len() * width {
+            rows.resize(view.len() * width, NO_EVENT);
+        }
+        // `same[slot * nw + w]`: walked member `w`'s row at `slot` is the
+        // baseline row (then `rows` holds nothing for it).
+        same.clear();
+        same.resize(view.len() * nw, true);
+        for (slot, &id) in view.nodes().iter().enumerate() {
+            if !transitions[id.index()].is_event() || circuit.node(id).kind() == GateKind::Input {
+                continue; // the baseline's NO_EVENT / 0.0 row
+            }
+            let arcs = view.arc_range(slot);
+            let flags = slot * nw;
+            // Slot 0 is the shared sink, the only slot holding a defect
+            // arc. Elsewhere a member whose in-cone fanins all equal the
+            // baseline computes exactly the baseline row.
+            let mut any = false;
+            for w in 0..nw {
+                let fresh = slot == 0
+                    || arcs.clone().any(|k| {
+                        let fs = arc_slots[k];
+                        fs != EXTERNAL && !same[fs as usize * nw + w]
+                    });
+                same[flags + w] = !fresh;
+                any |= fresh;
+            }
+            if !any {
+                continue;
+            }
+            let (earlier, rest) = rows.split_at_mut(slot * width);
+            let cur = &mut rest[..width];
+            for w in 0..nw {
+                if !same[flags + w] {
+                    cur[w * n..(w + 1) * n].fill(NO_EVENT);
+                }
+            }
+            for k in arcs {
+                let fs = arc_slots[k];
+                let e = arc_edges[k];
+                let ds = batch.edge_delays(e);
+                let from = arc_sources[k].index();
+                let base_ups = &baseline[from * n..(from + 1) * n];
+                for w in 0..nw {
+                    if same[flags + w] {
+                        continue;
+                    }
+                    let ups: &[f64] = if fs != EXTERNAL && !same[fs as usize * nw + w] {
+                        let base = (fs as usize * nw + w) * n;
+                        &earlier[base..base + n]
+                    } else {
+                        base_ups
+                    };
+                    let row = &mut cur[w * n..(w + 1) * n];
+                    if e == group[walked[w]].edge {
+                        relax_defective(row, ups, ds, &deltas[w * n..(w + 1) * n]);
+                    } else {
+                        relax(row, ups, ds);
+                    }
+                }
+            }
+            // A row bitwise equal to the baseline stops propagating.
+            let base_row = &baseline[id.index() * n..(id.index() + 1) * n];
+            for w in 0..nw {
+                if !same[flags + w] {
+                    same[flags + w] = bitwise_equal(&cur[w * n..(w + 1) * n], base_row);
+                }
+            }
+        }
+        let clk = outputs.clk;
+        for (k, &(p, slot)) in view.output_slots().iter().enumerate() {
             let slot = slot as usize;
-            for g in 0..ng {
-                let row = &scratch[(slot * ng + g) * n..(slot * ng + g + 1) * n];
+            for (w, &g) in walked.iter().enumerate() {
+                if same[slot * nw + w] {
+                    for &s in outputs.fails(p) {
+                        on_fail(g, s as usize, k);
+                    }
+                    continue;
+                }
+                let row = &rows[(slot * nw + w) * n..(slot * nw + w + 1) * n];
                 for (s, &arr) in row.iter().enumerate() {
                     if arr > clk {
                         on_fail(g, s, k);
@@ -701,6 +689,200 @@ impl DefectCone {
                 }
             }
         }
+        nw
+    }
+}
+
+/// The group's lead cone, after checking that every member shares its
+/// sink node (and so its [`ConeView`]).
+fn check_group<'a>(group: &[&'a DefectCone], circuit: &Circuit) -> &'a DefectCone {
+    let lead = *group.first().expect("empty cone group");
+    let sink = circuit.edge(lead.edge).to();
+    // The sink precedes its whole fanout cone in topological order.
+    debug_assert_eq!(lead.view.nodes()[0], sink);
+    for c in group {
+        assert_eq!(
+            circuit.edge(c.edge).to(),
+            sink,
+            "fused cones must share a sink node"
+        );
+        debug_assert_eq!(c.view.nodes(), lead.view.nodes());
+    }
+    lead
+}
+
+/// One fanin arc's max-plus update of a cone row: `row[s] = max(row[s],
+/// ups[s] + ds[s])` over the samples whose upstream carries an event —
+/// the per-sample operation of [`DefectCone::apply`].
+#[inline]
+fn relax(row: &mut [f64], ups: &[f64], ds: &[f64]) {
+    for ((r, &upstream), &d) in row.iter_mut().zip(ups).zip(ds) {
+        if upstream == NO_EVENT {
+            continue;
+        }
+        let cand = upstream + d;
+        if cand > *r {
+            *r = cand;
+        }
+    }
+}
+
+/// [`relax`] over the defective arc, whose delay carries the per-sample
+/// defect size `dl[s]` (added to the arc delay first, as in
+/// [`DefectCone::apply`]).
+#[inline]
+fn relax_defective(row: &mut [f64], ups: &[f64], ds: &[f64], dl: &[f64]) {
+    for (((r, &upstream), &d), &extra) in row.iter_mut().zip(ups).zip(ds).zip(dl) {
+        if upstream == NO_EVENT {
+            continue;
+        }
+        let cand = upstream + (d + extra);
+        if cand > *r {
+            *r = cand;
+        }
+    }
+}
+
+fn bitwise_equal(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The largest value of `row` not above `cap` ([`NO_EVENT`] if none),
+/// and whether `row` holds a NaN. Fixed-width lanes keep the reduction
+/// branch-free and vectorizable, like the pattern lanes above.
+fn lane_max(row: &[f64], cap: f64) -> (f64, bool) {
+    let mut acc = [NO_EVENT; PATTERN_LANES];
+    let mut nan = false;
+    let chunks = row.chunks_exact(PATTERN_LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (a, &b) in acc.iter_mut().zip(chunk) {
+            nan |= b.is_nan();
+            let v = if b > cap { NO_EVENT } else { b };
+            if v > *a {
+                *a = v;
+            }
+        }
+    }
+    for (a, &b) in acc.iter_mut().zip(tail) {
+        nan |= b.is_nan();
+        let v = if b > cap { NO_EVENT } else { b };
+        if v > *a {
+            *a = v;
+        }
+    }
+    (acc.into_iter().fold(NO_EVENT, f64::max), nan)
+}
+
+/// Reusable buffers of [`DefectCone::apply_batch_fused`], sized to the
+/// members that actually walk; keep one per worker across groups and
+/// patterns.
+#[derive(Debug, Default)]
+pub struct FusedScratch {
+    /// Walked members' cone rows: slot-major, then member, then sample.
+    rows: Vec<f64>,
+    /// Per (slot, walked member): the row equals the baseline row.
+    same: Vec<bool>,
+    /// Walked members' defect sizes, member-major.
+    deltas: Vec<f64>,
+    /// Group positions of the walked members.
+    walked: Vec<usize>,
+}
+
+/// The defect-free verdicts of one pattern at every primary output
+/// against one cut-off period, in the sparse form the pruned defect-cone
+/// walk reads: per output, the samples whose baseline arrival fails
+/// (`arrival > clk`), and the largest arrival among switching samples
+/// that pass.
+///
+/// Built once per pattern next to the baseline arrival matrix; every
+/// suspect group of the pattern shares it.
+#[derive(Debug, Clone)]
+pub struct BaselineOutputs {
+    clk: f64,
+    /// `(2·depth + 4)·ε`, the relative rounding allowance of
+    /// `BaselineOutputs::settled`.
+    margin_scale: f64,
+    /// CSR row offsets into `fail_samples`, one row per output.
+    fail_offsets: Vec<u32>,
+    fail_samples: Vec<u32>,
+    /// Per output: the largest passing arrival of a switching sample
+    /// ([`NO_EVENT`] when none passes; `+∞` after a NaN arrival, which
+    /// never settles).
+    max_pass: Vec<f64>,
+}
+
+impl BaselineOutputs {
+    /// Summarizes the output rows of `baseline` (node-major,
+    /// sample-contiguous, from [`transition_arrivals_batch`]) at `clk`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `baseline` mismatches the circuit/sample shape.
+    pub fn new(circuit: &Circuit, baseline: &[f64], n_samples: usize, clk: f64) -> BaselineOutputs {
+        assert_eq!(
+            baseline.len(),
+            circuit.num_nodes() * n_samples,
+            "baseline matrix shape mismatch"
+        );
+        assert!(u32::try_from(n_samples).is_ok(), "sample count exceeds u32");
+        let outputs = circuit.primary_outputs();
+        let mut fail_offsets = Vec::with_capacity(outputs.len() + 1);
+        fail_offsets.push(0u32);
+        let mut fail_samples = Vec::new();
+        let mut max_pass = Vec::with_capacity(outputs.len());
+        for &o in outputs {
+            let row = &baseline[o.index() * n_samples..(o.index() + 1) * n_samples];
+            // Most outputs fail on no sample at all: one vectorizable max
+            // pass covers them, and only the others are scanned again.
+            let (mut pass, nan) = lane_max(row, f64::INFINITY);
+            if pass > clk {
+                for (s, &b) in row.iter().enumerate() {
+                    if b > clk {
+                        fail_samples.push(s as u32);
+                    }
+                }
+                pass = lane_max(row, clk).0;
+            }
+            if nan {
+                pass = f64::INFINITY;
+            }
+            fail_offsets.push(
+                u32::try_from(fail_samples.len()).expect("fail count bounded by outputs × samples"),
+            );
+            max_pass.push(pass);
+        }
+        BaselineOutputs {
+            clk,
+            margin_scale: (2.0 * f64::from(circuit.depth()) + 4.0) * f64::EPSILON,
+            fail_offsets,
+            fail_samples,
+            max_pass,
+        }
+    }
+
+    /// The samples (ascending) whose baseline arrival at primary output
+    /// `output` exceeds the cut-off period.
+    pub fn fails(&self, output: usize) -> &[u32] {
+        &self.fail_samples
+            [self.fail_offsets[output] as usize..self.fail_offsets[output + 1] as usize]
+    }
+
+    /// Whether a defect of size at most `delta_max` (≥ 0) on any arc
+    /// leaves every verdict at `output` as in the baseline.
+    ///
+    /// A failing sample keeps failing: with δ ≥ 0, `+` and `max` are
+    /// monotone, so no defective arrival is below its baseline. A
+    /// passing sample with baseline arrival `b` keeps passing when
+    /// `b + δ + margin ≤ clk`: a defective arrival exceeds `b + δ` only
+    /// by rounding along its path, which `margin = (2·depth + 4)·ε·(|clk|
+    /// + δ)` bounds (DESIGN.md §4.4). The test runs on the largest
+    /// passing arrival, and never produces NaN: with `clk = +∞` every
+    /// output settles, with `clk = −∞` no switching sample passes.
+    fn settled(&self, output: usize, delta_max: f64) -> bool {
+        let pass = self.max_pass[output];
+        pass == NO_EVENT
+            || pass + delta_max + self.margin_scale * (self.clk.abs() + delta_max) <= self.clk
     }
 }
 
@@ -890,21 +1072,20 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         let mut scratch_scalar = vec![NO_EVENT; c.num_nodes()];
-        let mut scratch_batch = Vec::new();
         let mut out = Vec::new();
         for eid in c.edge_ids().take(30) {
             let cone = DefectCone::new(&c, eid);
             let deltas: Vec<f64> = (0..n).map(|s| 0.05 * (s as f64 + 1.0)).collect();
             let mut batched = vec![vec![false; cone.reachable_outputs().len()]; n];
-            cone.apply_batch(
+            fused_oracle(
+                &[&cone],
                 &c,
                 &trans,
                 &batch,
                 &baseline_matrix,
                 &deltas,
                 clk,
-                &mut scratch_batch,
-                |s, k| batched[s][k] = true,
+                |_, s, k| batched[s][k] = true,
             );
             for (s, inst) in instances.iter().enumerate() {
                 let baseline = transition_arrivals(&c, &trans, inst);
@@ -1011,7 +1192,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_cone_group_matches_per_cone_apply_batch() {
+    fn fused_cone_group_matches_one_member_groups() {
         let c = generate(&GeneratorConfig::small("fg", 13))
             .unwrap()
             .to_combinational()
@@ -1035,20 +1216,8 @@ mod tests {
             .filter(|a| a.is_finite())
             .fold(0.0f64, f64::max)
             * 0.6;
-        // Group every edge by sink node; exercise each multi-edge group.
-        let mut by_sink: std::collections::HashMap<usize, Vec<EdgeId>> =
-            std::collections::HashMap::new();
-        for eid in c.edge_ids() {
-            by_sink
-                .entry(c.edge(eid).to().index())
-                .or_default()
-                .push(eid);
-        }
-        let mut scratch_fused = Vec::new();
-        let mut scratch_single = Vec::new();
         let mut tested_multi = false;
-        for edges in by_sink.values() {
-            let cones: Vec<DefectCone> = edges.iter().map(|&e| DefectCone::new(&c, e)).collect();
+        for cones in sink_groups(&c) {
             let refs: Vec<&DefectCone> = cones.iter().collect();
             if refs.len() > 1 {
                 tested_multi = true;
@@ -1057,7 +1226,7 @@ mod tests {
             let deltas: Vec<f64> = (0..ng * n).map(|i| 0.02 * (i as f64 + 1.0)).collect();
             let width = cones[0].reachable_outputs().len();
             let mut fused = vec![vec![vec![false; width]; n]; ng];
-            DefectCone::apply_batch_fused(
+            fused_oracle(
                 &refs,
                 &c,
                 &trans,
@@ -1065,22 +1234,26 @@ mod tests {
                 &baseline,
                 &deltas,
                 clk,
-                &mut scratch_fused,
                 |g, s, k| fused[g][s][k] = true,
             );
             for (g, cone) in cones.iter().enumerate() {
                 let mut single = vec![vec![false; width]; n];
-                cone.apply_batch(
+                fused_oracle(
+                    &[cone],
                     &c,
                     &trans,
                     &batch,
                     &baseline,
                     &deltas[g * n..(g + 1) * n],
                     clk,
-                    &mut scratch_single,
-                    |s, k| single[s][k] = true,
+                    |_, s, k| single[s][k] = true,
                 );
-                assert_eq!(fused[g], single, "cone {g} of group {:?}", edges);
+                assert_eq!(
+                    fused[g],
+                    single,
+                    "cone {g} of sink group at {}",
+                    cone.edge()
+                );
             }
         }
         assert!(tested_multi, "generator produced no multi-fanin sinks");
@@ -1093,5 +1266,428 @@ mod tests {
         let arr = transition_arrivals(&c, &trans, &t.nominal_instance());
         assert!(arr.iter().all(|&a| a == NO_EVENT));
         assert_eq!(output_arrivals(&c, &arr), vec![NO_EVENT]);
+    }
+
+    /// The unpruned fused walk: every member recomputes every switching
+    /// cone slot for every sample. The differential oracle of the pruned
+    /// [`DefectCone::apply_batch_fused`]; `deltas` is member-major.
+    #[allow(clippy::too_many_arguments)]
+    fn fused_oracle(
+        group: &[&DefectCone],
+        circuit: &Circuit,
+        transitions: &[Transition],
+        batch: &InstanceBatch,
+        baseline: &[f64],
+        deltas: &[f64],
+        clk: f64,
+        mut on_fail: impl FnMut(usize, usize, usize),
+    ) {
+        let lead = check_group(group, circuit);
+        let n = batch.n_samples();
+        let ng = group.len();
+        assert_eq!(baseline.len(), circuit.num_nodes() * n);
+        assert_eq!(deltas.len(), ng * n, "delta matrix shape mismatch");
+        let view = &lead.view;
+        let mut scratch = vec![NO_EVENT; view.len() * ng * n];
+        for (slot, &id) in view.nodes().iter().enumerate() {
+            let (earlier, rest) = scratch.split_at_mut(slot * ng * n);
+            let rows = &mut rest[..ng * n];
+            if !transitions[id.index()].is_event() {
+                continue;
+            }
+            if circuit.node(id).kind() == GateKind::Input {
+                rows.fill(0.0);
+                continue;
+            }
+            for k in view.arc_range(slot) {
+                let fs = view.arc_slots()[k];
+                let e = view.arc_edges()[k];
+                let ds = batch.edge_delays(e);
+                for g in 0..ng {
+                    let ups: &[f64] = if fs != EXTERNAL {
+                        let base = (fs as usize * ng + g) * n;
+                        &earlier[base..base + n]
+                    } else {
+                        let from = view.arc_sources()[k].index();
+                        &baseline[from * n..(from + 1) * n]
+                    };
+                    let row = &mut rows[g * n..(g + 1) * n];
+                    if e == group[g].edge {
+                        relax_defective(row, ups, ds, &deltas[g * n..(g + 1) * n]);
+                    } else {
+                        relax(row, ups, ds);
+                    }
+                }
+            }
+        }
+        for (k, &(_, slot)) in view.output_slots().iter().enumerate() {
+            let slot = slot as usize;
+            for g in 0..ng {
+                let row = &scratch[(slot * ng + g) * n..(slot * ng + g + 1) * n];
+                for (s, &arr) in row.iter().enumerate() {
+                    if arr > clk {
+                        on_fail(g, s, k);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every arc's defect cone, grouped by sink node (ascending), members
+    /// in edge order.
+    fn sink_groups(c: &Circuit) -> Vec<Vec<DefectCone>> {
+        let mut by_sink: std::collections::BTreeMap<usize, Vec<DefectCone>> = Default::default();
+        for eid in c.edge_ids() {
+            by_sink
+                .entry(c.edge(eid).to().index())
+                .or_default()
+                .push(DefectCone::new(c, eid));
+        }
+        by_sink.into_values().collect()
+    }
+
+    /// A defect size per (arc, sample).
+    type DeltaFn<'a> = &'a dyn Fn(EdgeId, usize) -> f64;
+
+    /// Walk counts of one differential pass: members that walked, and
+    /// members in total.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Walks {
+        walked: usize,
+        members: usize,
+    }
+
+    impl std::ops::AddAssign for Walks {
+        fn add_assign(&mut self, o: Walks) {
+            self.walked += o.walked;
+            self.members += o.members;
+        }
+    }
+
+    /// Asserts that the pruned walk reports exactly the oracle's failing
+    /// (member, sample, slot) cells, each once, on every sink group, with
+    /// defect size `delta(arc, sample)`; and that it draws sizes for the
+    /// exercised members only.
+    fn assert_prune_matches_oracle(
+        c: &Circuit,
+        groups: &[Vec<DefectCone>],
+        trans: &[Transition],
+        batch: &InstanceBatch,
+        clk: f64,
+        delta: DeltaFn,
+    ) -> Walks {
+        let n = batch.n_samples();
+        let baseline = transition_arrivals_batch(c, trans, batch);
+        let outputs = BaselineOutputs::new(c, &baseline, n, clk);
+        let mut scratch = FusedScratch::default();
+        let mut walks = Walks::default();
+        for cones in groups {
+            let refs: Vec<&DefectCone> = cones.iter().collect();
+            let deltas: Vec<f64> = cones
+                .iter()
+                .flat_map(|cone| (0..n).map(move |s| delta(cone.edge(), s)))
+                .collect();
+            let mut want = std::collections::BTreeSet::new();
+            fused_oracle(
+                &refs,
+                c,
+                trans,
+                batch,
+                &baseline,
+                &deltas,
+                clk,
+                |g, s, k| {
+                    want.insert((g, s, k));
+                },
+            );
+            let mut got = std::collections::BTreeSet::new();
+            let mut drawn = Vec::new();
+            walks.walked += DefectCone::apply_batch_fused(
+                &refs,
+                c,
+                trans,
+                batch,
+                &baseline,
+                &outputs,
+                |g, sizes| {
+                    drawn.push(g);
+                    sizes.copy_from_slice(&deltas[g * n..(g + 1) * n]);
+                },
+                &mut scratch,
+                |g, s, k| assert!(got.insert((g, s, k)), "cell ({g}, {s}, {k}) reported twice"),
+            );
+            walks.members += cones.len();
+            assert_eq!(
+                got,
+                want,
+                "sink group of arc {} at clk {clk} ({n} samples)",
+                cones[0].edge()
+            );
+            let exercised: Vec<usize> = (0..cones.len())
+                .filter(|&g| cones[g].is_exercised(c, trans))
+                .collect();
+            assert_eq!(
+                drawn,
+                exercised,
+                "draws of sink group of arc {}",
+                cones[0].edge()
+            );
+        }
+        walks
+    }
+
+    /// A generated circuit big enough for multi-member sink groups and
+    /// reconvergent cones.
+    fn prune_circuit(seed: u64) -> (Circuit, CircuitTiming, Vec<Vec<DefectCone>>) {
+        let c = generate(&GeneratorConfig {
+            name: format!("cp{seed}"),
+            inputs: 12,
+            outputs: 8,
+            dffs: 6,
+            gates: 160,
+            depth: 12,
+            seed,
+        })
+        .unwrap()
+        .to_combinational()
+        .unwrap();
+        let t = CircuitTiming::characterize(
+            &c,
+            &CellLibrary::default_025um(),
+            VariationModel::default(),
+        );
+        let groups = sink_groups(&c);
+        assert!(
+            groups.iter().any(|g| g.len() > 1),
+            "no multi-member sink group"
+        );
+        (c, t, groups)
+    }
+
+    /// Pattern `j` of a seeded random two-vector stream.
+    fn random_pattern(c: &Circuit, seed: u64, j: u64) -> Vec<Transition> {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(j));
+        let n_pi = c.primary_inputs().len();
+        let v1: Vec<bool> = (0..n_pi).map(|_| rng.next_u64() & 1 == 1).collect();
+        let v2: Vec<bool> = (0..n_pi).map(|_| rng.next_u64() & 1 == 1).collect();
+        simulate_pair(c, &v1, &v2)
+    }
+
+    /// The switching output arrivals of a baseline matrix, sorted.
+    fn output_arrivals_sorted(c: &Circuit, baseline: &[f64], n: usize) -> Vec<f64> {
+        let mut v: Vec<f64> = c
+            .primary_outputs()
+            .iter()
+            .flat_map(|o| baseline[o.index() * n..(o.index() + 1) * n].iter().copied())
+            .filter(|a| a.is_finite())
+            .collect();
+        v.sort_by(f64::total_cmp);
+        v
+    }
+
+    fn quantile(sorted: &[f64], q: f64) -> f64 {
+        sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+    }
+
+    /// A keyed normal defect size (mean 0.3 ns, σ 0.2 ns, clamped at
+    /// zero like the dictionary's draws).
+    fn normal_delta(seed: u64, edge: EdgeId, s: usize) -> f64 {
+        use rand::SeedableRng;
+        let mut rng =
+            rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ ((edge.index() as u64) << 20) ^ s as u64);
+        crate::Dist::Normal {
+            mean: 0.3,
+            std: 0.2,
+        }
+        .sample(&mut rng)
+        .max(0.0)
+    }
+
+    #[test]
+    fn cone_prune_differential_sample_counts() {
+        let mut total = Walks::default();
+        for seed in [1u64, 2] {
+            let (c, t, groups) = prune_circuit(seed);
+            for n in [1usize, 7, 64, 200] {
+                let batch = t.sample_instance_batch(seed, 0, n);
+                for j in 0..2 {
+                    let trans = random_pattern(&c, seed, j);
+                    let base = transition_arrivals_batch(&c, &trans, &batch);
+                    let arrivals = output_arrivals_sorted(&c, &base, n);
+                    for q in [0.5, 0.9, 0.99] {
+                        let clk = quantile(&arrivals, q);
+                        total += assert_prune_matches_oracle(
+                            &c,
+                            &groups,
+                            &trans,
+                            &batch,
+                            clk,
+                            &|e, s| normal_delta(seed + j, e, s),
+                        );
+                    }
+                }
+            }
+        }
+        // The suite must exercise both the pruned and the walked paths.
+        assert!(total.walked > 0, "nothing walked: {total:?}");
+        assert!(total.walked < total.members, "nothing pruned: {total:?}");
+    }
+
+    #[test]
+    fn cone_prune_differential_clock_and_delta_edges() {
+        let (c, t, groups) = prune_circuit(3);
+        let n = 64;
+        let batch = t.sample_instance_batch(3, 0, n);
+        let trans = random_pattern(&c, 3, 0);
+        let base = transition_arrivals_batch(&c, &trans, &batch);
+        let arrivals = output_arrivals_sorted(&c, &base, n);
+        let mut clks = vec![f64::NEG_INFINITY, 0.0, f64::INFINITY];
+        // Clocks exactly on a baseline arrival: that sample passes by
+        // the narrowest possible margin.
+        clks.extend([0.25, 0.5, 0.75, 0.9, 1.0].map(|q| quantile(&arrivals, q)));
+        let ulp = |e: EdgeId, s: usize| {
+            let d = batch.edge_delays(e)[s];
+            d.next_up() - d
+        };
+        let deltas: [(&str, DeltaFn); 5] = [
+            ("zero", &|_, _| 0.0),
+            ("one ulp of the arc delay", &ulp),
+            ("smallest subnormal", &|_, _| f64::from_bits(1)),
+            ("normal", &|e, s| normal_delta(3, e, s)),
+            ("infinite", &|_, _| f64::INFINITY),
+        ];
+        for clk in clks {
+            for (what, delta) in &deltas {
+                let w = assert_prune_matches_oracle(&c, &groups, &trans, &batch, clk, *delta);
+                if clk.is_infinite() {
+                    assert_eq!(
+                        w.walked, 0,
+                        "clk {clk}, δ {what}: an infinite clock settles every member"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cone_prune_differential_tight_clocks_catch_rounding() {
+        // Every passing output arrival as the clock, with defect sizes
+        // of one ulp of the arc delay: verdicts there hinge on the last
+        // rounding step, which the window margin must cover.
+        let (c, t, groups) = prune_circuit(4);
+        let n = 7;
+        let batch = t.sample_instance_batch(4, 0, n);
+        for j in 0..3 {
+            let trans = random_pattern(&c, 4, j);
+            let base = transition_arrivals_batch(&c, &trans, &batch);
+            let mut arrivals = output_arrivals_sorted(&c, &base, n);
+            arrivals.dedup();
+            for &clk in arrivals.iter().rev().take(24) {
+                assert_prune_matches_oracle(&c, &groups, &trans, &batch, clk, &|e, s| {
+                    let d = batch.edge_delays(e)[s];
+                    (d.next_up() - d) * (1 + s % 3) as f64
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn cone_prune_differential_poisoned_instances() {
+        let (c, t, groups) = prune_circuit(5);
+        let n = 7;
+        let mut instances: Vec<_> = (0..n)
+            .map(|s| t.sample_instance_indexed(5, s as u64))
+            .collect();
+        // NaN and +∞ delays on a spread of arcs, different per sample.
+        for (s, inst) in instances.iter_mut().enumerate() {
+            for e in c.edge_ids().skip(s).step_by(9) {
+                inst.set_delay(
+                    e,
+                    if e.index() % 2 == 0 {
+                        f64::NAN
+                    } else {
+                        f64::INFINITY
+                    },
+                );
+            }
+        }
+        let batch = InstanceBatch::from_instances(&instances);
+        for j in 0..3 {
+            let trans = random_pattern(&c, 5, j);
+            let base = transition_arrivals_batch(&c, &trans, &batch);
+            let arrivals = output_arrivals_sorted(&c, &base, n);
+            let mut clks = vec![f64::NEG_INFINITY, f64::INFINITY];
+            if !arrivals.is_empty() {
+                clks.extend([0.5, 0.9].map(|q| quantile(&arrivals, q)));
+            }
+            for clk in clks {
+                for delta in [0.0, 0.4, f64::INFINITY] {
+                    assert_prune_matches_oracle(&c, &groups, &trans, &batch, clk, &|_, _| delta);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cone_prune_differential_negative_delays_walk() {
+        // A hand-built batch with negative delays turns the window test
+        // off; the aliasing and the result stay exact.
+        let (c, t, groups) = prune_circuit(6);
+        let n = 7;
+        let mut instances: Vec<_> = (0..n)
+            .map(|s| t.sample_instance_indexed(6, s as u64))
+            .collect();
+        for inst in &mut instances {
+            for e in c.edge_ids().step_by(5) {
+                inst.set_delay(e, -0.05);
+            }
+        }
+        let batch = InstanceBatch::from_instances(&instances);
+        assert!(batch.has_negative_delay());
+        let trans = random_pattern(&c, 6, 0);
+        let base = transition_arrivals_batch(&c, &trans, &batch);
+        let clk = quantile(&output_arrivals_sorted(&c, &base, n), 0.9);
+        assert_prune_matches_oracle(&c, &groups, &trans, &batch, clk, &|e, s| {
+            normal_delta(6, e, s)
+        });
+    }
+
+    #[test]
+    fn cone_prune_differential_stable_and_mixed_patterns() {
+        let (c, t, groups) = prune_circuit(7);
+        let n = 7;
+        let batch = t.sample_instance_batch(7, 0, n);
+        // A stable pattern exercises no arc: nothing is drawn or walked.
+        let n_pi = c.primary_inputs().len();
+        let v: Vec<bool> = (0..n_pi).map(|i| i % 3 == 0).collect();
+        let stable = simulate_pair(&c, &v, &v);
+        let w = assert_prune_matches_oracle(&c, &groups, &stable, &batch, 0.0, &|e, s| {
+            normal_delta(7, e, s)
+        });
+        assert_eq!(w.walked, 0);
+        // One switching input that reaches an output: groups mix
+        // exercised and idle members.
+        let mixed = |trans: &[Transition]| {
+            groups.iter().any(|g| {
+                let active = g.iter().filter(|cone| cone.is_exercised(&c, trans)).count();
+                active > 0 && active < g.len()
+            })
+        };
+        let (trans, arrivals) = (0..n_pi)
+            .find_map(|i| {
+                let mut v2 = v.clone();
+                v2[i] = !v2[i];
+                let trans = simulate_pair(&c, &v, &v2);
+                let base = transition_arrivals_batch(&c, &trans, &batch);
+                let arrivals = output_arrivals_sorted(&c, &base, n);
+                (mixed(&trans) && !arrivals.is_empty()).then_some((trans, arrivals))
+            })
+            .expect("no single-input flip mixes exercised and idle arcs");
+        for clk in [0.0, quantile(&arrivals, 0.5), quantile(&arrivals, 1.0)] {
+            assert_prune_matches_oracle(&c, &groups, &trans, &batch, clk, &|e, s| {
+                normal_delta(7, e, s)
+            });
+        }
     }
 }

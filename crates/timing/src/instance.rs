@@ -101,6 +101,9 @@ pub struct InstanceBatch {
     n_samples: usize,
     /// Edge-major, sample-contiguous: `delays[e * n_samples + s]`.
     delays: Vec<f64>,
+    /// Whether any delay is finite and negative (never true of a sampled
+    /// batch; see [`InstanceBatch::has_negative_delay`]).
+    has_negative_delay: bool,
 }
 
 impl InstanceBatch {
@@ -119,11 +122,7 @@ impl InstanceBatch {
                 delays[e * n_samples + s] = d;
             }
         }
-        InstanceBatch {
-            n_edges,
-            n_samples,
-            delays,
-        }
+        InstanceBatch::new(n_edges, n_samples, delays)
     }
 
     /// Wraps an edge-major, sample-contiguous delay matrix
@@ -138,10 +137,16 @@ impl InstanceBatch {
         delays: Vec<f64>,
     ) -> InstanceBatch {
         assert_eq!(delays.len(), n_edges * n_samples, "batch shape mismatch");
+        InstanceBatch::new(n_edges, n_samples, delays)
+    }
+
+    fn new(n_edges: usize, n_samples: usize, delays: Vec<f64>) -> InstanceBatch {
+        let has_negative_delay = delays.iter().any(|&d| d < 0.0 && d.is_finite());
         InstanceBatch {
             n_edges,
             n_samples,
             delays,
+            has_negative_delay,
         }
     }
 
@@ -153,6 +158,16 @@ impl InstanceBatch {
     /// Number of arcs covered by each instance.
     pub fn n_edges(&self) -> usize {
         self.n_edges
+    }
+
+    /// Whether some arc carries a finite negative delay. Samplers floor
+    /// every delay at a positive fraction of its mean, so only a
+    /// hand-built batch can; the pruned defect-cone walk
+    /// ([`crate::dynamic::DefectCone::apply_batch_fused`]) then skips its
+    /// clock-window test, whose rounding bound assumes non-negative
+    /// path terms.
+    pub(crate) fn has_negative_delay(&self) -> bool {
+        self.has_negative_delay
     }
 
     /// The delays of one arc across all samples (contiguous).
