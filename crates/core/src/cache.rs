@@ -43,7 +43,7 @@ use crate::dictionary::{
     ProbabilisticDictionary, SimKernel, SuspectMasks,
 };
 use crate::inject::AtpgConfig;
-use crate::metrics::MetricsSink;
+use crate::metrics::{Counter, MetricsSink};
 use crate::store::{fingerprint_model, DictionaryStore, PatternKey, StoreKey};
 use crate::BehaviorMatrix;
 use sdd_atpg::PatternSet;
@@ -205,12 +205,12 @@ impl DictionaryCache {
         let mut slot = cell.lock().expect("pattern slot lock");
         if let Some(set) = slot.as_ref() {
             if let Some(m) = metrics {
-                m.record_pattern_cache_hit();
+                m.add(Counter::PatternCacheHits, 1);
             }
             return Arc::clone(set);
         }
         if let Some(m) = metrics {
-            m.record_pattern_cache_miss();
+            m.add(Counter::PatternCacheMisses, 1);
         }
         let loaded = self
             .store
@@ -361,8 +361,11 @@ impl DictionaryCache {
         let simulated = bank.base.is_empty() || !missing.is_empty();
         if simulated {
             if let Some(m) = metrics {
-                m.record_cache_miss();
-                m.add_samples_simulated((patterns.len() * config.n_samples) as u64);
+                m.add(Counter::DictCacheMisses, 1);
+                m.add(
+                    Counter::SamplesSimulated,
+                    (patterns.len() * config.n_samples) as u64,
+                );
             }
             let cones = defect_cones(circuit, &missing);
             let per_pattern = simulate_fail_masks(
@@ -396,7 +399,7 @@ impl DictionaryCache {
                 bank.suspects.insert(edge, masks);
             }
         } else if let Some(m) = metrics {
-            m.record_cache_hit();
+            m.add(Counter::DictCacheHits, 1);
         }
         if simulated {
             if let Some(store) = &self.store {
@@ -503,7 +506,7 @@ impl DictionaryCache {
         let simulated = bank.base.is_none() || !missing.is_empty();
         if simulated {
             if let Some(m) = metrics {
-                m.record_cache_miss();
+                m.add(Counter::DictCacheMisses, 1);
             }
             let cones = defect_cones(circuit, &missing);
             let (m_crt, suspects) = simulate_fail_probs_analytic(
@@ -523,7 +526,7 @@ impl DictionaryCache {
                 bank.suspects.insert(edge, s);
             }
         } else if let Some(m) = metrics {
-            m.record_cache_hit();
+            m.add(Counter::DictCacheHits, 1);
         }
         let ordered: Vec<(EdgeId, AnalyticSuspect)> = suspect_edges
             .iter()
@@ -598,9 +601,9 @@ impl DictionaryCache {
         let survivors = screen_survivors(&m_a, &pairs, behavior, &cols, config.screen);
         let surviving_edges: Vec<EdgeId> = survivors.iter().map(|&i| suspect_edges[i]).collect();
         if let Some(m) = metrics {
-            m.add_screen_nanos(t_screen.elapsed().as_nanos() as u64);
-            m.add_suspects_screened(suspect_edges.len() as u64);
-            m.add_suspects_refined(surviving_edges.len() as u64);
+            m.add(Counter::ScreenNanos, t_screen.elapsed().as_nanos() as u64);
+            m.add(Counter::SuspectsScreened, suspect_edges.len() as u64);
+            m.add(Counter::SuspectsRefined, surviving_edges.len() as u64);
         }
         // Stage 2: population-consistent refinement of the survivors
         // through the screened bank section (memory-only; see the field
@@ -626,9 +629,9 @@ impl DictionaryCache {
         let simulated = bank.base.is_empty() || !missing.is_empty();
         if simulated {
             if let Some(m) = metrics {
-                m.record_cache_miss();
+                m.add(Counter::DictCacheMisses, 1);
                 // One shared population answers every pattern.
-                m.add_samples_simulated(config.n_samples as u64);
+                m.add(Counter::SamplesSimulated, config.n_samples as u64);
             }
             let cones = defect_cones(circuit, &missing);
             let per_pattern = crate::dictionary::simulate_fail_masks_shared(
@@ -662,7 +665,7 @@ impl DictionaryCache {
                 bank.suspects.insert(edge, masks);
             }
         } else if let Some(m) = metrics {
-            m.record_cache_hit();
+            m.add(Counter::DictCacheHits, 1);
         }
         let base_refs: Vec<&BitGrid> = bank.base.iter().collect();
         let ordered: Vec<(EdgeId, &SuspectMasks)> = surviving_edges

@@ -29,6 +29,7 @@
 //! suspects yields bit-identical grids to selecting the same rows from a
 //! superset build.
 
+use crate::metrics::Counter;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -896,7 +897,10 @@ pub(crate) fn simulate_fail_masks(
     metrics: Option<&crate::metrics::MetricsSink>,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     if let Some(m) = metrics {
-        m.add_cone_evals((patterns.len() * config.n_samples * cones.len()) as u64);
+        m.add(
+            Counter::ConeEvals,
+            (patterns.len() * config.n_samples * cones.len()) as u64,
+        );
     }
     match config.kernel {
         SimKernel::Batched => simulate_fail_masks_batched(
@@ -1072,14 +1076,14 @@ pub(crate) fn simulate_fail_probs_analytic(
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
             let r = pattern_fail_probs(circuit, timing, &transitions, cones, delta, clk, &quad);
             if let Some(m) = metrics {
-                m.add_analytic_evals(r.cone_walks);
+                m.add(Counter::AnalyticEvals, r.cone_walks);
             }
             (r.baseline, r.per_cone)
         })
         .collect();
     // Timed once on the calling thread, like `record_kernel_nanos`.
     if let Some(m) = metrics {
-        m.add_analytic_nanos(t_kernel.elapsed().as_nanos() as u64);
+        m.add(Counter::AnalyticNanos, t_kernel.elapsed().as_nanos() as u64);
     }
     let mut m_crt = ProbMatrix::zeros(n_out, n_patterns);
     let mut suspects: Vec<AnalyticSuspect> = cones
@@ -1133,7 +1137,7 @@ pub(crate) fn assemble_from_probs(
 /// construction; per-worker times summed over an idle pool would not.
 fn record_kernel_nanos(metrics: Option<&crate::metrics::MetricsSink>, start: std::time::Instant) {
     if let Some(m) = metrics {
-        m.add_kernel_nanos(start.elapsed().as_nanos() as u64);
+        m.add(Counter::KernelNanos, start.elapsed().as_nanos() as u64);
     }
 }
 
@@ -1160,7 +1164,7 @@ fn simulate_fail_masks_scalar(
         } else {
             0
         };
-        m.add_cone_walks(pairs as u64);
+        m.add(Counter::ConeWalks, pairs as u64);
     }
     let t_kernel = std::time::Instant::now();
     let per_pattern = patterns
@@ -1346,7 +1350,7 @@ fn walk_sink_groups(
         );
     }
     if let Some(m) = metrics {
-        m.add_cone_walks(walks as u64);
+        m.add(Counter::ConeWalks, walks as u64);
     }
     (base, fails)
 }
@@ -1387,7 +1391,10 @@ pub(crate) fn simulate_fail_masks_shared(
     metrics: Option<&crate::metrics::MetricsSink>,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     if let Some(m) = metrics {
-        m.add_cone_evals((patterns.len() * config.n_samples * cones.len()) as u64);
+        m.add(
+            Counter::ConeEvals,
+            (patterns.len() * config.n_samples * cones.len()) as u64,
+        );
     }
     let n = config.n_samples;
     // The shared population: instances 0..n of the seed's stream — the

@@ -195,27 +195,12 @@ mod tests {
         b.metrics.dict_cache_hits = 7;
         assert_eq!(a, b, "metrics must not affect report equality");
         b.traces.push(crate::metrics::InstanceTrace {
-            chip_index: 0,
-            redraws: 0,
-            injected_edge: None,
-            n_suspects: 0,
-            n_patterns: 0,
-            clk: None,
             patterns_nanos: 1,
-            observe_nanos: 2,
-            dictionary_nanos: 3,
             rank_nanos: 4,
-            dict_cache_hits: 0,
-            dict_cache_misses: 0,
-            store_hits: 0,
-            store_misses: 0,
-            pattern_cache_hits: 0,
-            pattern_cache_misses: 0,
-            pattern_store_hits: 0,
-            pattern_store_misses: 0,
-            cone_walks: 0,
-            tenant: String::new(),
-            outcome: crate::metrics::TraceOutcome::Undetected,
+            ..crate::metrics::InstanceTrace::new(
+                crate::metrics::TraceOutcome::Undetected,
+                &CampaignMetrics::default(),
+            )
         });
         assert_eq!(a, b, "traces must not affect report equality");
         b.record_failure(2);

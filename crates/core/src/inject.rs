@@ -14,7 +14,7 @@ use crate::diagnoser::{Diagnoser, DiagnoserConfig, RankedSite};
 use crate::dictionary::DictionaryConfig;
 use crate::error_fn::ErrorFunction;
 use crate::evaluate::AccuracyReport;
-use crate::metrics::{InstanceTrace, MetricsSink, Phase, TraceOutcome};
+use crate::metrics::{Counter, InstanceTrace, MetricsSink, Phase, TraceOutcome};
 use crate::{BehaviorMatrix, CaptureModel, DiagnosisError, ObserveKernel, ObservedBehavior};
 use rayon::prelude::*;
 use sdd_atpg::fault::{PathDelayFault, TransitionDirection};
@@ -757,21 +757,7 @@ pub(crate) fn diagnose_instance_impl(
         n_suspects: n_suspects as u64,
         n_patterns: last_patterns as u64,
         clk,
-        patterns_nanos: scratch.patterns_nanos,
-        observe_nanos: scratch.observe_nanos,
-        dictionary_nanos: scratch.dictionary_nanos,
-        rank_nanos: scratch.rank_nanos,
-        dict_cache_hits: scratch.dict_cache_hits,
-        dict_cache_misses: scratch.dict_cache_misses,
-        store_hits: scratch.store_hits,
-        store_misses: scratch.store_misses,
-        pattern_cache_hits: scratch.pattern_cache_hits,
-        pattern_cache_misses: scratch.pattern_cache_misses,
-        pattern_store_hits: scratch.pattern_store_hits,
-        pattern_store_misses: scratch.pattern_store_misses,
-        cone_walks: scratch.cone_walks,
-        tenant: String::new(),
-        outcome,
+        ..InstanceTrace::new(outcome, &scratch)
     };
     metrics.record_instance(&scratch, trace.clone());
     observed.map(|_| InstanceOutcome {
@@ -828,13 +814,13 @@ fn observe_behavior(
         (Some(clk), _) => Some(observe_one(clk)),
         (None, ClockPolicy::TestedQuantile(q)) => {
             let n = config.sta_samples.min(150);
-            metrics.add_samples_simulated((n * patterns.len()) as u64);
+            metrics.add(Counter::SamplesSimulated, (n * patterns.len()) as u64);
             let clk = delay_samples(n).quantile(q);
             Some(observe_one(clk))
         }
         (None, ClockPolicy::Sweep) if config.observe == ObserveKernel::Batched => {
             let n = config.sta_samples.min(150);
-            metrics.add_samples_simulated((n * patterns.len()) as u64);
+            metrics.add(Counter::SamplesSimulated, (n * patterns.len()) as u64);
             let samples = delay_samples(n);
             // One clock-independent capture serves the whole ladder: the
             // sweep re-thresholds it per level instead of re-simulating
@@ -862,7 +848,7 @@ fn observe_behavior(
         }
         (None, ClockPolicy::Sweep) => {
             let n = config.sta_samples.min(150);
-            metrics.add_samples_simulated((n * patterns.len()) as u64);
+            metrics.add(Counter::SamplesSimulated, (n * patterns.len()) as u64);
             let samples = delay_samples(n);
             for (level, &q) in SWEEP_QUANTILES.iter().enumerate() {
                 let clk = samples.quantile(q);

@@ -85,7 +85,7 @@ pub use error::{DiagnosisError, SddError};
 pub use error_fn::ErrorFunction;
 pub use inject::AtpgConfig;
 pub use metrics::{
-    CampaignMetrics, HistogramSnapshot, InstanceTrace, LatencyHistogram, MetricsExport,
+    CampaignMetrics, Counter, HistogramSnapshot, InstanceTrace, LatencyHistogram, MetricsExport,
     MetricsReport, MetricsSink, Phase, PhaseLatencies, TraceOutcome, METRICS_SCHEMA_VERSION,
     TRACE_RING_CAPACITY,
 };

@@ -8,6 +8,12 @@
 //! during the run). At the end of the campaign it is frozen into a
 //! [`CampaignMetrics`] snapshot carried by [`AccuracyReport`].
 //!
+//! Every accumulating counter is one row of the counter table below: the
+//! row declares the [`Counter`] variant, the [`CampaignMetrics`] field
+//! and, when marked, the [`InstanceTrace`] field, and every fold over
+//! the counters (snapshot, delta, per-instance commit, trace-sum check)
+//! is a loop over the table.
+//!
 //! Phase timers are summed across worker threads, so under a parallel
 //! campaign the per-phase totals measure aggregate CPU time and can
 //! exceed [`CampaignMetrics::total_nanos`], which is the single
@@ -28,7 +34,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The instrumented phases of one diagnosis (see
-/// [`crate::engine::DiagnosisEngine::diagnose_instance`]).
+/// [`crate::engine::DiagnosisEngine::diagnose_instance`]). `phase as
+/// usize` indexes the phase's latency histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Test generation through the hypothesized site (ATPG).
@@ -60,13 +67,10 @@ impl Phase {
         }
     }
 
-    fn ix(self) -> usize {
-        match self {
-            Phase::Patterns => 0,
-            Phase::Observe => 1,
-            Phase::Dictionary => 2,
-            Phase::Rank => 3,
-        }
+    /// The counter summing this phase's time: the counter table opens
+    /// with the four phase timers, in phase order.
+    pub(crate) fn counter(self) -> Counter {
+        Counter::ALL[self as usize]
     }
 }
 
@@ -326,6 +330,31 @@ impl HistogramSnapshot {
             max,
         }
     }
+
+    /// Checks the sparse bucket list that percentile queries index:
+    /// every index names one of the fixed buckets, indices strictly
+    /// ascend, and the bucket counts sum to `count`.
+    fn check_buckets(&self) -> Result<(), String> {
+        let mut total = 0u64;
+        for (i, &(ix, n)) in self.buckets.iter().enumerate() {
+            if ix as usize >= NUM_BUCKETS {
+                return Err(format!(
+                    "bucket index {ix} out of range (last is {})",
+                    NUM_BUCKETS - 1
+                ));
+            }
+            if i > 0 && self.buckets[i - 1].0 >= ix {
+                return Err(format!("bucket indices not strictly ascending at {ix}"));
+            }
+            total = total
+                .checked_add(n)
+                .ok_or_else(|| "bucket counts overflow u64".to_string())?;
+        }
+        if total != self.count {
+            return Err(format!("buckets sum to {total}, count says {}", self.count));
+        }
+        Ok(())
+    }
 }
 
 /// One [`HistogramSnapshot`] per diagnosis phase: the distribution of
@@ -344,24 +373,24 @@ pub struct PhaseLatencies {
 }
 
 impl PhaseLatencies {
+    fn from_fn(f: impl FnMut(Phase) -> HistogramSnapshot) -> PhaseLatencies {
+        let [patterns, observe, dictionary, rank] = Phase::ALL.map(f);
+        PhaseLatencies {
+            patterns,
+            observe,
+            dictionary,
+            rank,
+        }
+    }
+
     /// The snapshot for `phase`.
     pub fn get(&self, phase: Phase) -> &HistogramSnapshot {
-        match phase {
-            Phase::Patterns => &self.patterns,
-            Phase::Observe => &self.observe,
-            Phase::Dictionary => &self.dictionary,
-            Phase::Rank => &self.rank,
-        }
+        [&self.patterns, &self.observe, &self.dictionary, &self.rank][phase as usize]
     }
 
     /// Field-wise [`HistogramSnapshot::since`].
     pub fn since(&self, baseline: &PhaseLatencies) -> PhaseLatencies {
-        PhaseLatencies {
-            patterns: self.patterns.since(&baseline.patterns),
-            observe: self.observe.since(&baseline.observe),
-            dictionary: self.dictionary.since(&baseline.dictionary),
-            rank: self.rank.since(&baseline.rank),
-        }
+        PhaseLatencies::from_fn(|phase| self.get(phase).since(baseline.get(phase)))
     }
 }
 
@@ -378,66 +407,275 @@ pub enum TraceOutcome {
     Undetected,
 }
 
-/// Per-instance diagnosis trace: what one chip did, where its time
-/// went, and how the cache/store served it. Collected into
-/// [`AccuracyReport::traces`] (bounded by [`TRACE_RING_CAPACITY`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct InstanceTrace {
-    /// Campaign chip index.
-    pub chip_index: u64,
-    /// Defect draws beyond the first (0 = first draw was observable).
-    pub redraws: u64,
-    /// Edge index of the last injected defect site (`None` only when
-    /// the redraw budget was zero).
-    pub injected_edge: Option<u64>,
-    /// Suspect-set size after pruning (0 unless diagnosed).
-    pub n_suspects: u64,
-    /// Patterns applied in the last attempt.
-    pub n_patterns: u64,
-    /// The cut-off period `B` was recorded at (`None` when the chip
-    /// never failed).
-    pub clk: Option<f64>,
-    /// Nanoseconds this instance spent in ATPG (all attempts).
-    pub patterns_nanos: u64,
-    /// Nanoseconds this instance spent observing behaviour.
-    pub observe_nanos: u64,
-    /// Nanoseconds this instance spent building dictionaries.
-    pub dictionary_nanos: u64,
-    /// Nanoseconds this instance spent ranking suspects.
-    pub rank_nanos: u64,
-    /// Dictionary-cache requests this instance hit.
-    pub dict_cache_hits: u64,
-    /// Dictionary-cache requests this instance missed.
-    pub dict_cache_misses: u64,
-    /// Dictionary banks this instance loaded from the on-disk store.
-    pub store_hits: u64,
-    /// Store probes by this instance that found no usable checkpoint.
-    pub store_misses: u64,
-    /// Pattern-cache requests this instance served from memory.
-    #[serde(default)]
-    pub pattern_cache_hits: u64,
-    /// Pattern-cache requests this instance had to generate (or load
-    /// from the store) for.
-    #[serde(default)]
-    pub pattern_cache_misses: u64,
-    /// Pattern sets this instance loaded from the on-disk store.
-    #[serde(default)]
-    pub pattern_store_hits: u64,
-    /// Pattern-store probes by this instance that found no usable
-    /// checkpoint.
-    #[serde(default)]
-    pub pattern_store_misses: u64,
-    /// (pattern, suspect) pairs whose defect cone this instance's
-    /// dictionary builds walked.
-    #[serde(default)]
-    pub cone_walks: u64,
-    /// Tenant whose session committed this trace (empty for untenanted
-    /// sinks; stamped by [`MetricsSink::record_instance`] when the sink
-    /// was built via [`MetricsSink::for_tenant`]).
-    #[serde(default)]
-    pub tenant: String,
-    /// How the diagnosis ended.
-    pub outcome: TraceOutcome,
+/// Expands the counter table into [`Counter`], [`CampaignMetrics`] and
+/// [`InstanceTrace`]. A counter row reads
+///
+/// ```text
+/// /// Doc comment of the `CampaignMetrics` field.
+/// #[serde(default)]          // optional
+/// Variant field_name [mark], // mark: empty, `trace` or `trace_last`
+/// ```
+///
+/// and declares a `Counter` variant, a `u64` field of `CampaignMetrics`
+/// in table order (which is the JSON order), a slot of [`MetricsSink`]'s
+/// atomic array and, when marked, a field of `InstanceTrace`: `trace`
+/// rows in table order, then `trace_last` rows, which is the trace's
+/// JSON order. A `pub name: Type,` row is a plain `CampaignMetrics`
+/// field, not a counter.
+///
+/// Attributes travel as raw token trees. Forwarded as `$a:meta`, the
+/// vendored serde derive could not see `default` inside the fragment's
+/// invisible group and would drop `#[serde(default)]`.
+macro_rules! counter_table {
+    ($(#[$($sa:tt)*])* pub struct CampaignMetrics { $($rows:tt)* }) => {
+        counter_table!(@rows [$(#[$($sa)*])*] [] [] [] [] $($rows)*);
+    };
+    (@rows $head:tt [$($cm:tt)*] $ctr:tt $tr:tt $last:tt
+        $(#[$($a:tt)*])* pub $f:ident: $t:ty, $($rest:tt)*) => {
+        counter_table!(@rows $head [$($cm)* $(#[$($a)*])* pub $f: $t,] $ctr $tr $last $($rest)*);
+    };
+    (@rows $head:tt [$($cm:tt)*] [$($ctr:tt)*] $tr:tt $last:tt
+        $(#[doc = $doc:literal])* $(#[serde $s:tt])? $C:ident $f:ident [$($mark:ident)?],
+        $($rest:tt)*) => {
+        counter_table!(@mark [$($mark)?] ($C $f $(#[serde $s])?) $head
+            [$($cm)* $(#[doc = $doc])* $(#[serde $s])? pub $f: u64,] [$($ctr)* $C $f]
+            $tr $last $($rest)*);
+    };
+    (@mark [] $row:tt $head:tt $cm:tt $ctr:tt $tr:tt $last:tt $($rest:tt)*) => {
+        counter_table!(@rows $head $cm $ctr $tr $last $($rest)*);
+    };
+    (@mark [trace] $row:tt $head:tt $cm:tt $ctr:tt [$($tr:tt)*] $last:tt $($rest:tt)*) => {
+        counter_table!(@rows $head $cm $ctr [$($tr)* $row] $last $($rest)*);
+    };
+    (@mark [trace_last] $row:tt $head:tt $cm:tt $ctr:tt $tr:tt [$($last:tt)*] $($rest:tt)*) => {
+        counter_table!(@rows $head $cm $ctr $tr [$($last)* $row] $($rest)*);
+    };
+    (@rows $head:tt $cm:tt $ctr:tt [$($tr:tt)*] [$($last:tt)*]) => {
+        counter_table!(@emit $head $cm $ctr [$($tr)* $($last)*]);
+    };
+    (@emit [$($head:tt)*] [$($cm:tt)*] [$($C:ident $f:ident)*]
+        [$(($TC:ident $tf:ident $($ta:tt)*))*]) => {
+        $($head)*
+        pub struct CampaignMetrics {
+            $($cm)*
+        }
+
+        impl CampaignMetrics {
+            /// The value of `counter`.
+            fn get(&self, counter: Counter) -> u64 {
+                match counter {
+                    $(Counter::$C => self.$f,)*
+                }
+            }
+
+            /// `self` with every counter set to `value(counter)`.
+            fn with_counters(self, value: impl Fn(Counter) -> u64) -> CampaignMetrics {
+                CampaignMetrics { $($f: value(Counter::$C),)* ..self }
+            }
+        }
+
+        /// One accumulating counter: a row of the counter table. It
+        /// indexes [`MetricsSink`]'s atomic array and names a `u64` field
+        /// of [`CampaignMetrics`] (and of [`InstanceTrace`] when traced).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $(
+                #[doc = concat!("[`CampaignMetrics::", stringify!($f), "`].")]
+                $C,
+            )*
+        }
+
+        impl Counter {
+            /// Every counter, in table order.
+            pub const ALL: [Counter; Counter::COUNT] = [$(Counter::$C),*];
+            /// The number of counters.
+            pub const COUNT: usize = [$(Counter::$C),*].len();
+            /// The counters an [`InstanceTrace`] carries, in field order.
+            pub(crate) const TRACED: &'static [Counter] = &[$(Counter::$TC),*];
+
+            /// The counter's field name in [`CampaignMetrics`] and JSON.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$C => stringify!($f),)*
+                }
+            }
+        }
+
+        /// Per-instance diagnosis trace: what one chip did, where its time
+        /// went, and how the cache/store served it. Collected into
+        /// [`AccuracyReport::traces`] (bounded by [`TRACE_RING_CAPACITY`]).
+        /// Its counter fields are the instance's shares of the
+        /// same-named [`CampaignMetrics`] counters.
+        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        pub struct InstanceTrace {
+            /// Campaign chip index.
+            pub chip_index: u64,
+            /// Defect draws beyond the first (0 = first draw was observable).
+            pub redraws: u64,
+            /// Edge index of the last injected defect site (`None` only when
+            /// the redraw budget was zero).
+            pub injected_edge: Option<u64>,
+            /// Suspect-set size after pruning (0 unless diagnosed).
+            pub n_suspects: u64,
+            /// Patterns applied in the last attempt.
+            pub n_patterns: u64,
+            /// The cut-off period `B` was recorded at (`None` when the chip
+            /// never failed).
+            pub clk: Option<f64>,
+            $(
+                #[doc = concat!("This instance's share of [`CampaignMetrics::", stringify!($tf), "`].")]
+                $($ta)*
+                pub $tf: u64,
+            )*
+            /// Tenant whose session committed this trace (empty for untenanted
+            /// sinks; stamped by [`MetricsSink::record_instance`] when the sink
+            /// was built via [`MetricsSink::for_tenant`]).
+            #[serde(default)]
+            pub tenant: String,
+            /// How the diagnosis ended.
+            pub outcome: TraceOutcome,
+        }
+
+        impl InstanceTrace {
+            /// A trace of `outcome` whose counter fields are read from
+            /// `counters` (the instance's scratch snapshot); every other
+            /// field is zero, `None` or empty.
+            pub(crate) fn new(outcome: TraceOutcome, counters: &CampaignMetrics) -> InstanceTrace {
+                InstanceTrace {
+                    chip_index: 0,
+                    redraws: 0,
+                    injected_edge: None,
+                    n_suspects: 0,
+                    n_patterns: 0,
+                    clk: None,
+                    $($tf: counters.$tf,)*
+                    tenant: String::new(),
+                    outcome,
+                }
+            }
+
+            /// The value of `counter`; 0 for one the trace does not carry.
+            fn get(&self, counter: Counter) -> u64 {
+                match counter {
+                    $(Counter::$TC => self.$tf,)*
+                    _ => 0,
+                }
+            }
+        }
+    };
+}
+
+counter_table! {
+    /// Frozen campaign metrics, carried by [`AccuracyReport`]. This is
+    /// the counter table: each counter row is one [`Counter`].
+    ///
+    /// Deliberately excluded from `AccuracyReport`'s equality: two runs of
+    /// the same campaign produce identical accuracy numbers but different
+    /// timings.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+    pub struct CampaignMetrics {
+        /// Aggregate nanoseconds in ATPG (summed over threads).
+        PatternsNanos patterns_nanos [trace],
+        /// Aggregate nanoseconds choosing clocks and observing `B`.
+        ObserveNanos observe_nanos [trace],
+        /// Aggregate nanoseconds pruning suspects and building dictionaries.
+        DictionaryNanos dictionary_nanos [trace],
+        /// Aggregate nanoseconds ranking suspects.
+        RankNanos rank_nanos [trace],
+        /// Wall-clock nanoseconds of the whole campaign.
+        pub total_nanos: u64,
+        /// Dictionary-cache requests served without simulation.
+        DictCacheHits dict_cache_hits [trace],
+        /// Dictionary-cache requests that had to simulate at least one bank.
+        DictCacheMisses dict_cache_misses [trace],
+        /// Full-circuit dynamic timing simulations, one per (pattern, chip
+        /// sample) pair, across clock estimation and dictionary builds.
+        SamplesSimulated samples_simulated [],
+        /// Aggregate nanoseconds inside the Monte-Carlo dictionary kernel's
+        /// parallel regions (wall clock on the calling thread, excluding
+        /// suspect pruning and grid post-processing); a subset of
+        /// `dictionary_nanos`.
+        #[serde(default)]
+        KernelNanos kernel_nanos [],
+        /// Defect-cone evaluations, one per (pattern, chip sample, suspect)
+        /// triple, across all dictionary builds.
+        #[serde(default)]
+        ConeEvals cone_evals [],
+        /// (pattern, suspect) pairs whose defect cone the Monte-Carlo kernel
+        /// actually walked; the rest of the `cone_evals` lanes were settled
+        /// from the defect-free baseline. Never exceeds `cone_evals`.
+        #[serde(default)]
+        ConeWalks cone_walks [trace_last],
+        /// Aggregate nanoseconds inside the analytic dictionary kernel's
+        /// parallel regions (wall clock on the calling thread); a subset of
+        /// `dictionary_nanos`, disjoint from `kernel_nanos`.
+        #[serde(default)]
+        AnalyticNanos analytic_nanos [],
+        /// Analytic cone propagations, one per (pattern, suspect, quadrature
+        /// point) triple, across all analytic dictionary builds. Zero unless
+        /// `SimKernel::Analytic` ran.
+        #[serde(default)]
+        AnalyticEvals analytic_evals [],
+        /// Aggregate nanoseconds in the analytic screening stage of the
+        /// screened dictionary pipeline (stage 1 of `SimKernel::Screened`);
+        /// a subset of `dictionary_nanos`. Zero unless the screened kernel
+        /// ran.
+        #[serde(default)]
+        ScreenNanos screen_nanos [],
+        /// Candidate suspects that entered the analytic screen, summed over
+        /// all screened dictionary builds.
+        #[serde(default)]
+        SuspectsScreened suspects_screened [],
+        /// Screening survivors handed to Monte-Carlo refinement, summed over
+        /// all screened dictionary builds; never exceeds
+        /// `suspects_screened`.
+        #[serde(default)]
+        SuspectsRefined suspects_refined [],
+        /// Dictionary banks loaded intact from the on-disk store (each one a
+        /// full Monte-Carlo build skipped).
+        StoreHits store_hits [trace],
+        /// Store probes that found no usable checkpoint (absent, corrupt or
+        /// mismatched files all count here — they degrade to recomputation).
+        StoreMisses store_misses [trace],
+        /// Dictionary banks checkpointed to the on-disk store.
+        StoreFlushes store_flushes [],
+        /// Aggregate nanoseconds spent reading and validating store files.
+        StoreLoadNanos store_load_nanos [],
+        /// Pattern-cache requests served from memory (no ATPG, no store I/O).
+        #[serde(default)]
+        PatternCacheHits pattern_cache_hits [trace],
+        /// Pattern-cache requests not in memory (each one either a store
+        /// load or a fresh ATPG run).
+        #[serde(default)]
+        PatternCacheMisses pattern_cache_misses [trace],
+        /// Pattern sets loaded intact from the on-disk store (each one a
+        /// full ATPG run skipped).
+        #[serde(default)]
+        PatternStoreHits pattern_store_hits [trace],
+        /// Pattern-store probes that found no usable checkpoint (absent,
+        /// corrupt or mismatched files — they degrade to regeneration).
+        #[serde(default)]
+        PatternStoreMisses pattern_store_misses [trace],
+        /// Pattern sets checkpointed to the on-disk store.
+        #[serde(default)]
+        PatternStoreFlushes pattern_store_flushes [],
+        /// Aggregate nanoseconds reading and validating pattern checkpoints.
+        #[serde(default)]
+        PatternStoreLoadNanos pattern_store_load_nanos [],
+        /// Per-instance latency distribution of each phase (one observation
+        /// per diagnosed instance; the summed `*_nanos` fields above are the
+        /// corresponding totals).
+        #[serde(default)]
+        pub phase_latency: PhaseLatencies,
+        /// Wall-clock latency distribution of session-level requests (one
+        /// observation per [`crate::session::DiagnosisSession`] entry-point
+        /// call — instance diagnosis, behaviour diagnosis or campaign).
+        /// Unlike the per-phase histograms its count is *not* tied to the
+        /// diagnosed-instance count: a campaign is one request covering many
+        /// instances. Empty for sinks never driven through a session.
+        #[serde(default)]
+        pub session_latency: HistogramSnapshot,
+    }
 }
 
 /// Upper bound on retained [`InstanceTrace`]s per [`MetricsSink`]: a
@@ -449,32 +687,8 @@ pub const TRACE_RING_CAPACITY: usize = 4096;
 /// lifetime).
 #[derive(Debug, Default)]
 pub struct MetricsSink {
-    patterns_nanos: AtomicU64,
-    observe_nanos: AtomicU64,
-    dictionary_nanos: AtomicU64,
-    rank_nanos: AtomicU64,
-    dict_cache_hits: AtomicU64,
-    dict_cache_misses: AtomicU64,
-    samples_simulated: AtomicU64,
-    kernel_nanos: AtomicU64,
-    cone_evals: AtomicU64,
-    cone_walks: AtomicU64,
-    analytic_nanos: AtomicU64,
-    analytic_evals: AtomicU64,
-    screen_nanos: AtomicU64,
-    suspects_screened: AtomicU64,
-    suspects_refined: AtomicU64,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    store_flushes: AtomicU64,
-    store_load_nanos: AtomicU64,
-    pattern_cache_hits: AtomicU64,
-    pattern_cache_misses: AtomicU64,
-    pattern_store_hits: AtomicU64,
-    pattern_store_misses: AtomicU64,
-    pattern_store_flushes: AtomicU64,
-    pattern_store_load_nanos: AtomicU64,
-    phase_hists: [LatencyHistogram; 4],
+    counters: [AtomicU64; Counter::COUNT],
+    phase_hists: [LatencyHistogram; Phase::ALL.len()],
     session_hist: LatencyHistogram,
     traces: Mutex<VecDeque<(u64, InstanceTrace)>>,
     trace_seq: AtomicU64,
@@ -516,142 +730,14 @@ impl MetricsSink {
     pub fn time<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
-        let nanos = start.elapsed().as_nanos() as u64;
-        let counter = match phase {
-            Phase::Patterns => &self.patterns_nanos,
-            Phase::Observe => &self.observe_nanos,
-            Phase::Dictionary => &self.dictionary_nanos,
-            Phase::Rank => &self.rank_nanos,
-        };
-        counter.fetch_add(nanos, Ordering::Relaxed);
+        self.add(phase.counter(), start.elapsed().as_nanos() as u64);
         out
     }
 
-    /// Records a dictionary-cache request served without simulation.
-    pub fn record_cache_hit(&self) {
-        self.dict_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a dictionary-cache request that had to simulate.
-    pub fn record_cache_miss(&self) {
-        self.dict_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n` full-circuit dynamic timing simulations (one per
-    /// (pattern, chip sample) pair) to the simulated-sample counter.
-    pub fn add_samples_simulated(&self, n: u64) {
-        self.samples_simulated.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `nanos` spent inside the Monte-Carlo dictionary kernel (the
-    /// parallel per-pattern sampling + cone-evaluation region, excluding
-    /// suspect pruning and grid post-processing), timed once on the
-    /// thread that runs the dictionary phase so it stays a subset of
-    /// `dictionary_nanos`.
-    pub fn add_kernel_nanos(&self, nanos: u64) {
-        self.kernel_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Adds `n` cone evaluations (one per (pattern, chip sample,
-    /// suspect) triple) to the kernel workload counter.
-    pub fn add_cone_evals(&self, n: u64) {
-        self.cone_evals.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (pattern, suspect) pairs that walked their defect cone;
-    /// the other pairs of a Monte-Carlo build were settled from the
-    /// defect-free baseline without a walk.
-    pub fn add_cone_walks(&self, n: u64) {
-        self.cone_walks.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `nanos` spent inside the analytic dictionary kernel (moment
-    /// propagation + CDF tails; disjoint from `kernel_nanos`, which
-    /// tracks the Monte-Carlo kernels only).
-    pub fn add_analytic_nanos(&self, nanos: u64) {
-        self.analytic_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Adds `n` analytic cone propagations (one per (pattern, suspect,
-    /// quadrature point) triple) — the analytic counterpart of
-    /// [`MetricsSink::add_cone_evals`].
-    pub fn add_analytic_evals(&self, n: u64) {
-        self.analytic_evals.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `nanos` spent in the analytic screening stage of the
-    /// screened dictionary pipeline (stage 1 of
-    /// `SimKernel::Screened`: analytic scoring + survivor selection).
-    /// A subset of `dictionary_nanos`, like `kernel_nanos` and
-    /// `analytic_nanos`.
-    pub fn add_screen_nanos(&self, nanos: u64) {
-        self.screen_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Adds `n` suspects that entered the analytic screening stage
-    /// (the full candidate set before pruning).
-    pub fn add_suspects_screened(&self, n: u64) {
-        self.suspects_screened.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` screening survivors handed to the Monte-Carlo
-    /// refinement stage (always ≤ the screened count for the same
-    /// build).
-    pub fn add_suspects_refined(&self, n: u64) {
-        self.suspects_refined.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a dictionary bank loaded intact from the on-disk store
-    /// (`nanos` of load/validate time), skipping its Monte-Carlo build.
-    pub fn record_store_hit(&self, nanos: u64) {
-        self.store_hits.fetch_add(1, Ordering::Relaxed);
-        self.store_load_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Records a store probe that found no usable checkpoint (absent,
-    /// truncated, corrupt or mismatched file — all degrade to recompute).
-    pub fn record_store_miss(&self, nanos: u64) {
-        self.store_misses.fetch_add(1, Ordering::Relaxed);
-        self.store_load_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Records one dictionary bank checkpointed to the on-disk store.
-    pub fn record_store_flush(&self) {
-        self.store_flushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a pattern-cache request served from memory (no ATPG, no
-    /// store I/O).
-    pub fn record_pattern_cache_hit(&self) {
-        self.pattern_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a pattern-cache request that was not in memory (the set
-    /// was then either loaded from the store or regenerated).
-    pub fn record_pattern_cache_miss(&self) {
-        self.pattern_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a pattern set loaded intact from the on-disk store
-    /// (`nanos` of load/validate time), skipping its ATPG run.
-    pub fn record_pattern_store_hit(&self, nanos: u64) {
-        self.pattern_store_hits.fetch_add(1, Ordering::Relaxed);
-        self.pattern_store_load_nanos
-            .fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Records a pattern-store probe that found no usable checkpoint
-    /// (absent, truncated, corrupt or mismatched file — all degrade to
-    /// regeneration).
-    pub fn record_pattern_store_miss(&self, nanos: u64) {
-        self.pattern_store_misses.fetch_add(1, Ordering::Relaxed);
-        self.pattern_store_load_nanos
-            .fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Records one pattern set checkpointed to the on-disk store.
-    pub fn record_pattern_store_flush(&self) {
-        self.pattern_store_flushes.fetch_add(1, Ordering::Relaxed);
+    /// Adds `n` to `counter`: events for a count, nanoseconds for a
+    /// `*_nanos` counter.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Folds one diagnosed instance into the sink: every counter of
@@ -673,56 +759,9 @@ impl MetricsSink {
         if trace.tenant.is_empty() && !self.tenant.is_empty() {
             trace.tenant = self.tenant.clone();
         }
-        self.patterns_nanos
-            .fetch_add(instance.patterns_nanos, Ordering::Relaxed);
-        self.observe_nanos
-            .fetch_add(instance.observe_nanos, Ordering::Relaxed);
-        self.dictionary_nanos
-            .fetch_add(instance.dictionary_nanos, Ordering::Relaxed);
-        self.rank_nanos
-            .fetch_add(instance.rank_nanos, Ordering::Relaxed);
-        self.dict_cache_hits
-            .fetch_add(instance.dict_cache_hits, Ordering::Relaxed);
-        self.dict_cache_misses
-            .fetch_add(instance.dict_cache_misses, Ordering::Relaxed);
-        self.samples_simulated
-            .fetch_add(instance.samples_simulated, Ordering::Relaxed);
-        self.kernel_nanos
-            .fetch_add(instance.kernel_nanos, Ordering::Relaxed);
-        self.cone_evals
-            .fetch_add(instance.cone_evals, Ordering::Relaxed);
-        self.cone_walks
-            .fetch_add(instance.cone_walks, Ordering::Relaxed);
-        self.analytic_nanos
-            .fetch_add(instance.analytic_nanos, Ordering::Relaxed);
-        self.analytic_evals
-            .fetch_add(instance.analytic_evals, Ordering::Relaxed);
-        self.screen_nanos
-            .fetch_add(instance.screen_nanos, Ordering::Relaxed);
-        self.suspects_screened
-            .fetch_add(instance.suspects_screened, Ordering::Relaxed);
-        self.suspects_refined
-            .fetch_add(instance.suspects_refined, Ordering::Relaxed);
-        self.store_hits
-            .fetch_add(instance.store_hits, Ordering::Relaxed);
-        self.store_misses
-            .fetch_add(instance.store_misses, Ordering::Relaxed);
-        self.store_flushes
-            .fetch_add(instance.store_flushes, Ordering::Relaxed);
-        self.store_load_nanos
-            .fetch_add(instance.store_load_nanos, Ordering::Relaxed);
-        self.pattern_cache_hits
-            .fetch_add(instance.pattern_cache_hits, Ordering::Relaxed);
-        self.pattern_cache_misses
-            .fetch_add(instance.pattern_cache_misses, Ordering::Relaxed);
-        self.pattern_store_hits
-            .fetch_add(instance.pattern_store_hits, Ordering::Relaxed);
-        self.pattern_store_misses
-            .fetch_add(instance.pattern_store_misses, Ordering::Relaxed);
-        self.pattern_store_flushes
-            .fetch_add(instance.pattern_store_flushes, Ordering::Relaxed);
-        self.pattern_store_load_nanos
-            .fetch_add(instance.pattern_store_load_nanos, Ordering::Relaxed);
+        for counter in Counter::ALL {
+            self.add(counter, instance.get(counter));
+        }
         // Only phases that actually ran enter the latency histograms: a
         // phase skipped on this instance (e.g. dictionary/rank on an
         // undetected chip, or patterns on a served request) reports 0 ns,
@@ -730,14 +769,10 @@ impl MetricsSink {
         // [0,1] bucket and drag the percentiles down — a skew, not a
         // latency. The aggregate counters above still absorb the zeros,
         // so `sum(hist) == aggregate` stays exact.
-        for (phase, nanos) in [
-            (Phase::Patterns, instance.patterns_nanos),
-            (Phase::Observe, instance.observe_nanos),
-            (Phase::Dictionary, instance.dictionary_nanos),
-            (Phase::Rank, instance.rank_nanos),
-        ] {
+        for phase in Phase::ALL {
+            let nanos = instance.get(phase.counter());
             if nanos > 0 {
-                self.phase_hists[phase.ix()].record(nanos);
+                self.phase_hists[phase as usize].record(nanos);
             }
         }
         let mut ring = self.traces.lock().expect("trace ring poisoned");
@@ -773,151 +808,15 @@ impl MetricsSink {
     /// wall-clock span.
     pub fn snapshot(&self, total: Duration) -> CampaignMetrics {
         CampaignMetrics {
-            patterns_nanos: self.patterns_nanos.load(Ordering::Relaxed),
-            observe_nanos: self.observe_nanos.load(Ordering::Relaxed),
-            dictionary_nanos: self.dictionary_nanos.load(Ordering::Relaxed),
-            rank_nanos: self.rank_nanos.load(Ordering::Relaxed),
             total_nanos: total.as_nanos() as u64,
-            dict_cache_hits: self.dict_cache_hits.load(Ordering::Relaxed),
-            dict_cache_misses: self.dict_cache_misses.load(Ordering::Relaxed),
-            samples_simulated: self.samples_simulated.load(Ordering::Relaxed),
-            kernel_nanos: self.kernel_nanos.load(Ordering::Relaxed),
-            cone_evals: self.cone_evals.load(Ordering::Relaxed),
-            cone_walks: self.cone_walks.load(Ordering::Relaxed),
-            analytic_nanos: self.analytic_nanos.load(Ordering::Relaxed),
-            analytic_evals: self.analytic_evals.load(Ordering::Relaxed),
-            screen_nanos: self.screen_nanos.load(Ordering::Relaxed),
-            suspects_screened: self.suspects_screened.load(Ordering::Relaxed),
-            suspects_refined: self.suspects_refined.load(Ordering::Relaxed),
-            store_hits: self.store_hits.load(Ordering::Relaxed),
-            store_misses: self.store_misses.load(Ordering::Relaxed),
-            store_flushes: self.store_flushes.load(Ordering::Relaxed),
-            store_load_nanos: self.store_load_nanos.load(Ordering::Relaxed),
-            pattern_cache_hits: self.pattern_cache_hits.load(Ordering::Relaxed),
-            pattern_cache_misses: self.pattern_cache_misses.load(Ordering::Relaxed),
-            pattern_store_hits: self.pattern_store_hits.load(Ordering::Relaxed),
-            pattern_store_misses: self.pattern_store_misses.load(Ordering::Relaxed),
-            pattern_store_flushes: self.pattern_store_flushes.load(Ordering::Relaxed),
-            pattern_store_load_nanos: self.pattern_store_load_nanos.load(Ordering::Relaxed),
-            phase_latency: PhaseLatencies {
-                patterns: self.phase_hists[Phase::Patterns.ix()].snapshot(),
-                observe: self.phase_hists[Phase::Observe.ix()].snapshot(),
-                dictionary: self.phase_hists[Phase::Dictionary.ix()].snapshot(),
-                rank: self.phase_hists[Phase::Rank.ix()].snapshot(),
-            },
+            phase_latency: PhaseLatencies::from_fn(|phase| {
+                self.phase_hists[phase as usize].snapshot()
+            }),
             session_latency: self.session_hist.snapshot(),
+            ..CampaignMetrics::default()
         }
+        .with_counters(|counter| self.counters[counter as usize].load(Ordering::Relaxed))
     }
-}
-
-/// Frozen campaign metrics, carried by [`AccuracyReport`].
-///
-/// Deliberately excluded from `AccuracyReport`'s equality: two runs of
-/// the same campaign produce identical accuracy numbers but different
-/// timings.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CampaignMetrics {
-    /// Aggregate nanoseconds in ATPG (summed over threads).
-    pub patterns_nanos: u64,
-    /// Aggregate nanoseconds choosing clocks and observing `B`.
-    pub observe_nanos: u64,
-    /// Aggregate nanoseconds pruning suspects and building dictionaries.
-    pub dictionary_nanos: u64,
-    /// Aggregate nanoseconds ranking suspects.
-    pub rank_nanos: u64,
-    /// Wall-clock nanoseconds of the whole campaign.
-    pub total_nanos: u64,
-    /// Dictionary-cache requests served without simulation.
-    pub dict_cache_hits: u64,
-    /// Dictionary-cache requests that had to simulate at least one bank.
-    pub dict_cache_misses: u64,
-    /// Full-circuit dynamic timing simulations, one per (pattern, chip
-    /// sample) pair, across clock estimation and dictionary builds.
-    pub samples_simulated: u64,
-    /// Aggregate nanoseconds inside the Monte-Carlo dictionary kernel's
-    /// parallel regions (wall clock on the calling thread); a subset of
-    /// `dictionary_nanos`.
-    #[serde(default)]
-    pub kernel_nanos: u64,
-    /// Defect-cone evaluations, one per (pattern, chip sample, suspect)
-    /// triple, across all dictionary builds.
-    #[serde(default)]
-    pub cone_evals: u64,
-    /// (pattern, suspect) pairs whose defect cone the Monte-Carlo kernel
-    /// actually walked; the rest of the `cone_evals` lanes were settled
-    /// from the defect-free baseline. Never exceeds `cone_evals`.
-    #[serde(default)]
-    pub cone_walks: u64,
-    /// Aggregate nanoseconds inside the analytic dictionary kernel's
-    /// parallel regions (wall clock on the calling thread); a subset of
-    /// `dictionary_nanos`, disjoint
-    /// from `kernel_nanos`.
-    #[serde(default)]
-    pub analytic_nanos: u64,
-    /// Analytic cone propagations, one per (pattern, suspect, quadrature
-    /// point) triple, across all analytic dictionary builds. Zero unless
-    /// `SimKernel::Analytic` ran.
-    #[serde(default)]
-    pub analytic_evals: u64,
-    /// Aggregate nanoseconds in the analytic screening stage of the
-    /// screened dictionary pipeline (stage 1 of `SimKernel::Screened`);
-    /// a subset of `dictionary_nanos`. Zero unless the screened kernel
-    /// ran.
-    #[serde(default)]
-    pub screen_nanos: u64,
-    /// Candidate suspects that entered the analytic screen, summed over
-    /// all screened dictionary builds.
-    #[serde(default)]
-    pub suspects_screened: u64,
-    /// Screening survivors handed to Monte-Carlo refinement, summed over
-    /// all screened dictionary builds; never exceeds
-    /// `suspects_screened`.
-    #[serde(default)]
-    pub suspects_refined: u64,
-    /// Dictionary banks loaded intact from the on-disk store (each one a
-    /// full Monte-Carlo build skipped).
-    pub store_hits: u64,
-    /// Store probes that found no usable checkpoint (absent, corrupt or
-    /// mismatched files all count here — they degrade to recomputation).
-    pub store_misses: u64,
-    /// Dictionary banks checkpointed to the on-disk store.
-    pub store_flushes: u64,
-    /// Aggregate nanoseconds spent reading and validating store files.
-    pub store_load_nanos: u64,
-    /// Pattern-cache requests served from memory (no ATPG, no store I/O).
-    #[serde(default)]
-    pub pattern_cache_hits: u64,
-    /// Pattern-cache requests not in memory (each one either a store
-    /// load or a fresh ATPG run).
-    #[serde(default)]
-    pub pattern_cache_misses: u64,
-    /// Pattern sets loaded intact from the on-disk store (each one a
-    /// full ATPG run skipped).
-    #[serde(default)]
-    pub pattern_store_hits: u64,
-    /// Pattern-store probes that found no usable checkpoint (absent,
-    /// corrupt or mismatched files — they degrade to regeneration).
-    #[serde(default)]
-    pub pattern_store_misses: u64,
-    /// Pattern sets checkpointed to the on-disk store.
-    #[serde(default)]
-    pub pattern_store_flushes: u64,
-    /// Aggregate nanoseconds reading and validating pattern checkpoints.
-    #[serde(default)]
-    pub pattern_store_load_nanos: u64,
-    /// Per-instance latency distribution of each phase (one observation
-    /// per diagnosed instance; the summed `*_nanos` fields above are the
-    /// corresponding totals).
-    #[serde(default)]
-    pub phase_latency: PhaseLatencies,
-    /// Wall-clock latency distribution of session-level requests (one
-    /// observation per [`crate::session::DiagnosisSession`] entry-point
-    /// call — instance diagnosis, behaviour diagnosis or campaign).
-    /// Unlike the per-phase histograms its count is *not* tied to the
-    /// diagnosed-instance count: a campaign is one request covering many
-    /// instances. Empty for sinks never driven through a session.
-    #[serde(default)]
-    pub session_latency: HistogramSnapshot,
 }
 
 impl CampaignMetrics {
@@ -930,61 +829,12 @@ impl CampaignMetrics {
     /// numbers stay comparable to the single-campaign free functions.
     pub fn since(&self, baseline: &CampaignMetrics, total: Duration) -> CampaignMetrics {
         CampaignMetrics {
-            patterns_nanos: self.patterns_nanos.saturating_sub(baseline.patterns_nanos),
-            observe_nanos: self.observe_nanos.saturating_sub(baseline.observe_nanos),
-            dictionary_nanos: self
-                .dictionary_nanos
-                .saturating_sub(baseline.dictionary_nanos),
-            rank_nanos: self.rank_nanos.saturating_sub(baseline.rank_nanos),
             total_nanos: total.as_nanos() as u64,
-            dict_cache_hits: self
-                .dict_cache_hits
-                .saturating_sub(baseline.dict_cache_hits),
-            dict_cache_misses: self
-                .dict_cache_misses
-                .saturating_sub(baseline.dict_cache_misses),
-            samples_simulated: self
-                .samples_simulated
-                .saturating_sub(baseline.samples_simulated),
-            kernel_nanos: self.kernel_nanos.saturating_sub(baseline.kernel_nanos),
-            cone_evals: self.cone_evals.saturating_sub(baseline.cone_evals),
-            cone_walks: self.cone_walks.saturating_sub(baseline.cone_walks),
-            analytic_nanos: self.analytic_nanos.saturating_sub(baseline.analytic_nanos),
-            analytic_evals: self.analytic_evals.saturating_sub(baseline.analytic_evals),
-            screen_nanos: self.screen_nanos.saturating_sub(baseline.screen_nanos),
-            suspects_screened: self
-                .suspects_screened
-                .saturating_sub(baseline.suspects_screened),
-            suspects_refined: self
-                .suspects_refined
-                .saturating_sub(baseline.suspects_refined),
-            store_hits: self.store_hits.saturating_sub(baseline.store_hits),
-            store_misses: self.store_misses.saturating_sub(baseline.store_misses),
-            store_flushes: self.store_flushes.saturating_sub(baseline.store_flushes),
-            store_load_nanos: self
-                .store_load_nanos
-                .saturating_sub(baseline.store_load_nanos),
-            pattern_cache_hits: self
-                .pattern_cache_hits
-                .saturating_sub(baseline.pattern_cache_hits),
-            pattern_cache_misses: self
-                .pattern_cache_misses
-                .saturating_sub(baseline.pattern_cache_misses),
-            pattern_store_hits: self
-                .pattern_store_hits
-                .saturating_sub(baseline.pattern_store_hits),
-            pattern_store_misses: self
-                .pattern_store_misses
-                .saturating_sub(baseline.pattern_store_misses),
-            pattern_store_flushes: self
-                .pattern_store_flushes
-                .saturating_sub(baseline.pattern_store_flushes),
-            pattern_store_load_nanos: self
-                .pattern_store_load_nanos
-                .saturating_sub(baseline.pattern_store_load_nanos),
             phase_latency: self.phase_latency.since(&baseline.phase_latency),
             session_latency: self.session_latency.since(&baseline.session_latency),
+            ..CampaignMetrics::default()
         }
+        .with_counters(|counter| self.get(counter).saturating_sub(baseline.get(counter)))
     }
 
     /// Cache hit rate in percent; `None` when the cache was never
@@ -1030,28 +880,24 @@ impl CampaignMetrics {
             "  campaign wall clock: {}\n",
             fmt_nanos(self.total_nanos)
         ));
+        // "patterns .. | observe .. | dictionary .. | rank ..".
+        let per_phase = |value: &dyn Fn(Phase) -> String| {
+            (Phase::ALL.map(|phase| format!("{} {}", phase.name(), value(phase)))).join(" | ")
+        };
         out.push_str(&format!(
-            "  phase cpu (summed over threads): patterns {} | observe {} | dictionary {} | rank {}\n",
-            fmt_nanos(self.patterns_nanos),
-            fmt_nanos(self.observe_nanos),
-            fmt_nanos(self.dictionary_nanos),
-            fmt_nanos(self.rank_nanos),
+            "  phase cpu (summed over threads): {}\n",
+            per_phase(&|phase| fmt_nanos(self.get(phase.counter())))
         ));
         if !self.phase_latency.patterns.is_empty() {
-            let f = |h: &HistogramSnapshot| {
-                format!(
-                    "{}/{}/{}",
-                    fmt_nanos(h.p50().unwrap_or(0)),
-                    fmt_nanos(h.p99().unwrap_or(0)),
-                    fmt_nanos(h.max().unwrap_or(0)),
-                )
+            let latency = |phase| {
+                let h = self.phase_latency.get(phase);
+                let [p50, p99, max] =
+                    [h.p50(), h.p99(), h.max()].map(|v| fmt_nanos(v.unwrap_or(0)));
+                format!("{p50}/{p99}/{max}")
             };
             out.push_str(&format!(
-                "  per-instance latency (p50/p99/max): patterns {} | observe {} | dictionary {} | rank {}\n",
-                f(&self.phase_latency.patterns),
-                f(&self.phase_latency.observe),
-                f(&self.phase_latency.dictionary),
-                f(&self.phase_latency.rank),
+                "  per-instance latency (p50/p99/max): {}\n",
+                per_phase(&latency)
             ));
         }
         if !self.session_latency.is_empty() {
@@ -1071,13 +917,9 @@ impl CampaignMetrics {
             "  dictionary cache: {} hits / {} misses ({hit_rate}); {} samples simulated",
             self.dict_cache_hits, self.dict_cache_misses, self.samples_simulated,
         ));
-        if self.pattern_cache_hits + self.pattern_cache_misses > 0 {
-            let pattern_rate = match self.pattern_cache_hit_percent() {
-                Some(pct) => format!("{pct:.0}% hit rate"),
-                None => "hit rate n/a".to_string(),
-            };
+        if let Some(pct) = self.pattern_cache_hit_percent() {
             out.push_str(&format!(
-                "\n  pattern cache: {} hits / {} misses ({pattern_rate})",
+                "\n  pattern cache: {} hits / {} misses ({pct:.0}% hit rate)",
                 self.pattern_cache_hits, self.pattern_cache_misses,
             ));
         }
@@ -1105,8 +947,7 @@ impl CampaignMetrics {
                 fmt_nanos(self.analytic_nanos),
             ));
         }
-        if self.suspects_screened > 0 {
-            let ratio = self.screen_survivor_ratio().unwrap_or(1.0);
+        if let Some(ratio) = self.screen_survivor_ratio() {
             out.push_str(&format!(
                 "\n  analytic screen: {} suspects screened -> {} refined ({:.0}% survive) in {}",
                 self.suspects_screened,
@@ -1163,12 +1004,14 @@ impl MetricsReport {
         }
     }
 
-    /// Checks the report's internal invariants: schema version, per-phase
-    /// histogram `count ≤ trials` (phases that did not run — 0 ns — are not
-    /// recorded) and `sum ==` the summed phase counter,
-    /// percentile monotonicity (`p50 ≤ p90 ≤ p99 ≤ max`), bucket-count
-    /// consistency, `kernel_nanos ⊆ dictionary_nanos`, and — when the
-    /// trace set is complete — per-trace sums equal to the aggregates.
+    /// Checks the report's internal invariants: schema version, histogram
+    /// bucket lists in range and strictly ascending (checked before any
+    /// percentile query), per-phase histogram `count ≤ trials` (phases
+    /// that did not run — 0 ns — are not recorded) and `sum ==` the
+    /// summed phase counter, percentile monotonicity
+    /// (`p50 ≤ p90 ≤ p99 ≤ max`), bucket-count consistency,
+    /// `kernel_nanos ⊆ dictionary_nanos`, and — when the trace set is
+    /// complete — per-trace sums equal to the aggregates.
     ///
     /// # Errors
     ///
@@ -1180,38 +1023,14 @@ impl MetricsReport {
                 self.schema_version
             ));
         }
-        for phase in Phase::ALL {
-            let name = phase.name();
-            let h = self.counters.phase_latency.get(phase);
-            // Phases that did not run on an instance (0 ns) record no
-            // histogram observation, so the count is bounded by — not
-            // equal to — the trial count.
-            if h.count() > self.trials {
-                return Err(format!(
-                    "{name} histogram count {} exceeds trials {}",
-                    h.count(),
-                    self.trials
-                ));
-            }
-            let bucket_total: u64 = h.buckets.iter().map(|&(_, n)| n).sum();
-            if bucket_total != h.count() {
-                return Err(format!(
-                    "{name} histogram buckets sum to {bucket_total}, count says {}",
-                    h.count()
-                ));
-            }
-            let aggregate = match phase {
-                Phase::Patterns => self.counters.patterns_nanos,
-                Phase::Observe => self.counters.observe_nanos,
-                Phase::Dictionary => self.counters.dictionary_nanos,
-                Phase::Rank => self.counters.rank_nanos,
-            };
-            if h.sum() != aggregate {
-                return Err(format!(
-                    "{name} histogram sum {} != aggregate counter {aggregate}",
-                    h.sum()
-                ));
-            }
+        let c = &self.counters;
+        let phases = Phase::ALL.map(|phase| (phase.name(), c.phase_latency.get(phase)));
+        for (name, h) in phases
+            .into_iter()
+            .chain([("session latency", &c.session_latency)])
+        {
+            h.check_buckets()
+                .map_err(|e| format!("{name} histogram {e}"))?;
             if let (Some(p50), Some(p90), Some(p99), Some(max)) =
                 (h.p50(), h.p90(), h.p99(), h.max())
             {
@@ -1222,50 +1041,42 @@ impl MetricsReport {
                 }
             }
         }
-        let s = &self.counters.session_latency;
-        let session_bucket_total: u64 = s.buckets.iter().map(|&(_, n)| n).sum();
-        if session_bucket_total != s.count() {
-            return Err(format!(
-                "session latency buckets sum to {session_bucket_total}, count says {}",
-                s.count()
-            ));
-        }
-        if let (Some(p50), Some(p90), Some(p99), Some(max)) = (s.p50(), s.p90(), s.p99(), s.max()) {
-            if !(p50 <= p90 && p90 <= p99 && p99 <= max) {
+        for phase in Phase::ALL {
+            let (name, h) = (phase.name(), c.phase_latency.get(phase));
+            // Phases that did not run on an instance (0 ns) record no
+            // histogram observation, so the count is bounded by — not
+            // equal to — the trial count.
+            if h.count() > self.trials {
                 return Err(format!(
-                    "session latency percentiles not monotone: p50 {p50}, p90 {p90}, p99 {p99}, max {max}"
+                    "{name} histogram count {} exceeds trials {}",
+                    h.count(),
+                    self.trials
+                ));
+            }
+            let aggregate = c.get(phase.counter());
+            if h.sum() != aggregate {
+                return Err(format!(
+                    "{name} histogram sum {} != aggregate counter {aggregate}",
+                    h.sum()
                 ));
             }
         }
-        if self.counters.kernel_nanos > self.counters.dictionary_nanos {
-            return Err(format!(
-                "kernel_nanos {} exceeds dictionary_nanos {}",
-                self.counters.kernel_nanos, self.counters.dictionary_nanos
-            ));
-        }
-        if self.counters.analytic_nanos > self.counters.dictionary_nanos {
-            return Err(format!(
-                "analytic_nanos {} exceeds dictionary_nanos {}",
-                self.counters.analytic_nanos, self.counters.dictionary_nanos
-            ));
-        }
-        if self.counters.screen_nanos > self.counters.dictionary_nanos {
-            return Err(format!(
-                "screen_nanos {} exceeds dictionary_nanos {}",
-                self.counters.screen_nanos, self.counters.dictionary_nanos
-            ));
-        }
-        if self.counters.cone_walks > self.counters.cone_evals {
-            return Err(format!(
-                "cone_walks {} exceeds cone_evals {}",
-                self.counters.cone_walks, self.counters.cone_evals
-            ));
-        }
-        if self.counters.suspects_refined > self.counters.suspects_screened {
-            return Err(format!(
-                "suspects_refined {} exceeds suspects_screened {}",
-                self.counters.suspects_refined, self.counters.suspects_screened
-            ));
+        for (part, whole) in [
+            (Counter::KernelNanos, Counter::DictionaryNanos),
+            (Counter::AnalyticNanos, Counter::DictionaryNanos),
+            (Counter::ScreenNanos, Counter::DictionaryNanos),
+            (Counter::ConeWalks, Counter::ConeEvals),
+            (Counter::SuspectsRefined, Counter::SuspectsScreened),
+        ] {
+            if c.get(part) > c.get(whole) {
+                return Err(format!(
+                    "{} {} exceeds {} {}",
+                    part.name(),
+                    c.get(part),
+                    whole.name(),
+                    c.get(whole)
+                ));
+            }
         }
         if self.traces.len() as u64 > self.trials {
             return Err(format!(
@@ -1275,78 +1086,16 @@ impl MetricsReport {
             ));
         }
         if self.traces.len() as u64 == self.trials {
-            let sums = |f: fn(&InstanceTrace) -> u64| self.traces.iter().map(f).sum::<u64>();
-            let checks: [(&str, u64, u64); 13] = [
-                (
-                    "patterns_nanos",
-                    sums(|t| t.patterns_nanos),
-                    self.counters.patterns_nanos,
-                ),
-                (
-                    "observe_nanos",
-                    sums(|t| t.observe_nanos),
-                    self.counters.observe_nanos,
-                ),
-                (
-                    "dictionary_nanos",
-                    sums(|t| t.dictionary_nanos),
-                    self.counters.dictionary_nanos,
-                ),
-                (
-                    "rank_nanos",
-                    sums(|t| t.rank_nanos),
-                    self.counters.rank_nanos,
-                ),
-                (
-                    "dict_cache_hits",
-                    sums(|t| t.dict_cache_hits),
-                    self.counters.dict_cache_hits,
-                ),
-                (
-                    "dict_cache_misses",
-                    sums(|t| t.dict_cache_misses),
-                    self.counters.dict_cache_misses,
-                ),
-                (
-                    "store_hits",
-                    sums(|t| t.store_hits),
-                    self.counters.store_hits,
-                ),
-                (
-                    "store_misses",
-                    sums(|t| t.store_misses),
-                    self.counters.store_misses,
-                ),
-                (
-                    "pattern_cache_hits",
-                    sums(|t| t.pattern_cache_hits),
-                    self.counters.pattern_cache_hits,
-                ),
-                (
-                    "pattern_cache_misses",
-                    sums(|t| t.pattern_cache_misses),
-                    self.counters.pattern_cache_misses,
-                ),
-                (
-                    "pattern_store_hits",
-                    sums(|t| t.pattern_store_hits),
-                    self.counters.pattern_store_hits,
-                ),
-                (
-                    "pattern_store_misses",
-                    sums(|t| t.pattern_store_misses),
-                    self.counters.pattern_store_misses,
-                ),
-                (
-                    "cone_walks",
-                    sums(|t| t.cone_walks),
-                    self.counters.cone_walks,
-                ),
-            ];
-            for (what, traced, aggregate) in checks {
+            for &counter in Counter::TRACED {
+                let traced = self
+                    .traces
+                    .iter()
+                    .fold(0u64, |sum, t| sum.saturating_add(t.get(counter)));
+                let aggregate = c.get(counter);
                 if traced != aggregate {
                     return Err(format!(
-                        "trace sum of {what} is {traced}, aggregate counter says {aggregate}"
+                        "trace sum of {} is {traced}, aggregate counter says {aggregate}",
+                        counter.name()
                     ));
                 }
             }
@@ -1355,14 +1104,12 @@ impl MetricsReport {
             // (nonzero nanos) — no more (zeros would skew the
             // percentiles), no fewer (every ran phase is observed).
             for phase in Phase::ALL {
-                let phase_nanos = |t: &InstanceTrace| match phase {
-                    Phase::Patterns => t.patterns_nanos,
-                    Phase::Observe => t.observe_nanos,
-                    Phase::Dictionary => t.dictionary_nanos,
-                    Phase::Rank => t.rank_nanos,
-                };
-                let ran = self.traces.iter().filter(|t| phase_nanos(t) > 0).count() as u64;
-                let h = self.counters.phase_latency.get(phase);
+                let ran = self
+                    .traces
+                    .iter()
+                    .filter(|t| t.get(phase.counter()) > 0)
+                    .count() as u64;
+                let h = c.phase_latency.get(phase);
                 if h.count() != ran {
                     return Err(format!(
                         "{} histogram count {} != {ran} traces with a nonzero phase",
@@ -1485,12 +1232,23 @@ mod tests {
     }
 
     #[test]
+    fn phase_timers_open_the_counter_table() {
+        for phase in Phase::ALL {
+            assert_eq!(phase.counter().name(), format!("{}_nanos", phase.name()));
+        }
+        assert_eq!(Counter::ALL.len(), Counter::COUNT);
+        for (i, counter) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(counter as usize, i);
+        }
+    }
+
+    #[test]
     fn cache_counters_and_hit_rate() {
         let sink = MetricsSink::new();
-        sink.record_cache_hit();
-        sink.record_cache_hit();
-        sink.record_cache_miss();
-        sink.add_samples_simulated(120);
+        sink.add(Counter::DictCacheHits, 1);
+        sink.add(Counter::DictCacheHits, 1);
+        sink.add(Counter::DictCacheMisses, 1);
+        sink.add(Counter::SamplesSimulated, 120);
         let snap = sink.snapshot(Duration::ZERO);
         assert_eq!(snap.dict_cache_hits, 2);
         assert_eq!(snap.dict_cache_misses, 1);
@@ -1530,10 +1288,12 @@ mod tests {
     #[test]
     fn store_counters_accumulate_and_render() {
         let sink = MetricsSink::new();
-        sink.record_store_hit(1_000);
-        sink.record_store_miss(500);
-        sink.record_store_flush();
-        sink.record_store_flush();
+        sink.add(Counter::StoreHits, 1);
+        sink.add(Counter::StoreLoadNanos, 1_000);
+        sink.add(Counter::StoreMisses, 1);
+        sink.add(Counter::StoreLoadNanos, 500);
+        sink.add(Counter::StoreFlushes, 1);
+        sink.add(Counter::StoreFlushes, 1);
         let snap = sink.snapshot(Duration::ZERO);
         assert_eq!(snap.store_hits, 1);
         assert_eq!(snap.store_misses, 1);
@@ -1552,14 +1312,15 @@ mod tests {
     #[test]
     fn since_subtracts_baseline_fieldwise() {
         let sink = MetricsSink::new();
-        sink.record_cache_miss();
-        sink.add_samples_simulated(100);
-        sink.record_store_flush();
+        sink.add(Counter::DictCacheMisses, 1);
+        sink.add(Counter::SamplesSimulated, 100);
+        sink.add(Counter::StoreFlushes, 1);
         let baseline = sink.snapshot(Duration::ZERO);
-        sink.record_cache_hit();
-        sink.record_cache_miss();
-        sink.add_samples_simulated(40);
-        sink.record_store_hit(9);
+        sink.add(Counter::DictCacheHits, 1);
+        sink.add(Counter::DictCacheMisses, 1);
+        sink.add(Counter::SamplesSimulated, 40);
+        sink.add(Counter::StoreHits, 1);
+        sink.add(Counter::StoreLoadNanos, 9);
         let delta = sink
             .snapshot(Duration::ZERO)
             .since(&baseline, Duration::from_nanos(77));
@@ -1574,11 +1335,11 @@ mod tests {
     #[test]
     fn kernel_counters_accumulate_and_render() {
         let sink = MetricsSink::new();
-        sink.add_kernel_nanos(2_000_000);
-        sink.add_kernel_nanos(1_000_000);
-        sink.add_cone_evals(640);
-        sink.add_cone_walks(3);
-        sink.add_cone_walks(2);
+        sink.add(Counter::KernelNanos, 2_000_000);
+        sink.add(Counter::KernelNanos, 1_000_000);
+        sink.add(Counter::ConeEvals, 640);
+        sink.add(Counter::ConeWalks, 3);
+        sink.add(Counter::ConeWalks, 2);
         let snap = sink.snapshot(Duration::ZERO);
         assert_eq!(snap.kernel_nanos, 3_000_000);
         assert_eq!(snap.cone_evals, 640);
@@ -1587,8 +1348,8 @@ mod tests {
         assert!(text.contains("640 cone evals"));
         assert!(text.contains("(5 cone walks)"));
         let later = MetricsSink::new();
-        later.add_cone_walks(9);
-        later.add_cone_evals(700);
+        later.add(Counter::ConeWalks, 9);
+        later.add(Counter::ConeEvals, 700);
         let delta = later.snapshot(Duration::ZERO).since(&snap, Duration::ZERO);
         assert_eq!((delta.cone_evals, delta.cone_walks), (60, 4));
         // A run that never built a dictionary stays silent about the kernel.
@@ -1601,8 +1362,8 @@ mod tests {
     #[test]
     fn analytic_counters_accumulate_and_render() {
         let sink = MetricsSink::new();
-        sink.add_analytic_nanos(4_000_000);
-        sink.add_analytic_evals(96);
+        sink.add(Counter::AnalyticNanos, 4_000_000);
+        sink.add(Counter::AnalyticEvals, 96);
         let snap = sink.snapshot(Duration::ZERO);
         assert_eq!(snap.analytic_nanos, 4_000_000);
         assert_eq!(snap.analytic_evals, 96);
@@ -1621,9 +1382,9 @@ mod tests {
     #[test]
     fn screen_counters_accumulate_render_and_validate() {
         let sink = MetricsSink::new();
-        sink.add_screen_nanos(5_000_000);
-        sink.add_suspects_screened(120);
-        sink.add_suspects_refined(30);
+        sink.add(Counter::ScreenNanos, 5_000_000);
+        sink.add(Counter::SuspectsScreened, 120);
+        sink.add(Counter::SuspectsRefined, 30);
         let snap = sink.snapshot(Duration::ZERO);
         assert_eq!(snap.screen_nanos, 5_000_000);
         assert_eq!(snap.suspects_screened, 120);
@@ -2114,5 +1875,231 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("dict_cache_hits"));
+    }
+
+    #[test]
+    fn metrics_report_validation_rejects_corrupt_histogram_buckets() {
+        let good = consistent_report();
+        let corrupt = |buckets: Vec<(u32, u64)>| {
+            let mut report = good.clone();
+            report.counters.session_latency = HistogramSnapshot {
+                count: buckets.iter().fold(0, |sum, &(_, n)| sum.wrapping_add(n)),
+                buckets,
+                sum: 5,
+                max: 5,
+            };
+            report.validate().unwrap_err()
+        };
+        // Past the shift width: percentile queries would overflow.
+        assert!(corrupt(vec![(300, 1)]).contains("bucket index 300 out of range"));
+        // Past the last bucket (251) but still shiftable.
+        assert!(corrupt(vec![(254, 1)]).contains("bucket index 254 out of range"));
+        // Sparse buckets must be strictly ascending: no reordering, no
+        // duplicates.
+        assert!(corrupt(vec![(40, 1), (30, 1)]).contains("not strictly ascending"));
+        assert!(corrupt(vec![(33, 1), (33, 1)]).contains("not strictly ascending"));
+        // Bucket counts whose sum wraps must not pass as the count.
+        assert!(corrupt(vec![(30, u64::MAX), (40, 2)]).contains("overflow"));
+        // The same check guards the phase histograms.
+        let mut phase = good.clone();
+        phase.counters.phase_latency.rank.buckets = vec![(NUM_BUCKETS as u32, 2)];
+        assert!(phase
+            .validate()
+            .unwrap_err()
+            .contains("rank histogram bucket index 252 out of range"));
+    }
+
+    // --- schema v1 contract ---
+
+    /// A deterministic report with every counter nonzero and distinct,
+    /// all five histograms non-empty and one trace with every field set.
+    /// It validates (the trace set is incomplete, so trace sums are not
+    /// checked) and exercises every optional `render` line.
+    fn schema_v1_report() -> MetricsReport {
+        let hist = |values: &[u64]| {
+            let h = LatencyHistogram::new();
+            for &v in values {
+                h.record(v);
+            }
+            h.snapshot()
+        };
+        let counters = CampaignMetrics {
+            patterns_nanos: 2_251_500_000,
+            observe_nanos: 100_500,
+            dictionary_nanos: 50_000_000,
+            rank_nanos: 750,
+            total_nanos: 75_000_000_000,
+            dict_cache_hits: 31,
+            dict_cache_misses: 11,
+            samples_simulated: 4_800,
+            kernel_nanos: 20_000_000,
+            cone_evals: 96_000,
+            cone_walks: 1_234,
+            analytic_nanos: 7_000_000,
+            analytic_evals: 5_120,
+            screen_nanos: 3_000_000,
+            suspects_screened: 64,
+            suspects_refined: 16,
+            store_hits: 5,
+            store_misses: 2,
+            store_flushes: 3,
+            store_load_nanos: 1_250,
+            pattern_cache_hits: 17,
+            pattern_cache_misses: 4,
+            pattern_store_hits: 6,
+            pattern_store_misses: 1,
+            pattern_store_flushes: 9,
+            pattern_store_load_nanos: 987_654,
+            phase_latency: PhaseLatencies {
+                patterns: hist(&[1_500_000, 2_250_000_000]),
+                observe: hist(&[40_000, 60_500]),
+                dictionary: hist(&[12_000_000, 30_000_000, 8_000_000]),
+                rank: hist(&[750]),
+            },
+            session_latency: hist(&[5_000_000_000, 70_000_000_000]),
+        };
+        let trace = InstanceTrace {
+            chip_index: 7,
+            redraws: 2,
+            injected_edge: Some(42),
+            n_suspects: 13,
+            n_patterns: 20,
+            clk: Some(1.875),
+            patterns_nanos: 1_500_000,
+            observe_nanos: 40_000,
+            dictionary_nanos: 12_000_000,
+            rank_nanos: 750,
+            dict_cache_hits: 10,
+            dict_cache_misses: 8,
+            store_hits: 3,
+            store_misses: 1,
+            pattern_cache_hits: 12,
+            pattern_cache_misses: 2,
+            pattern_store_hits: 4,
+            pattern_store_misses: 1,
+            cone_walks: 600,
+            tenant: "alpha".into(),
+            outcome: TraceOutcome::Diagnosed,
+        };
+        MetricsReport {
+            schema_version: METRICS_SCHEMA_VERSION,
+            circuit: "s1196".into(),
+            trials: 3,
+            counters,
+            traces: vec![trace],
+        }
+    }
+
+    const SCHEMA_V1_JSON: &str = include_str!("../tests/golden/metrics_schema_v1.json");
+    const SCHEMA_V1_RENDER: &str = include_str!("../tests/golden/metrics_schema_v1_render.txt");
+
+    #[test]
+    fn metrics_schema_v1_json_is_pinned() {
+        let report = schema_v1_report();
+        report.validate().expect("the golden report is consistent");
+        let export = MetricsExport::new(vec![report]);
+        assert_eq!(export.to_json(), SCHEMA_V1_JSON.trim_end());
+        assert_eq!(
+            MetricsExport::from_json(SCHEMA_V1_JSON).expect("golden parses"),
+            export
+        );
+    }
+
+    #[test]
+    fn metrics_schema_v1_render_is_pinned() {
+        assert_eq!(
+            schema_v1_report().counters.render(),
+            SCHEMA_V1_RENDER.trim_end()
+        );
+    }
+
+    /// Exports written before the `#[serde(default)]` fields existed must
+    /// still parse, with those fields reading zero or empty.
+    #[test]
+    fn metrics_schema_v1_parses_exports_without_defaulted_fields() {
+        const DEFAULTED_COUNTERS: [&str; 16] = [
+            "kernel_nanos",
+            "cone_evals",
+            "cone_walks",
+            "analytic_nanos",
+            "analytic_evals",
+            "screen_nanos",
+            "suspects_screened",
+            "suspects_refined",
+            "pattern_cache_hits",
+            "pattern_cache_misses",
+            "pattern_store_hits",
+            "pattern_store_misses",
+            "pattern_store_flushes",
+            "pattern_store_load_nanos",
+            "phase_latency",
+            "session_latency",
+        ];
+        const DEFAULTED_TRACE: [&str; 6] = [
+            "pattern_cache_hits",
+            "pattern_cache_misses",
+            "pattern_store_hits",
+            "pattern_store_misses",
+            "cone_walks",
+            "tenant",
+        ];
+        fn entry<'a>(value: &'a mut serde::Value, key: &str) -> &'a mut serde::Value {
+            match value {
+                serde::Value::Map(entries) => {
+                    &mut entries.iter_mut().find(|(k, _)| k == key).expect(key).1
+                }
+                _ => panic!("{key}: not a map"),
+            }
+        }
+        fn first(value: &mut serde::Value) -> &mut serde::Value {
+            match value {
+                serde::Value::Array(items) => &mut items[0],
+                _ => panic!("not an array"),
+            }
+        }
+        fn strip(value: &mut serde::Value, keys: &[&str]) {
+            let serde::Value::Map(entries) = value else {
+                panic!("not a map")
+            };
+            for key in keys {
+                let before = entries.len();
+                entries.retain(|(k, _)| k != key);
+                assert_eq!(entries.len() + 1, before, "{key} missing from golden");
+            }
+        }
+        let mut doc: serde::Value = serde_json::from_str(SCHEMA_V1_JSON).unwrap();
+        let report = first(entry(&mut doc, "reports"));
+        strip(entry(report, "counters"), &DEFAULTED_COUNTERS);
+        strip(first(entry(report, "traces")), &DEFAULTED_TRACE);
+        let old = MetricsExport::from_json(&serde_json::to_string(&doc).unwrap())
+            .expect("old export parses");
+        let (m, t) = (&old.reports[0].counters, &old.reports[0].traces[0]);
+        let golden = schema_v1_report();
+        let expected = CampaignMetrics {
+            patterns_nanos: golden.counters.patterns_nanos,
+            observe_nanos: golden.counters.observe_nanos,
+            dictionary_nanos: golden.counters.dictionary_nanos,
+            rank_nanos: golden.counters.rank_nanos,
+            total_nanos: golden.counters.total_nanos,
+            dict_cache_hits: golden.counters.dict_cache_hits,
+            dict_cache_misses: golden.counters.dict_cache_misses,
+            samples_simulated: golden.counters.samples_simulated,
+            store_hits: golden.counters.store_hits,
+            store_misses: golden.counters.store_misses,
+            store_flushes: golden.counters.store_flushes,
+            store_load_nanos: golden.counters.store_load_nanos,
+            ..CampaignMetrics::default()
+        };
+        assert_eq!(m, &expected);
+        let expected_trace = InstanceTrace {
+            pattern_cache_hits: 0,
+            pattern_cache_misses: 0,
+            pattern_store_hits: 0,
+            pattern_store_misses: 0,
+            cone_walks: 0,
+            tenant: String::new(),
+            ..golden.traces[0].clone()
+        };
+        assert_eq!(t, &expected_trace);
     }
 }

@@ -503,26 +503,10 @@ impl DiagnosisSession {
         };
         let trace = InstanceTrace {
             chip_index: self.submissions.fetch_add(1, Ordering::Relaxed),
-            redraws: 0,
-            injected_edge: None,
             n_suspects: n_suspects as u64,
             n_patterns: patterns.len() as u64,
             clk: Some(behavior.clk()),
-            patterns_nanos: scratch.patterns_nanos,
-            observe_nanos: scratch.observe_nanos,
-            dictionary_nanos: scratch.dictionary_nanos,
-            rank_nanos: scratch.rank_nanos,
-            dict_cache_hits: scratch.dict_cache_hits,
-            dict_cache_misses: scratch.dict_cache_misses,
-            store_hits: scratch.store_hits,
-            store_misses: scratch.store_misses,
-            pattern_cache_hits: scratch.pattern_cache_hits,
-            pattern_cache_misses: scratch.pattern_cache_misses,
-            pattern_store_hits: scratch.pattern_store_hits,
-            pattern_store_misses: scratch.pattern_store_misses,
-            cone_walks: scratch.cone_walks,
-            tenant: String::new(),
-            outcome,
+            ..InstanceTrace::new(outcome, &scratch)
         };
         self.metrics.record_instance(&scratch, trace);
         self.metrics

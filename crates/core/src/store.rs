@@ -46,7 +46,7 @@ use crate::format::{
     checksum, write_section, ByteReader, ByteWriter, FormatError, StableHasher, FORMAT_VERSION,
     MAGIC,
 };
-use crate::metrics::MetricsSink;
+use crate::metrics::{Counter, MetricsSink};
 use sdd_atpg::{PatternSet, TestPattern};
 use sdd_netlist::{Circuit, EdgeId};
 use sdd_timing::{CircuitTiming, Dist};
@@ -325,11 +325,12 @@ impl DictionaryStore {
             .and_then(|bytes| decode_bank(&bytes, key).ok())
             .filter(|bank| bank_fits(bank, key.n_samples, n_patterns, n_outputs));
         if let Some(m) = metrics {
-            let nanos = start.elapsed().as_nanos() as u64;
-            match bank {
-                Some(_) => m.record_store_hit(nanos),
-                None => m.record_store_miss(nanos),
-            }
+            let outcome = match bank {
+                Some(_) => Counter::StoreHits,
+                None => Counter::StoreMisses,
+            };
+            m.add(outcome, 1);
+            m.add(Counter::StoreLoadNanos, start.elapsed().as_nanos() as u64);
         }
         bank
     }
@@ -356,7 +357,7 @@ impl DictionaryStore {
             seq,
         ));
         if let Some(m) = metrics {
-            m.record_store_flush();
+            m.add(Counter::StoreFlushes, 1);
         }
         let committed = Arc::clone(&self.committed);
         let handle = std::thread::spawn(move || {
@@ -409,11 +410,15 @@ impl DictionaryStore {
             .and_then(|bytes| decode_patterns(&bytes, key).ok())
             .filter(|set| set.iter().all(|p| p.width() == width));
         if let Some(m) = metrics {
-            let nanos = start.elapsed().as_nanos() as u64;
-            match patterns {
-                Some(_) => m.record_pattern_store_hit(nanos),
-                None => m.record_pattern_store_miss(nanos),
-            }
+            let outcome = match patterns {
+                Some(_) => Counter::PatternStoreHits,
+                None => Counter::PatternStoreMisses,
+            };
+            m.add(outcome, 1);
+            m.add(
+                Counter::PatternStoreLoadNanos,
+                start.elapsed().as_nanos() as u64,
+            );
         }
         patterns
     }
@@ -440,7 +445,7 @@ impl DictionaryStore {
             seq,
         ));
         if let Some(m) = metrics {
-            m.record_pattern_store_flush();
+            m.add(Counter::PatternStoreFlushes, 1);
         }
         let committed = Arc::clone(&self.committed);
         let handle = std::thread::spawn(move || {
