@@ -22,15 +22,20 @@
 //!   subset assembled from the bank is bit-identical to a fresh build of
 //!   that subset.
 //!
-//! Concurrency: a `RwLock<HashMap>` maps keys to per-key banks behind
+//! Concurrency: every section is a private `KeyedMemo` — a
+//! `RwLock<HashMap>` from keys to per-key values behind
 //! `Arc<Mutex<_>>`. The outer lock is held only to look up or insert a
-//! bank; the per-key mutex is held across simulation, so concurrent
+//! key; the per-key mutex is held across the computation, so concurrent
 //! requests for the *same* key block rather than duplicate the
-//! Monte-Carlo, while requests for different keys proceed in parallel.
+//! Monte-Carlo (or ATPG), while requests for different keys proceed in
+//! parallel. A computation that panics poisons only its own key, and
+//! the memo then discards that key's value: the next request starts
+//! from an empty value and recomputes, instead of panicking on the
+//! poisoned lock.
 //!
 //! Keys are [`StoreKey`]s: stable FNV-1a fingerprints of everything the
 //! simulation reads — *including* the circuit and timing model, so one
-//! cache (or one long-lived [`crate::engine::DiagnosisEngine`]) can
+//! cache (or one long-lived [`crate::session::ArtifactLayer`]) can
 //! safely serve many campaigns over different circuits. The same key
 //! identifies a checkpoint file in an optional [`DictionaryStore`]:
 //! attach one with [`DictionaryCache::with_store`] and banks are loaded
@@ -39,8 +44,8 @@
 
 use crate::dictionary::{
     assemble_from_masks, assemble_from_probs, defect_cones, screen_survivors, simulate_fail_masks,
-    simulate_fail_probs_analytic, AnalyticSuspect, BatchCache, BitGrid, DictionaryConfig,
-    ProbabilisticDictionary, SimKernel, SuspectMasks,
+    simulate_fail_masks_shared, simulate_fail_probs_analytic, AnalyticSuspect, BatchCache, BitGrid,
+    DictionaryConfig, ProbabilisticDictionary, SimKernel, SuspectMasks,
 };
 use crate::inject::AtpgConfig;
 use crate::metrics::{Counter, MetricsSink};
@@ -48,9 +53,64 @@ use crate::store::{fingerprint_model, DictionaryStore, PatternKey, StoreKey};
 use crate::BehaviorMatrix;
 use sdd_atpg::PatternSet;
 use sdd_netlist::{Circuit, EdgeId};
+use sdd_timing::dynamic::DefectCone;
 use sdd_timing::{CircuitTiming, Dist};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
+
+/// A concurrent get-or-compute memo: one `V` per key, each behind its
+/// own mutex (see the module docs for the locking rules and the poison
+/// policy).
+#[derive(Debug)]
+struct KeyedMemo<K, V> {
+    slots: RwLock<HashMap<K, Arc<Mutex<V>>>>,
+}
+
+impl<K, V> Default for KeyedMemo<K, V> {
+    fn default() -> Self {
+        KeyedMemo {
+            slots: RwLock::new(HashMap::new()),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V: Default> KeyedMemo<K, V> {
+    /// Number of keys inserted so far.
+    fn len(&self) -> usize {
+        self.slots
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
+    /// Runs `f` on `key`'s value (inserting `V::default()` first if the
+    /// key is new) while holding that key's lock. If an earlier `f` on
+    /// this key panicked, the value it left is reset to `V::default()`
+    /// before `f` sees it.
+    fn with<R>(&self, key: K, f: impl FnOnce(&mut V) -> R) -> R {
+        // The map lock guards only lookups and inserts of fresh default
+        // slots, so a poisoned map is still consistent.
+        let slot = {
+            let read = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+            match read.get(&key) {
+                Some(slot) => Arc::clone(slot),
+                None => {
+                    drop(read);
+                    let mut write = self.slots.write().unwrap_or_else(PoisonError::into_inner);
+                    Arc::clone(write.entry(key).or_default())
+                }
+            }
+        };
+        let mut value = slot.lock().unwrap_or_else(|poisoned| {
+            let mut value = poisoned.into_inner();
+            *value = V::default();
+            slot.clear_poison();
+            value
+        });
+        f(&mut value)
+    }
+}
 
 /// The cached grids for one key: the defect-free baseline plus one bank
 /// per suspect arc simulated so far.
@@ -60,6 +120,81 @@ struct Bank {
     /// first build against this key.
     base: Vec<BitGrid>,
     suspects: HashMap<EdgeId, SuspectMasks>,
+}
+
+impl Bank {
+    /// Simulates what this bank lacks for `suspects` — the baseline on
+    /// first use, plus every suspect not banked yet — with `simulate`
+    /// (given the missing suspects' cones; it returns per pattern the
+    /// baseline grid and one grid per cone), and stores the grids.
+    /// Records one cache hit, or one miss plus `samples` simulated
+    /// samples. Returns whether anything was simulated.
+    fn extend(
+        &mut self,
+        circuit: &Circuit,
+        suspects: &[EdgeId],
+        samples: u64,
+        metrics: Option<&MetricsSink>,
+        simulate: impl FnOnce(&[DefectCone]) -> Vec<(BitGrid, Vec<BitGrid>)>,
+    ) -> bool {
+        let missing: Vec<EdgeId> = suspects
+            .iter()
+            .copied()
+            .filter(|e| !self.suspects.contains_key(e))
+            .collect();
+        if !self.base.is_empty() && missing.is_empty() {
+            if let Some(m) = metrics {
+                m.add(Counter::DictCacheHits, 1);
+            }
+            return false;
+        }
+        if let Some(m) = metrics {
+            m.add(Counter::DictCacheMisses, 1);
+            m.add(Counter::SamplesSimulated, samples);
+        }
+        let cones = defect_cones(circuit, &missing);
+        let per_pattern = simulate(&cones);
+        let record_base = self.base.is_empty();
+        let mut banks: Vec<SuspectMasks> = cones
+            .iter()
+            .map(|c| SuspectMasks {
+                reachable: c.reachable_outputs().to_vec(),
+                fails: Vec::with_capacity(per_pattern.len()),
+            })
+            .collect();
+        for (base, fails) in per_pattern {
+            if record_base {
+                self.base.push(base);
+            }
+            for (ci, grid) in fails.into_iter().enumerate() {
+                banks[ci].fails.push(grid);
+            }
+        }
+        self.suspects.extend(missing.into_iter().zip(banks));
+        true
+    }
+
+    /// Counts the dictionary of `suspects` (all banked) out of the grids.
+    fn assemble(
+        &self,
+        circuit: &Circuit,
+        suspects: &[EdgeId],
+        clk: f64,
+        n_samples: usize,
+        behavior: Option<&BehaviorMatrix>,
+    ) -> ProbabilisticDictionary {
+        let base_refs: Vec<&BitGrid> = self.base.iter().collect();
+        let ordered: Vec<(EdgeId, &SuspectMasks)> =
+            suspects.iter().map(|&e| (e, &self.suspects[&e])).collect();
+        assemble_from_masks(
+            clk,
+            circuit.primary_outputs().len(),
+            n_samples,
+            &base_refs,
+            &ordered,
+            behavior,
+        )
+    }
 }
 
 /// The cached *analytic* results for one key: probability matrices, not
@@ -74,22 +209,16 @@ struct AnalyticBank {
     suspects: HashMap<EdgeId, AnalyticSuspect>,
 }
 
-/// One pattern-set slot: `None` until the first request for its key
-/// finishes a store load or an ATPG run.
-type PatternSlot = Arc<Mutex<Option<Arc<PatternSet>>>>;
-
 /// A thread-safe, campaign-wide dictionary cache, optionally backed by
 /// an on-disk [`DictionaryStore`]. See the module docs for the sharing,
 /// determinism and persistence story.
 #[derive(Debug, Default)]
 pub struct DictionaryCache {
-    banks: RwLock<HashMap<StoreKey, Arc<Mutex<Bank>>>>,
+    banks: KeyedMemo<StoreKey, Bank>,
     /// Per-site ATPG pattern sets, keyed on everything pattern
-    /// generation reads ([`PatternKey`]). Same locking discipline as
-    /// `banks`: the outer map lock is held only to find or insert a
-    /// slot; the per-key mutex is held across generation, so concurrent
-    /// requests for the same site share one ATPG run.
-    patterns: RwLock<HashMap<PatternKey, PatternSlot>>,
+    /// generation reads ([`PatternKey`]); `None` until the first request
+    /// for its key finishes a store load or an ATPG run.
+    patterns: KeyedMemo<PatternKey, Option<Arc<PatternSet>>>,
     /// Analytic-kernel results, in their own section (memory-only, never
     /// store-backed; see [`AnalyticBank`]). Keyed additionally by the
     /// Gauss–Hermite order of the die-level integral: the screened
@@ -97,8 +226,7 @@ pub struct DictionaryCache {
     /// ([`SCREEN_QUADRATURE_POINTS`](crate::SCREEN_QUADRATURE_POINTS))
     /// are not interchangeable with the analytic kernel's default-order
     /// ones and must never satisfy each other's lookups.
-    #[allow(clippy::type_complexity)]
-    analytic: RwLock<HashMap<(StoreKey, usize), Arc<Mutex<AnalyticBank>>>>,
+    analytic: KeyedMemo<(StoreKey, usize), AnalyticBank>,
     /// Stage-2 refinement grids of the screened kernel, in their own
     /// memory-only section: the population-consistent draw scheme
     /// ([`simulate_fail_masks_shared`](crate::dictionary)) produces
@@ -107,7 +235,7 @@ pub struct DictionaryCache {
     /// kernel-blind `.sdds` store. Grids are keyed per suspect and
     /// independent of the screen budget, so screened builds with
     /// different `ScreenConfig`s share refinements.
-    screened: RwLock<HashMap<StoreKey, Arc<Mutex<Bank>>>>,
+    screened: KeyedMemo<StoreKey, Bank>,
     store: Option<Arc<DictionaryStore>>,
     /// Memoized chip-instance batches shared by every simulation this
     /// cache runs (batched kernel only; bit-identity preserving — see
@@ -126,12 +254,8 @@ impl DictionaryCache {
     /// a bank re-checkpoints it in the background.
     pub fn with_store(store: Arc<DictionaryStore>) -> DictionaryCache {
         DictionaryCache {
-            banks: RwLock::default(),
-            patterns: RwLock::default(),
-            analytic: RwLock::default(),
-            screened: RwLock::default(),
             store: Some(store),
-            batches: BatchCache::default(),
+            ..DictionaryCache::default()
         }
     }
 
@@ -152,13 +276,13 @@ impl DictionaryCache {
     /// Number of distinct (model, pattern set, clk, config, defect dist)
     /// keys populated so far.
     pub fn num_keys(&self) -> usize {
-        self.banks.read().expect("cache lock").len()
+        self.banks.len()
     }
 
     /// Number of distinct (model, site, ATPG config, seed) pattern sets
     /// held so far.
     pub fn num_pattern_keys(&self) -> usize {
-        self.patterns.read().expect("pattern cache lock").len()
+        self.patterns.len()
     }
 
     /// Returns the ATPG patterns through `site`, generating them at most
@@ -191,52 +315,42 @@ impl DictionaryCache {
             atpg_fp: config.fingerprint(),
             seed,
         };
-        let cell = {
-            let read = self.patterns.read().expect("pattern cache lock");
-            match read.get(&key) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(read);
-                    let mut write = self.patterns.write().expect("pattern cache lock");
-                    Arc::clone(write.entry(key).or_default())
+        self.patterns.with(key, |slot| {
+            if let Some(set) = slot {
+                if let Some(m) = metrics {
+                    m.add(Counter::PatternCacheHits, 1);
                 }
+                return Arc::clone(set);
             }
-        };
-        let mut slot = cell.lock().expect("pattern slot lock");
-        if let Some(set) = slot.as_ref() {
             if let Some(m) = metrics {
-                m.add(Counter::PatternCacheHits, 1);
+                m.add(Counter::PatternCacheMisses, 1);
             }
-            return Arc::clone(set);
-        }
-        if let Some(m) = metrics {
-            m.add(Counter::PatternCacheMisses, 1);
-        }
-        let loaded = self
-            .store
-            .as_ref()
-            .and_then(|s| s.load_patterns(&key, circuit.primary_inputs().len(), metrics));
-        let set = Arc::new(match loaded {
-            Some(set) => set,
-            None => {
-                let set = crate::inject::patterns_through_site_with(
-                    circuit,
-                    timing,
-                    site,
-                    config.n_paths,
-                    config.max_patterns,
-                    seed,
-                    config.path_config,
-                    config.podem_config,
-                );
-                if let Some(store) = &self.store {
-                    store.flush_patterns(&key, &set, metrics);
+            let loaded = self
+                .store
+                .as_ref()
+                .and_then(|s| s.load_patterns(&key, circuit.primary_inputs().len(), metrics));
+            let set = Arc::new(match loaded {
+                Some(set) => set,
+                None => {
+                    let set = crate::inject::patterns_through_site_with(
+                        circuit,
+                        timing,
+                        site,
+                        config.n_paths,
+                        config.max_patterns,
+                        seed,
+                        config.path_config,
+                        config.podem_config,
+                    );
+                    if let Some(store) = &self.store {
+                        store.flush_patterns(&key, &set, metrics);
+                    }
+                    set
                 }
-                set
-            }
-        });
-        *slot = Some(Arc::clone(&set));
-        set
+            });
+            *slot = Some(Arc::clone(&set));
+            set
+        })
     }
 
     /// The batch of tested-delay chip instances `0..n` of stream `seed`,
@@ -301,7 +415,11 @@ impl DictionaryCache {
             );
         }
         if config.kernel == SimKernel::Analytic {
-            return self.build_analytic(
+            // Deterministic matrices from the memory-only analytic
+            // section, repackaged as they are. The behaviour plays no
+            // role: the joint estimate needs per-sample outcomes, which
+            // the analytic kernel does not produce.
+            let (m_crt, ordered) = self.analytic_matrices(
                 circuit,
                 timing,
                 defect_size,
@@ -309,8 +427,10 @@ impl DictionaryCache {
                 suspect_edges,
                 clk,
                 config,
+                None,
                 metrics,
             );
+            return assemble_from_probs(clk, m_crt, ordered);
         }
         if config.kernel == SimKernel::Screened {
             return self.build_screened(
@@ -326,151 +446,62 @@ impl DictionaryCache {
             );
         }
         let key = StoreKey::compute(circuit, timing, defect_size, patterns, clk, config);
-        let cell = {
-            let read = self.banks.read().expect("cache lock");
-            match read.get(&key) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(read);
-                    let mut write = self.banks.write().expect("cache lock");
-                    Arc::clone(write.entry(key).or_default())
+        self.banks.with(key, |bank| {
+            // A never-touched bank may have a checkpoint on disk from an
+            // earlier run; a load replaces the entire Monte-Carlo phase.
+            if bank.base.is_empty() {
+                if let Some(store) = &self.store {
+                    if let Some(loaded) = store.load(
+                        &key,
+                        patterns.len(),
+                        circuit.primary_outputs().len(),
+                        metrics,
+                    ) {
+                        bank.base = loaded.base;
+                        bank.suspects = loaded.suspects.into_iter().collect();
+                    }
                 }
             }
-        };
-        let mut bank = cell.lock().expect("bank lock");
-        // A never-touched bank may have a checkpoint on disk from an
-        // earlier run; a load replaces the entire Monte-Carlo phase.
-        if bank.base.is_empty() {
-            if let Some(store) = &self.store {
-                if let Some(loaded) = store.load(
-                    &key,
-                    patterns.len(),
-                    circuit.primary_outputs().len(),
+            let samples = (patterns.len() * config.n_samples) as u64;
+            let simulated = bank.extend(circuit, suspect_edges, samples, metrics, |cones| {
+                simulate_fail_masks(
+                    circuit,
+                    timing,
+                    defect_size,
+                    patterns,
+                    cones,
+                    clk,
+                    config,
+                    Some(&self.batches),
                     metrics,
-                ) {
-                    bank.base = loaded.base;
-                    bank.suspects = loaded.suspects.into_iter().collect();
+                )
+            });
+            if simulated {
+                if let Some(store) = &self.store {
+                    // Checkpoint the grown bank (serialization happens
+                    // here, under the bank lock, so the snapshot is
+                    // consistent; only the file I/O runs in the
+                    // background). Suspects go out in arc order so byte
+                    // output is deterministic.
+                    let mut sorted: Vec<(EdgeId, &SuspectMasks)> =
+                        bank.suspects.iter().map(|(e, m)| (*e, m)).collect();
+                    sorted.sort_by_key(|(e, _)| e.index());
+                    store.flush(&key, &bank.base, &sorted, metrics);
                 }
             }
-        }
-        let missing: Vec<EdgeId> = suspect_edges
-            .iter()
-            .copied()
-            .filter(|e| !bank.suspects.contains_key(e))
-            .collect();
-        let simulated = bank.base.is_empty() || !missing.is_empty();
-        if simulated {
-            if let Some(m) = metrics {
-                m.add(Counter::DictCacheMisses, 1);
-                m.add(
-                    Counter::SamplesSimulated,
-                    (patterns.len() * config.n_samples) as u64,
-                );
-            }
-            let cones = defect_cones(circuit, &missing);
-            let per_pattern = simulate_fail_masks(
-                circuit,
-                timing,
-                defect_size,
-                patterns,
-                &cones,
-                clk,
-                config,
-                Some(&self.batches),
-                metrics,
-            );
-            let record_base = bank.base.is_empty();
-            let mut banks: Vec<SuspectMasks> = cones
-                .iter()
-                .map(|c| SuspectMasks {
-                    reachable: c.reachable_outputs().to_vec(),
-                    fails: Vec::with_capacity(patterns.len()),
-                })
-                .collect();
-            for (base, fails) in per_pattern {
-                if record_base {
-                    bank.base.push(base);
-                }
-                for (ci, grid) in fails.into_iter().enumerate() {
-                    banks[ci].fails.push(grid);
-                }
-            }
-            for (edge, masks) in missing.iter().copied().zip(banks) {
-                bank.suspects.insert(edge, masks);
-            }
-        } else if let Some(m) = metrics {
-            m.add(Counter::DictCacheHits, 1);
-        }
-        if simulated {
-            if let Some(store) = &self.store {
-                // Checkpoint the grown bank (serialization happens here,
-                // under the bank lock, so the snapshot is consistent;
-                // only the file I/O runs in the background). Suspects go
-                // out in arc order so byte output is deterministic.
-                let mut sorted: Vec<(EdgeId, &SuspectMasks)> =
-                    bank.suspects.iter().map(|(e, m)| (*e, m)).collect();
-                sorted.sort_by_key(|(e, _)| e.index());
-                store.flush(&key, &bank.base, &sorted, metrics);
-            }
-        }
-        let base_refs: Vec<&BitGrid> = bank.base.iter().collect();
-        let ordered: Vec<(EdgeId, &SuspectMasks)> = suspect_edges
-            .iter()
-            .map(|&e| (e, &bank.suspects[&e]))
-            .collect();
-        assemble_from_masks(
-            clk,
-            circuit.primary_outputs().len(),
-            config.n_samples,
-            &base_refs,
-            &ordered,
-            behavior,
-        )
-    }
-
-    /// The analytic-kernel build path: probability matrices cached in
-    /// their own memory-only section (no `.sdds` store traffic, no MC
-    /// counters), missing suspects propagated incrementally. Assembly is
-    /// pure repackaging of deterministic matrices, so a cached build is
-    /// bit-identical to
-    /// [`ProbabilisticDictionary::build_with_behavior`] with the same
-    /// arguments. The behaviour matrix plays no role here — the joint
-    /// estimate needs per-sample outcomes, which the analytic kernel
-    /// does not produce.
-    #[allow(clippy::too_many_arguments)]
-    fn build_analytic(
-        &self,
-        circuit: &Circuit,
-        timing: &CircuitTiming,
-        defect_size: &Dist,
-        patterns: &PatternSet,
-        suspect_edges: &[EdgeId],
-        clk: f64,
-        config: DictionaryConfig,
-        metrics: Option<&MetricsSink>,
-    ) -> ProbabilisticDictionary {
-        let (m_crt, ordered) = self.analytic_matrices(
-            circuit,
-            timing,
-            defect_size,
-            patterns,
-            suspect_edges,
-            clk,
-            config,
-            None,
-            metrics,
-        );
-        assemble_from_probs(clk, m_crt, ordered)
+            bank.assemble(circuit, suspect_edges, clk, config.n_samples, behavior)
+        })
     }
 
     /// Fetches (or incrementally computes) the analytic probability
     /// matrices for the requested suspects from the memory-only analytic
-    /// section: `M_crt` plus one [`AnalyticSuspect`] per edge, in request
-    /// order. Shared by the analytic build path and the screened
-    /// kernel's stage 1, but *not* across quadrature orders: the bank is
-    /// keyed on `(StoreKey, effective order)`, so screened builds reuse
-    /// each other's coarse matrices while a plain analytic run keeps its
-    /// own default-order bank.
+    /// section (no `.sdds` store traffic, no MC counters): `M_crt` plus
+    /// one [`AnalyticSuspect`] per edge, in request order. Shared by the
+    /// analytic build path and the screened kernel's stage 1, but *not*
+    /// across quadrature orders: the bank is keyed on `(StoreKey,
+    /// effective order)`, so screened builds reuse each other's coarse
+    /// matrices while a plain analytic run keeps its own default-order
+    /// bank.
     #[allow(clippy::too_many_arguments)]
     fn analytic_matrices(
         &self,
@@ -486,56 +517,39 @@ impl DictionaryCache {
     ) -> (sdd_timing::crit::ProbMatrix, Vec<(EdgeId, AnalyticSuspect)>) {
         let key = StoreKey::compute(circuit, timing, defect_size, patterns, clk, config);
         let order = quad_points.unwrap_or(sdd_timing::analytic::DEFAULT_QUADRATURE_POINTS);
-        let cell = {
-            let read = self.analytic.read().expect("analytic cache lock");
-            match read.get(&(key, order)) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(read);
-                    let mut write = self.analytic.write().expect("analytic cache lock");
-                    Arc::clone(write.entry((key, order)).or_default())
+        self.analytic.with((key, order), |bank| {
+            let missing: Vec<EdgeId> = suspect_edges
+                .iter()
+                .copied()
+                .filter(|e| !bank.suspects.contains_key(e))
+                .collect();
+            if bank.base.is_none() || !missing.is_empty() {
+                if let Some(m) = metrics {
+                    m.add(Counter::DictCacheMisses, 1);
                 }
+                let cones = defect_cones(circuit, &missing);
+                let (m_crt, suspects) = simulate_fail_probs_analytic(
+                    circuit,
+                    timing,
+                    defect_size,
+                    patterns,
+                    &cones,
+                    clk,
+                    quad_points,
+                    metrics,
+                );
+                bank.base.get_or_insert(m_crt);
+                bank.suspects.extend(missing.into_iter().zip(suspects));
+            } else if let Some(m) = metrics {
+                m.add(Counter::DictCacheHits, 1);
             }
-        };
-        let mut bank = cell.lock().expect("analytic bank lock");
-        let missing: Vec<EdgeId> = suspect_edges
-            .iter()
-            .copied()
-            .filter(|e| !bank.suspects.contains_key(e))
-            .collect();
-        let simulated = bank.base.is_none() || !missing.is_empty();
-        if simulated {
-            if let Some(m) = metrics {
-                m.add(Counter::DictCacheMisses, 1);
-            }
-            let cones = defect_cones(circuit, &missing);
-            let (m_crt, suspects) = simulate_fail_probs_analytic(
-                circuit,
-                timing,
-                defect_size,
-                patterns,
-                &cones,
-                clk,
-                quad_points,
-                metrics,
-            );
-            if bank.base.is_none() {
-                bank.base = Some(m_crt);
-            }
-            for (edge, s) in missing.iter().copied().zip(suspects) {
-                bank.suspects.insert(edge, s);
-            }
-        } else if let Some(m) = metrics {
-            m.add(Counter::DictCacheHits, 1);
-        }
-        let ordered: Vec<(EdgeId, AnalyticSuspect)> = suspect_edges
-            .iter()
-            .map(|&e| (e, bank.suspects[&e].clone()))
-            .collect();
-        (
-            bank.base.clone().expect("analytic baseline populated"),
-            ordered,
-        )
+            let m_crt = bank.base.clone().expect("analytic baseline populated");
+            let ordered: Vec<(EdgeId, AnalyticSuspect)> = suspect_edges
+                .iter()
+                .map(|&e| (e, bank.suspects[&e].clone()))
+                .collect();
+            (m_crt, ordered)
+        })
     }
 
     /// The tiered screened build path ([`SimKernel::Screened`]): stage 1
@@ -609,77 +623,30 @@ impl DictionaryCache {
         // through the screened bank section (memory-only; see the field
         // docs for why these grids never mix with batched banks).
         let key = StoreKey::compute(circuit, timing, defect_size, patterns, clk, config);
-        let cell = {
-            let read = self.screened.read().expect("screened cache lock");
-            match read.get(&key) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(read);
-                    let mut write = self.screened.write().expect("screened cache lock");
-                    Arc::clone(write.entry(key).or_default())
-                }
-            }
-        };
-        let mut bank = cell.lock().expect("screened bank lock");
-        let missing: Vec<EdgeId> = surviving_edges
-            .iter()
-            .copied()
-            .filter(|e| !bank.suspects.contains_key(e))
-            .collect();
-        let simulated = bank.base.is_empty() || !missing.is_empty();
-        if simulated {
-            if let Some(m) = metrics {
-                m.add(Counter::DictCacheMisses, 1);
-                // One shared population answers every pattern.
-                m.add(Counter::SamplesSimulated, config.n_samples as u64);
-            }
-            let cones = defect_cones(circuit, &missing);
-            let per_pattern = crate::dictionary::simulate_fail_masks_shared(
+        self.screened.with(key, |bank| {
+            // One shared population answers every pattern.
+            let samples = config.n_samples as u64;
+            bank.extend(circuit, &surviving_edges, samples, metrics, |cones| {
+                simulate_fail_masks_shared(
+                    circuit,
+                    timing,
+                    defect_size,
+                    patterns,
+                    cones,
+                    clk,
+                    config,
+                    Some(&self.batches),
+                    metrics,
+                )
+            });
+            bank.assemble(
                 circuit,
-                timing,
-                defect_size,
-                patterns,
-                &cones,
+                &surviving_edges,
                 clk,
-                config,
-                Some(&self.batches),
-                metrics,
-            );
-            let record_base = bank.base.is_empty();
-            let mut banks: Vec<SuspectMasks> = cones
-                .iter()
-                .map(|c| SuspectMasks {
-                    reachable: c.reachable_outputs().to_vec(),
-                    fails: Vec::with_capacity(patterns.len()),
-                })
-                .collect();
-            for (base, fails) in per_pattern {
-                if record_base {
-                    bank.base.push(base);
-                }
-                for (ci, grid) in fails.into_iter().enumerate() {
-                    banks[ci].fails.push(grid);
-                }
-            }
-            for (edge, masks) in missing.iter().copied().zip(banks) {
-                bank.suspects.insert(edge, masks);
-            }
-        } else if let Some(m) = metrics {
-            m.add(Counter::DictCacheHits, 1);
-        }
-        let base_refs: Vec<&BitGrid> = bank.base.iter().collect();
-        let ordered: Vec<(EdgeId, &SuspectMasks)> = surviving_edges
-            .iter()
-            .map(|&e| (e, &bank.suspects[&e]))
-            .collect();
-        assemble_from_masks(
-            clk,
-            circuit.primary_outputs().len(),
-            config.n_samples,
-            &base_refs,
-            &ordered,
-            Some(behavior),
-        )
+                config.n_samples,
+                Some(behavior),
+            )
+        })
     }
 }
 
@@ -691,6 +658,8 @@ mod tests {
     use sdd_atpg::TestPattern;
     use sdd_netlist::{CircuitBuilder, GateKind};
     use sdd_timing::{CellLibrary, VariationModel};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn two_chains() -> (Circuit, CircuitTiming) {
         let mut b = CircuitBuilder::new("tc");
@@ -784,7 +753,7 @@ mod tests {
         );
         assert_eq!(fresh, first);
         assert_eq!(fresh, second);
-        let snap = metrics.snapshot(std::time::Duration::ZERO);
+        let snap = metrics.snapshot(Duration::ZERO);
         assert_eq!(snap.dict_cache_misses, 1);
         assert_eq!(snap.dict_cache_hits, 1);
         assert_eq!(cache.num_keys(), 1);
@@ -872,12 +841,7 @@ mod tests {
         );
         let fresh = ProbabilisticDictionary::build(&c, &t, &size, &ps, &all, 0.25, config());
         assert_eq!(fresh, extended);
-        assert_eq!(
-            metrics
-                .snapshot(std::time::Duration::ZERO)
-                .dict_cache_misses,
-            2
-        );
+        assert_eq!(metrics.snapshot(Duration::ZERO).dict_cache_misses, 2);
     }
 
     #[test]
@@ -922,7 +886,7 @@ mod tests {
         );
         drop(warm);
         store.sync();
-        let s1 = m1.snapshot(std::time::Duration::ZERO);
+        let s1 = m1.snapshot(Duration::ZERO);
         assert_eq!(s1.store_misses, 1, "cold run misses the store");
         assert_eq!(s1.store_flushes, 1, "cold run checkpoints its bank");
 
@@ -944,7 +908,7 @@ mod tests {
             Some(&m2),
         );
         assert_eq!(first, second, "loaded bank diverged from simulated bank");
-        let s2 = m2.snapshot(std::time::Duration::ZERO);
+        let s2 = m2.snapshot(Duration::ZERO);
         assert_eq!(s2.store_hits, 1, "warm run loads from disk");
         assert_eq!(s2.samples_simulated, 0, "warm run simulates nothing");
     }
@@ -988,7 +952,7 @@ mod tests {
         assert_eq!(*first, fresh, "cached generation diverged from direct call");
         let second = cache.patterns_for_site(&c, &t, site, &atpg, 5, Some(&m));
         assert!(Arc::ptr_eq(&first, &second), "memory hit re-generated");
-        let snap = m.snapshot(std::time::Duration::ZERO);
+        let snap = m.snapshot(Duration::ZERO);
         assert_eq!(snap.pattern_cache_misses, 1);
         assert_eq!(snap.pattern_cache_hits, 1);
         assert_eq!(snap.pattern_store_misses, 1, "cold store probed once");
@@ -1005,7 +969,7 @@ mod tests {
         let m2 = MetricsSink::new();
         let reloaded = cold.patterns_for_site(&c, &t, site, &atpg, 5, Some(&m2));
         assert_eq!(*reloaded, fresh, "stored patterns diverged");
-        let snap2 = m2.snapshot(std::time::Duration::ZERO);
+        let snap2 = m2.snapshot(Duration::ZERO);
         assert_eq!(snap2.pattern_store_hits, 1, "warm run loads from disk");
         assert_eq!(
             snap2.pattern_store_flushes, 0,
@@ -1042,5 +1006,66 @@ mod tests {
                 assert_eq!(fr, cr, "{} ranking diverged through the cache", ff.name());
             }
         }
+    }
+
+    #[test]
+    fn keyed_memo_discards_a_poisoned_key_and_keeps_the_others() {
+        let memo: KeyedMemo<u32, Vec<u32>> = KeyedMemo::default();
+        memo.with(1, |v| v.push(10));
+        memo.with(2, |v| v.push(20));
+        let crashed = std::thread::scope(|s| {
+            s.spawn(|| {
+                memo.with(1, |v| {
+                    v.push(11);
+                    panic!("computation for key 1 fails halfway");
+                })
+            })
+            .join()
+        });
+        assert!(crashed.is_err(), "the closure should have panicked");
+        // The half-built value is gone: the next caller starts from a
+        // fresh default and recomputes; the lock is usable again.
+        let seen = memo.with(1, |v| {
+            let seen = v.clone();
+            v.push(12);
+            seen
+        });
+        assert!(seen.is_empty(), "poisoned value survived: {seen:?}");
+        assert_eq!(memo.with(1, |v| v.clone()), vec![12]);
+        assert_eq!(memo.with(2, |v| v.clone()), vec![20], "other key lost");
+        assert_eq!(memo.len(), 2);
+    }
+
+    #[test]
+    fn keyed_memo_racing_callers_compute_a_key_once() {
+        const CALLERS: usize = 8;
+        let memo: KeyedMemo<u32, Option<u64>> = KeyedMemo::default();
+        let runs = AtomicUsize::new(0);
+        let arrived = AtomicUsize::new(0);
+        let answers: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        memo.with(7, |slot| {
+                            *slot.get_or_insert_with(|| {
+                                runs.fetch_add(1, Ordering::SeqCst);
+                                // Compute only once every caller has
+                                // arrived, so all of them race on the key
+                                // while its value is being computed.
+                                while arrived.load(Ordering::SeqCst) < CALLERS {
+                                    std::thread::yield_now();
+                                }
+                                42
+                            })
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(answers, vec![42; CALLERS]);
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert_eq!(memo.len(), 1);
     }
 }

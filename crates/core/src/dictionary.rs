@@ -721,7 +721,7 @@ pub(crate) struct SuspectMasks {
 /// past `cap_f64`, least-recently-used entries are evicted (oldest touch
 /// first, key order on ties) until the newcomer fits. A campaign touches
 /// one circuit and at most `max_patterns` positions, so eviction only
-/// fires when an engine moves between large circuits — and then it
+/// fires when a layer moves between large circuits — and then it
 /// sheds the stale circuit's batches while the hot ones survive, instead
 /// of dropping the whole map and resampling everything.
 #[derive(Debug)]

@@ -4,8 +4,8 @@
 //! error of the per-instance diagnosis path. [`SddError`] is the unified
 //! top-level error of the whole stack: every layer's error — netlist,
 //! timing, ATPG, diagnosis, dictionary store — converts into it via
-//! `From`, so application code (and the [`crate::engine::DiagnosisEngine`]
-//! facade) can use one `Result<_, SddError>` end to end with `?`.
+//! `From`, so application code (and the [`crate::session`] API) can use
+//! one `Result<_, SddError>` end to end with `?`.
 
 use std::error::Error;
 use std::fmt;

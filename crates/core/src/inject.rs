@@ -522,11 +522,10 @@ pub fn patterns_through_site_with(
     set
 }
 
-/// The campaign body shared by [`crate::session::DiagnosisSession`] and
-/// (through it) the [`crate::engine::DiagnosisEngine`] facade: fan chips
-/// out over the *current* rayon pool against the given cache and metrics sink. The
-/// report's metrics are the delta against the sink's state at entry, so
-/// a long-lived engine reports per-campaign numbers.
+/// The campaign body behind [`crate::session::DiagnosisSession`]: fan
+/// chips out over the *current* rayon pool against the given cache and
+/// metrics sink. The report's metrics are the delta against the sink's
+/// state at entry, so a long-lived session reports per-campaign numbers.
 pub(crate) fn run_campaign_on_with(
     circuit: &Circuit,
     config: &CampaignConfig,
@@ -612,8 +611,7 @@ pub fn diagnose_one_instance(
 }
 
 /// The per-chip body behind [`diagnose_one_instance`] and
-/// [`crate::session::DiagnosisSession::diagnose_instance`] (and thus
-/// [`crate::engine::DiagnosisEngine::diagnose_instance`]). This is what
+/// [`crate::session::DiagnosisSession::diagnose_instance`]. This is what
 /// the campaign fans out over the thread pool: diagnosing the same chip
 /// index through the same cache yields a bit-identical outcome
 /// regardless of thread count or cache population order.
@@ -873,7 +871,7 @@ fn observe_behavior(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DiagnosisEngine;
+    use crate::session::ArtifactLayer;
     use sdd_netlist::generator::{generate, GeneratorConfig};
     use sdd_netlist::profiles;
 
@@ -903,7 +901,8 @@ mod tests {
 
     #[test]
     fn quick_campaign_runs_and_scores() {
-        let report = DiagnosisEngine::new()
+        let report = ArtifactLayer::new()
+            .session("")
             .run_campaign(&profiles::S27, &CampaignConfig::quick(3))
             .unwrap();
         assert_eq!(report.trials, 6);
@@ -921,44 +920,32 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic() {
-        let engine = DiagnosisEngine::new();
-        let a = engine
+        let session = ArtifactLayer::new().session("");
+        let a = session
             .run_campaign(&profiles::S27, &CampaignConfig::quick(8))
             .unwrap();
-        let b = engine
+        let b = session
             .run_campaign(&profiles::S27, &CampaignConfig::quick(8))
             .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn session_api_matches_the_engine() {
-        // The engine facade and a raw session over a fresh layer must
-        // stay bit-identical.
-        let via_engine = DiagnosisEngine::new()
-            .run_campaign(&profiles::S27, &CampaignConfig::quick(5))
-            .unwrap();
-        let via_session = crate::session::ArtifactLayer::new()
-            .session("inject-test")
-            .run_campaign(&profiles::S27, &CampaignConfig::quick(5))
-            .unwrap();
-        assert_eq!(via_engine, via_session);
-    }
-
-    #[test]
     fn campaign_is_identical_across_thread_counts() {
         let c = small_comb();
         let cfg = CampaignConfig::quick(11);
-        let serial = DiagnosisEngine::builder()
+        let serial = ArtifactLayer::builder()
             .num_threads(1)
             .build()
-            .expect("engine builds")
+            .expect("layer builds")
+            .session("")
             .run_campaign_on(&c, &cfg)
             .unwrap();
-        let parallel = DiagnosisEngine::builder()
+        let parallel = ArtifactLayer::builder()
             .num_threads(4)
             .build()
-            .expect("engine builds")
+            .expect("layer builds")
+            .session("")
             .run_campaign_on(&c, &cfg)
             .unwrap();
         assert_eq!(serial, parallel, "report must not depend on thread count");

@@ -28,22 +28,23 @@
 //!    [`DictionaryCache`] of Monte-Carlo
 //!    outcomes, with per-phase timers and cache counters surfaced in the
 //!    report.
-//! 7. [`engine`] / [`store`] — the [`DiagnosisEngine`]
-//!    facade owning cache, metrics and thread-pool policy, and the
-//!    on-disk [`DictionaryStore`] that persists
-//!    dictionary Monte-Carlo banks across processes (format in
+//! 7. [`session`] / [`store`] — the [`ArtifactLayer`] owning cache,
+//!    store and thread-pool policy, the per-client
+//!    [`DiagnosisSession`] holding overrides and metrics, and the
+//!    on-disk [`DictionaryStore`] that persists dictionary Monte-Carlo
+//!    banks and pattern sets across processes (format in
 //!    [`mod@format`]).
 //!
 //! ## Example
 //!
 //! ```no_run
-//! use sdd_core::engine::DiagnosisEngine;
 //! use sdd_core::inject::CampaignConfig;
+//! use sdd_core::session::ArtifactLayer;
 //! use sdd_netlist::profiles;
 //!
 //! # fn main() -> Result<(), sdd_core::SddError> {
-//! let engine = DiagnosisEngine::new();
-//! let report = engine.run_campaign(&profiles::S27, &CampaignConfig::quick(1))?;
+//! let session = ArtifactLayer::new().session("");
+//! let report = session.run_campaign(&profiles::S27, &CampaignConfig::quick(1))?;
 //! println!("{}", report.render_table());
 //! # Ok(())
 //! # }
@@ -57,7 +58,6 @@ pub mod cache;
 pub mod defect;
 pub mod diagnoser;
 pub mod dictionary;
-pub mod engine;
 mod error;
 pub mod error_fn;
 pub mod evaluate;
@@ -80,7 +80,6 @@ pub use dictionary::{
     DictionaryConfig, ProbabilisticDictionary, ScreenConfig, SimKernel, SuspectSignature,
     SCREEN_QUADRATURE_POINTS,
 };
-pub use engine::{DiagnosisEngine, DiagnosisEngineBuilder};
 pub use error::{DiagnosisError, SddError};
 pub use error_fn::ErrorFunction;
 pub use inject::AtpgConfig;

@@ -34,7 +34,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The instrumented phases of one diagnosis (see
-/// [`crate::engine::DiagnosisEngine::diagnose_instance`]). `phase as
+/// [`crate::session::DiagnosisSession::diagnose_instance`]). `phase as
 /// usize` indexes the phase's latency histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -683,7 +683,7 @@ counter_table! {
 /// stay cheap while quick runs keep every instance.
 pub const TRACE_RING_CAPACITY: usize = 4096;
 
-/// Thread-safe metrics accumulator for one campaign (or one engine's
+/// Thread-safe metrics accumulator for one campaign (or one session's
 /// lifetime).
 #[derive(Debug, Default)]
 pub struct MetricsSink {
@@ -823,7 +823,7 @@ impl CampaignMetrics {
     /// The counters accumulated *since* `baseline` (field-wise
     /// saturating difference), with `total` as the wall-clock span.
     ///
-    /// A long-lived [`crate::engine::DiagnosisEngine`] keeps one
+    /// A long-lived [`crate::session::DiagnosisSession`] keeps one
     /// [`MetricsSink`] across campaigns; each campaign's report carries
     /// the delta between the sink before and after, so per-campaign
     /// numbers stay comparable to the single-campaign free functions.
@@ -974,7 +974,7 @@ impl CampaignMetrics {
 pub const METRICS_SCHEMA_VERSION: u32 = 1;
 
 /// Machine-readable observability report of one campaign (or one
-/// engine lifetime): counters, per-phase latency histograms and the
+/// session lifetime): counters, per-phase latency histograms and the
 /// per-instance traces. Written by the bench binaries' `--metrics-json`
 /// flag and validated by the `metrics_check` binary / CI.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

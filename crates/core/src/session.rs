@@ -65,7 +65,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Default)]
 pub struct ArtifactLayerBuilder {
     store_dir: Option<PathBuf>,
-    store: Option<Arc<DictionaryStore>>,
     num_threads: Option<usize>,
     batch_cache_bytes: Option<usize>,
 }
@@ -94,14 +93,6 @@ impl ArtifactLayerBuilder {
         self
     }
 
-    /// Backs the layer with an already-open [`DictionaryStore`] (e.g.
-    /// one shared between layers). Takes precedence over
-    /// [`store_dir`](Self::store_dir).
-    pub fn store(mut self, store: Arc<DictionaryStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
     /// Runs sessions on a dedicated rayon pool of `n` threads instead
     /// of the global pool. `1` gives fully serial execution.
     pub fn num_threads(mut self, n: usize) -> Self {
@@ -127,13 +118,8 @@ impl ArtifactLayerBuilder {
     /// [`SddError::Store`] when the store directory cannot be opened;
     /// [`SddError::Config`] when the thread pool cannot be built.
     pub fn build(self) -> Result<ArtifactLayer, SddError> {
-        let store = match (self.store, self.store_dir) {
-            (Some(handle), _) => Some(handle),
-            (None, Some(dir)) => Some(Arc::new(DictionaryStore::open(dir)?)),
-            (None, None) => None,
-        };
-        let cache = match store {
-            Some(store) => DictionaryCache::with_store(store),
+        let cache = match self.store_dir {
+            Some(dir) => DictionaryCache::with_store(Arc::new(DictionaryStore::open(dir)?)),
             None => DictionaryCache::new(),
         };
         let batch_bytes = self.batch_cache_bytes.or_else(|| {
@@ -320,19 +306,28 @@ impl DiagnosisSession {
     }
 
     /// The campaign configuration this session actually runs for
-    /// `config`: the session's dictionary/kernel overrides applied.
+    /// `config`: the session's dictionary, kernel and screen top-K
+    /// overrides applied.
     pub fn effective_config(&self, config: &CampaignConfig) -> CampaignConfig {
-        let mut cfg = config.clone();
-        if let Some(dictionary) = self.dictionary {
-            cfg.dictionary = dictionary;
+        CampaignConfig {
+            dictionary: self.override_dictionary(config.dictionary),
+            ..config.clone()
         }
+    }
+
+    /// `dictionary` with the session's overrides folded in, in their
+    /// documented order: the whole config, then the kernel, then the
+    /// screen's top-K. Campaigns and behaviour submits both go through
+    /// here.
+    fn override_dictionary(&self, dictionary: DictionaryConfig) -> DictionaryConfig {
+        let mut d = self.dictionary.unwrap_or(dictionary);
         if let Some(kernel) = self.kernel {
-            cfg.dictionary.kernel = kernel;
+            d.kernel = kernel;
         }
         if let Some(top_k) = self.screen_top_k {
-            cfg.dictionary.screen.top_k = top_k;
+            d.screen.top_k = top_k;
         }
-        cfg
+        d
     }
 
     /// A machine-readable observability report over the session's whole
@@ -462,16 +457,7 @@ impl DiagnosisSession {
         behavior: &BehaviorMatrix,
     ) -> Result<Vec<Vec<RankedSite>>, DiagnosisError> {
         let start = Instant::now();
-        let dictionary = {
-            let mut d = self.dictionary.unwrap_or_default();
-            if let Some(kernel) = self.kernel {
-                d.kernel = kernel;
-            }
-            if let Some(top_k) = self.screen_top_k {
-                d.screen.top_k = top_k;
-            }
-            d
-        };
+        let dictionary = self.override_dictionary(DictionaryConfig::default());
         let local = MetricsSink::new();
         let result = self.layer.install(|| {
             let diagnoser = Diagnoser::new(

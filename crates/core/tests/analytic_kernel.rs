@@ -21,9 +21,9 @@
 //! its in-memory cache bit-identically, and lands Table-I-style success
 //! rates within a few points of the MC kernel.
 
-use sdd_core::engine::DiagnosisEngine;
 use sdd_core::evaluate::AccuracyReport;
 use sdd_core::inject::CampaignConfig;
+use sdd_core::session::ArtifactLayer;
 use sdd_core::testutil::TestDir;
 use sdd_core::{DictionaryConfig, ProbabilisticDictionary, SimKernel};
 use sdd_netlist::generator::generate;
@@ -192,7 +192,8 @@ fn analytic_campaign_draws_zero_instances() {
     // the dictionary phase — all the work shows up on the analytic
     // counters instead.
     for (name, c) in circuits() {
-        let report = DiagnosisEngine::new()
+        let report = ArtifactLayer::new()
+            .session("")
             .run_campaign_on(&c, &quick_config(SimKernel::Analytic, 23))
             .expect("campaign runs");
         assert!(report.trials > 0, "{name}: campaign diagnosed nothing");
@@ -216,12 +217,12 @@ fn analytic_campaign_draws_zero_instances() {
 
 #[test]
 fn analytic_campaigns_reuse_the_memory_cache_bit_identically() {
-    // Second run over the same engine must hit the in-memory analytic
+    // Second run over the same session must hit the in-memory analytic
     // bank (no rebuilds) and reproduce the report exactly.
     let (_, c) = circuits().remove(0);
-    let engine = DiagnosisEngine::new();
+    let session = ArtifactLayer::new().session("");
     let run = || -> AccuracyReport {
-        engine
+        session
             .run_campaign_on(&c, &quick_config(SimKernel::Analytic, 23))
             .expect("campaign runs")
     };
@@ -244,14 +245,15 @@ fn analytic_kernel_never_touches_the_store() {
     // The on-disk checkpoint format is keyed by a kernel-blind StoreKey
     // shared with the MC kernels, so analytic grids must bypass it
     // entirely: no flushes, no loads, no dictionary checkpoints on disk
-    // — while the engine's pattern store keeps working as usual.
+    // — while the layer's pattern store keeps working as usual.
     let (_, c) = circuits().remove(0);
     let dir = TestDir::new("analytic-kernel-no-store");
-    let engine = DiagnosisEngine::builder()
+    let session = ArtifactLayer::builder()
         .store_dir(dir.path())
         .build()
-        .expect("engine builds");
-    let report = engine
+        .expect("layer builds")
+        .session("");
+    let report = session
         .run_campaign_on(&c, &quick_config(SimKernel::Analytic, 41))
         .expect("campaign runs");
     assert_eq!(report.metrics.store_hits, 0, "analytic leg loaded a bank");
@@ -263,7 +265,7 @@ fn analytic_kernel_never_touches_the_store() {
         report.metrics.store_flushes, 0,
         "analytic leg flushed a bank"
     );
-    let store = engine.store().expect("store attached");
+    let store = session.layer().store().expect("store attached");
     assert_eq!(
         store.num_checkpoints(),
         0,
@@ -279,7 +281,8 @@ fn analytic_success_rates_track_monte_carlo() {
     // chips, so one chip flipping is ±16.7 points — allow two.
     let (name, c) = circuits().remove(1);
     let run = |kernel| -> AccuracyReport {
-        DiagnosisEngine::new()
+        ArtifactLayer::new()
+            .session("")
             .run_campaign_on(&c, &quick_config(kernel, 23))
             .expect("campaign runs")
     };

@@ -3,9 +3,9 @@
 //! store miss, store hit — the batched kernel must produce bit-identical
 //! dictionaries and rankings to the scalar oracle.
 
-use sdd_core::engine::DiagnosisEngine;
 use sdd_core::evaluate::AccuracyReport;
 use sdd_core::inject::CampaignConfig;
+use sdd_core::session::ArtifactLayer;
 use sdd_core::testutil::TestDir;
 use sdd_core::{DictionaryConfig, ProbabilisticDictionary, SimKernel};
 use sdd_netlist::generator::generate;
@@ -87,11 +87,12 @@ fn dictionaries_are_bit_identical_across_kernels() {
 fn campaign_reports_are_bit_identical_across_kernels() {
     // The `table1 --quick` path in miniature: full campaigns (injection,
     // clock sweep, dictionary, every error function, ranking, scoring)
-    // through store-less engines must agree exactly — success counts,
+    // through store-less layers must agree exactly — success counts,
     // suspect statistics and all.
     for (name, c) in circuits() {
         let run = |kernel| -> AccuracyReport {
-            DiagnosisEngine::new()
+            ArtifactLayer::new()
+                .session("")
                 .run_campaign_on(&c, &quick_config(kernel, 23))
                 .expect("campaign runs")
         };
@@ -113,13 +114,14 @@ fn store_miss_and_store_hit_paths_agree_across_kernels() {
 
     let run = |kernel, store: bool| -> AccuracyReport {
         let builder = if store {
-            DiagnosisEngine::builder().store_dir(dir.path())
+            ArtifactLayer::builder().store_dir(dir.path())
         } else {
-            DiagnosisEngine::builder()
+            ArtifactLayer::builder()
         };
         builder
             .build()
-            .expect("engine builds")
+            .expect("layer builds")
+            .session("")
             .run_campaign_on(&c, &quick_config(kernel, 41))
             .expect("campaign runs")
     };
@@ -156,8 +158,8 @@ fn store_miss_and_store_hit_paths_agree_across_kernels() {
 #[test]
 fn kernel_metrics_are_recorded() {
     let (_, c) = circuits().remove(0);
-    let engine = DiagnosisEngine::new();
-    let report = engine
+    let report = ArtifactLayer::new()
+        .session("")
         .run_campaign_on(&c, &quick_config(SimKernel::Batched, 5))
         .expect("campaign runs");
     assert!(report.metrics.cone_evals > 0, "no cone evals recorded");

@@ -3,15 +3,16 @@
 //! trace/counter agreement), survive a JSON round trip, and tracing
 //! must not perturb the accuracy results.
 
-use sdd_core::engine::DiagnosisEngine;
 use sdd_core::inject::CampaignConfig;
+use sdd_core::session::ArtifactLayer;
 use sdd_core::{MetricsExport, MetricsReport, Phase, TraceOutcome};
 use sdd_netlist::profiles;
 
 #[test]
 fn campaign_metrics_report_is_internally_consistent() {
     let cfg = CampaignConfig::quick(13);
-    let report = DiagnosisEngine::new()
+    let report = ArtifactLayer::new()
+        .session("")
         .run_campaign(&profiles::S27, &cfg)
         .expect("campaign runs");
     assert_eq!(report.trials, cfg.n_instances);
@@ -65,10 +66,12 @@ fn tracing_does_not_perturb_accuracy() {
     // suspect statistics and rankings are compared exactly) must be
     // bit-identical run to run.
     let cfg = CampaignConfig::quick(29);
-    let a = DiagnosisEngine::new()
+    let a = ArtifactLayer::new()
+        .session("")
         .run_campaign(&profiles::S27, &cfg)
         .unwrap();
-    let b = DiagnosisEngine::new()
+    let b = ArtifactLayer::new()
+        .session("")
         .run_campaign(&profiles::S27, &cfg)
         .unwrap();
     assert_eq!(a, b);

@@ -9,9 +9,9 @@
 //! the comparison is *statistical*, not bit-exact: the success rates
 //! must agree within binomial noise at the campaign size.
 
-use sdd_core::engine::DiagnosisEngine;
 use sdd_core::inject::CampaignConfig;
 use sdd_core::multi_defect::run_multi_defect_campaign;
+use sdd_core::session::ArtifactLayer;
 use sdd_netlist::generator::generate;
 use sdd_netlist::profiles;
 use sdd_netlist::Circuit;
@@ -36,7 +36,8 @@ fn single_defect_multi_campaign_matches_single_defect_rates() {
     let c = small();
     let cfg = config();
     let multi = run_multi_defect_campaign(&c, &cfg, 1).expect("multi campaign runs");
-    let single = DiagnosisEngine::new()
+    let single = ArtifactLayer::new()
+        .session("")
         .run_campaign_on(&c, &cfg)
         .expect("single campaign runs");
 

@@ -4,9 +4,9 @@
 //! campaigns — the batched kernel must produce behaviours bit-identical
 //! to the scalar per-pattern oracle.
 
-use sdd_core::engine::DiagnosisEngine;
 use sdd_core::evaluate::AccuracyReport;
 use sdd_core::inject::CampaignConfig;
+use sdd_core::session::ArtifactLayer;
 use sdd_core::{BehaviorMatrix, CaptureModel, ObserveKernel, ObservedBehavior};
 use sdd_netlist::generator::generate;
 use sdd_netlist::profiles::BenchmarkProfile;
@@ -149,7 +149,8 @@ fn campaign_reports_are_bit_identical_across_observe_kernels() {
         let run = |observe| -> AccuracyReport {
             let mut cfg = CampaignConfig::quick(23);
             cfg.observe = observe;
-            DiagnosisEngine::new()
+            ArtifactLayer::new()
+                .session("")
                 .run_campaign_on(&c, &cfg)
                 .expect("campaign runs")
         };

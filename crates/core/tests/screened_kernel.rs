@@ -31,9 +31,9 @@
 
 use sdd_core::behavior::{CaptureModel, ObservedBehavior};
 use sdd_core::defect::InjectedDefect;
-use sdd_core::engine::DiagnosisEngine;
 use sdd_core::evaluate::AccuracyReport;
 use sdd_core::inject::{diagnose_one_instance, CampaignConfig};
+use sdd_core::session::ArtifactLayer;
 use sdd_core::{Diagnoser, DiagnoserConfig, DictionaryConfig, ErrorFunction};
 use sdd_core::{ScreenConfig, SimKernel};
 use sdd_netlist::generator::generate;
@@ -190,7 +190,8 @@ fn screened_success_rates_track_batched() {
     // (K, error function) cell.
     for (name, c) in circuits() {
         let run = |kernel| -> AccuracyReport {
-            DiagnosisEngine::new()
+            ArtifactLayer::new()
+                .session("")
                 .run_campaign_on(&c, &quick_config(kernel, 23))
                 .expect("campaign runs")
         };
@@ -224,10 +225,11 @@ fn screened_campaigns_are_thread_count_deterministic_and_actually_prune() {
     let mut cfg = quick_config(SimKernel::Screened, 23);
     cfg.dictionary.screen = ScreenConfig::new().with_top_k(2).with_margin(0.05);
     let run = |threads: usize| -> AccuracyReport {
-        DiagnosisEngine::builder()
+        ArtifactLayer::builder()
             .num_threads(threads)
             .build()
-            .expect("engine builds")
+            .expect("layer builds")
+            .session("")
             .run_campaign_on(&c, &cfg)
             .expect("campaign runs")
     };
@@ -254,7 +256,8 @@ fn screened_campaigns_are_thread_count_deterministic_and_actually_prune() {
     // for survivors — strictly fewer signature builds than a full
     // batched run performs.
     assert!(m.cone_evals > 0, "{name}: refinement stage drew nothing");
-    let full = DiagnosisEngine::new()
+    let full = ArtifactLayer::new()
+        .session("")
         .run_campaign_on(&c, &quick_config(SimKernel::Batched, 23))
         .expect("campaign runs");
     assert!(

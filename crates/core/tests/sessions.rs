@@ -3,7 +3,9 @@
 //! when racing on the shared pool, and a second "client" over a warm
 //! layer (or a warm on-disk store) records loads with zero misses. A
 //! session's report also validates when its pool has nothing else to
-//! do, where per-worker kernel times would add up past the phase.
+//! do, where per-worker kernel times would add up past the phase, and
+//! one long-lived session reports per-campaign deltas while its lifetime
+//! report accumulates.
 
 use sdd_atpg::PatternSet;
 use sdd_core::dictionary::SimKernel;
@@ -167,4 +169,64 @@ fn idle_pool_diagnosis_report_validates() {
             .validate()
             .unwrap_or_else(|e| panic!("{kernel:?}: {e}"));
     }
+}
+
+#[test]
+fn long_lived_session_reports_per_campaign_metric_deltas() {
+    let session = ArtifactLayer::new().session("");
+    let cfg = CampaignConfig::quick(9);
+    let first = session.run_campaign(&profiles::S27, &cfg).unwrap();
+    let second = session.run_campaign(&profiles::S27, &cfg).unwrap();
+    assert_eq!(first.trials, second.trials);
+    // The session sink accumulates, but each report is a delta: the
+    // second campaign is served from the warm in-memory cache, so it
+    // records hits without re-counting the first campaign's.
+    assert!(second.metrics.dict_cache_hits > 0, "warm cache unused");
+    assert_eq!(
+        second.metrics.dict_cache_misses, 0,
+        "second identical campaign should simulate nothing"
+    );
+    // The pattern cache warms the same way: every site the second
+    // campaign implicates was already generated by the first.
+    assert!(
+        second.metrics.pattern_cache_hits > 0,
+        "warm pattern cache unused"
+    );
+    assert_eq!(
+        second.metrics.pattern_cache_misses, 0,
+        "second identical campaign should run no ATPG"
+    );
+    let lifetime = session.metrics().snapshot(std::time::Duration::ZERO);
+    assert_eq!(
+        lifetime.dict_cache_hits + lifetime.dict_cache_misses,
+        first.metrics.dict_cache_hits
+            + first.metrics.dict_cache_misses
+            + second.metrics.dict_cache_hits
+            + second.metrics.dict_cache_misses
+    );
+}
+
+#[test]
+fn untenanted_lifetime_report_validates_across_campaigns() {
+    let session = ArtifactLayer::new().session("");
+    let cfg = CampaignConfig::quick(7);
+    let report = session.run_campaign(&profiles::S27, &cfg).unwrap();
+    let lifetime = session.metrics_report();
+    assert_eq!(lifetime.circuit, "tenant:");
+    assert_eq!(lifetime.trials, report.trials as u64);
+    assert_eq!(lifetime.traces.len(), report.traces.len());
+    assert!(
+        lifetime.traces.iter().all(|t| t.tenant.is_empty()),
+        "untenanted traces must stay untagged"
+    );
+    lifetime
+        .validate()
+        .expect("lifetime metrics report validates");
+    // A second campaign doubles the instance count.
+    session.run_campaign(&profiles::S27, &cfg).unwrap();
+    let lifetime = session.metrics_report();
+    assert_eq!(lifetime.trials, 2 * report.trials as u64);
+    lifetime
+        .validate()
+        .expect("two-campaign lifetime report validates");
 }

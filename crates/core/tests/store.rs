@@ -2,9 +2,9 @@
 //! way a checkpoint file can go bad must degrade to a silent
 //! recomputation — same report, no panic — never a wrong ranking.
 
-use sdd_core::engine::DiagnosisEngine;
 use sdd_core::evaluate::AccuracyReport;
 use sdd_core::inject::CampaignConfig;
+use sdd_core::session::ArtifactLayer;
 use sdd_core::testutil::TestDir;
 use sdd_netlist::profiles;
 use std::fs;
@@ -36,10 +36,11 @@ fn pattern_checkpoint_files(dir: &Path) -> Vec<PathBuf> {
 }
 
 fn run(dir: &Path, seed: u64) -> AccuracyReport {
-    DiagnosisEngine::builder()
+    ArtifactLayer::builder()
         .store_dir(dir)
         .build()
-        .expect("engine builds")
+        .expect("layer builds")
+        .session("")
         .run_campaign(&profiles::S27, &CampaignConfig::quick(seed))
         .expect("campaign runs")
 }
@@ -224,7 +225,7 @@ fn bulk_decoded_checkpoints_reject_word_level_corruption() {
 
 #[test]
 fn store_roundtrip_reports_are_bit_identical_across_processes_worth_of_state() {
-    // The tentpole acceptance check in miniature: two engines, two
+    // The tentpole acceptance check in miniature: two layers, two
     // lifetimes, one directory — the second run's dictionaries come from
     // disk and the reports match exactly.
     let dir = TestDir::new("store-it-roundtrip");

@@ -9,7 +9,7 @@
 //! * `submit` — diagnose through a per-tenant [`DiagnosisSession`].
 //!   Either `chips` (campaign chip indices to inject, observe and
 //!   diagnose — the Section I flow, bit-identical to an in-process
-//!   [`sdd_core::DiagnosisEngine`] run) or `behavior` (an externally
+//!   [`DiagnosisSession`] run) or `behavior` (an externally
 //!   observed behaviour matrix plus its applied patterns). The server
 //!   streams one `outcome` response per chip/behaviour, then `done`.
 //! * `metrics` — the tenant's [`MetricsReport`] (schema v1: counters,

@@ -31,9 +31,9 @@
 //!
 //! Multiple clients share one warm artifact pool by opening one
 //! [`prelude::DiagnosisSession`] per tenant on a single
-//! [`prelude::ArtifactLayer`]; the single-client
-//! [`prelude::DiagnosisEngine`] facade remains for simple applications.
-//! `sdd-server` serves the same session API over JSON-lines TCP.
+//! [`prelude::ArtifactLayer`]; a single-client application opens one
+//! session, e.g. `ArtifactLayer::new().session("")`. `sdd-server`
+//! serves the same session API over JSON-lines TCP.
 
 #![warn(missing_docs)]
 
@@ -51,16 +51,15 @@ pub mod prelude {
     //! metrics). The quickstart flow still works step by step — build or
     //! parse a circuit, characterize its statistical timing, inject a
     //! defect, generate patterns, observe behaviour, and diagnose through
-    //! [`Diagnoser`] — and the single-client [`DiagnosisEngine`] facade
-    //! wraps a layer plus one session for simple applications (with
-    //! optional on-disk dictionary persistence via [`DictionaryStore`]).
+    //! [`Diagnoser`] — and a layer built with a store directory persists
+    //! dictionary banks and pattern sets on disk via [`DictionaryStore`].
 
     pub use sdd_core::defect::SingleDefectModel;
     pub use sdd_core::inject::{CampaignConfig, ClockPolicy};
     pub use sdd_core::{
-        ArtifactLayer, BehaviorMatrix, CampaignMetrics, Diagnoser, DiagnoserConfig,
-        DiagnosisEngine, DiagnosisError, DiagnosisSession, DictionaryCache, DictionaryConfig,
-        DictionaryStore, ErrorFunction, MetricsReport, RankedSite, SddError, SimKernel,
+        ArtifactLayer, BehaviorMatrix, CampaignMetrics, Diagnoser, DiagnoserConfig, DiagnosisError,
+        DiagnosisSession, DictionaryCache, DictionaryConfig, DictionaryStore, ErrorFunction,
+        MetricsReport, RankedSite, SddError, SimKernel,
     };
     pub use sdd_netlist::bench_format;
     pub use sdd_netlist::generator::{generate, GeneratorConfig};

@@ -114,9 +114,9 @@ fn big_defect_on_isolated_cone_is_pinned_down() {
 #[test]
 fn campaign_on_profile_is_deterministic_and_monotone() {
     let config = CampaignConfig::quick(9);
-    let engine = DiagnosisEngine::new();
-    let r1 = engine.run_campaign(&profiles::S27, &config).unwrap();
-    let r2 = engine.run_campaign(&profiles::S27, &config).unwrap();
+    let session = ArtifactLayer::new().session("");
+    let r1 = session.run_campaign(&profiles::S27, &config).unwrap();
+    let r2 = session.run_campaign(&profiles::S27, &config).unwrap();
     assert_eq!(r1, r2, "campaigns must be reproducible");
     for f_ix in 0..r1.functions.len() {
         let mut last = -1.0;
