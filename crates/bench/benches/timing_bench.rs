@@ -5,12 +5,13 @@
 //! synthetic profile).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use sdd_atpg::PatternSet;
 use sdd_bench::bench_profile;
 use sdd_netlist::generator::{generate, generate_combinational};
 use sdd_netlist::logic::simulate_pair;
 use sdd_netlist::profiles::SYNTH100K;
 use sdd_netlist::{Circuit, EdgeId};
-use sdd_timing::dynamic::{transition_arrivals, DefectCone, NO_EVENT};
+use sdd_timing::dynamic::{transition_arrivals, transition_arrivals_batch, DefectCone, NO_EVENT};
 use sdd_timing::{sta, waveform, CellLibrary, CircuitTiming, VariationModel};
 use std::hint::black_box;
 use std::time::Duration;
@@ -42,6 +43,30 @@ fn bench_instance_sampling(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             black_box(timing.sample_instance_indexed(5, i))
+        })
+    });
+}
+
+/// One 16-sample chip batch on the 100k-gate profile plus one random
+/// pattern's batched arrival walk over it: the unit of work of the
+/// bring-up dictionary, where the batch draws only the arcs the pattern
+/// exercises.
+fn bench_batch_sampling_synth100k(c: &mut Criterion) {
+    let circuit = generate_combinational(&SYNTH100K, 1).expect("synth100k builds");
+    let timing = CircuitTiming::characterize(
+        &circuit,
+        &CellLibrary::default_025um(),
+        VariationModel::default(),
+    );
+    let patterns = PatternSet::random(&circuit, 1, 5);
+    let pattern = &patterns.patterns()[0];
+    let transitions = simulate_pair(&circuit, &pattern.v1, &pattern.v2);
+    c.bench_function("sample_instance_batch_synth100k_pattern", |b| {
+        let mut first = 0u64;
+        b.iter(|| {
+            first += 16;
+            let batch = timing.sample_instance_batch(5, first, 16);
+            black_box(transition_arrivals_batch(&circuit, &transitions, &batch))
         })
     });
 }
@@ -110,6 +135,7 @@ criterion_group!(
     targets =
     bench_static_mc,
     bench_instance_sampling,
+    bench_batch_sampling_synth100k,
     bench_dynamic,
     bench_defect_cone,
     bench_waveform

@@ -1363,11 +1363,13 @@ fn walk_sink_groups(
 /// exactly how a physical defective chip behaves on a tester, where one
 /// delay realization and one defect answer every applied pattern.
 ///
-/// This is what makes the screened dictionary phase cheap: chip-sample
-/// manufacture (the Box-Muller draws behind
-/// [`CircuitTiming::sample_instance_batch`]) is the dominant
-/// suspect-independent cost of a cold batched build, and sharing the
-/// population divides it by the pattern count. The price is estimator
+/// Sharing the population saves chip-sample manufacture: one batch
+/// (from [`CircuitTiming::sample_instance_batch`]) is scanned once and
+/// each arc's delays are drawn at most once for every pattern, where
+/// the batched kernel scans one batch per pattern position and draws
+/// in each the arcs its pattern exercises. Since batches draw on demand
+/// that saving is modest; manufacture no longer dominates a cold
+/// batched build (DESIGN.md §4.4). The price is estimator
 /// coupling — `M_crt`/`E_crt` cells stay unbiased with the same
 /// per-cell variance, but columns are correlated across patterns — so
 /// the grids are **not** bit-identical to the batched kernel's

@@ -244,12 +244,25 @@ fn censored_normal_moments(mu: f64, sigma: f64, lo: f64, hi: f64) -> (f64, f64) 
 pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen();
-        if u1 <= f64::MIN_POSITIVE {
+        if rejected(u1) {
             continue;
         }
         let u2: f64 = rng.gen();
-        return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        return box_muller(u1, u2);
     }
+}
+
+/// Whether [`standard_normal`] redraws a first uniform `u1` (its log
+/// would not be finite).
+#[inline]
+pub(crate) fn rejected(u1: f64) -> bool {
+    u1 <= f64::MIN_POSITIVE
+}
+
+/// The Box-Muller normal of an accepted `u1` and the following `u2`.
+#[inline]
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]

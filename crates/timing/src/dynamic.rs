@@ -176,6 +176,16 @@ pub fn transition_arrivals_batch(
         circuit.num_nodes(),
         "transition table length mismatch"
     );
+    // The arcs the walk reads: both ends switch.
+    batch.draw_rows(circuit.topo_order().iter().flat_map(|&id| {
+        let node = circuit.node(id);
+        let reads = transitions[id.index()].is_event() && node.kind() != GateKind::Input;
+        node.fanins()
+            .iter()
+            .zip(node.fanin_edges())
+            .filter(move |(from, _)| reads && transitions[from.index()].is_event())
+            .map(|(_, &e)| e)
+    }));
     let n = batch.n_samples();
     let mut arr = vec![NO_EVENT; circuit.num_nodes() * n];
     // Node indices are not topologically ordered, so a node's row and a
@@ -193,6 +203,12 @@ pub fn transition_arrivals_batch(
         }
         row.fill(NO_EVENT);
         for (&from, &e) in node.fanins().iter().zip(node.fanin_edges()) {
+            // A fanin without an event has an all-NO_EVENT row, which
+            // changes nothing: skip it before its delays are fetched (a
+            // sampled batch draws a row on first read).
+            if !transitions[from.index()].is_event() {
+                continue;
+            }
             let ups = &arr[from.index() * n..(from.index() + 1) * n];
             let ds = batch.edge_delays(e);
             for s in 0..n {
@@ -640,10 +656,16 @@ impl DefectCone {
                 }
             }
             for k in arcs {
+                let from = arc_sources[k].index();
+                // Without an event at the source, the arc's upstream rows
+                // (baseline and walked alike) are all NO_EVENT: skip it
+                // before its delays are fetched.
+                if !transitions[from].is_event() {
+                    continue;
+                }
                 let fs = arc_slots[k];
                 let e = arc_edges[k];
                 let ds = batch.edge_delays(e);
-                let from = arc_sources[k].index();
                 let base_ups = &baseline[from * n..(from + 1) * n];
                 for w in 0..nw {
                     if same[flags + w] {
@@ -1387,19 +1409,9 @@ mod tests {
                 .iter()
                 .flat_map(|cone| (0..n).map(move |s| delta(cone.edge(), s)))
                 .collect();
-            let mut want = std::collections::BTreeSet::new();
-            fused_oracle(
-                &refs,
-                c,
-                trans,
-                batch,
-                &baseline,
-                &deltas,
-                clk,
-                |g, s, k| {
-                    want.insert((g, s, k));
-                },
-            );
+            // The pruned walk reads only rows the baseline walk drew (the
+            // oracle below reads more).
+            let drawn_rows = batch.drawn_rows();
             let mut got = std::collections::BTreeSet::new();
             let mut drawn = Vec::new();
             walks.walked += DefectCone::apply_batch_fused(
@@ -1415,6 +1427,20 @@ mod tests {
                 },
                 &mut scratch,
                 |g, s, k| assert!(got.insert((g, s, k)), "cell ({g}, {s}, {k}) reported twice"),
+            );
+            assert_eq!(batch.drawn_rows(), drawn_rows, "the pruned walk drew a row");
+            let mut want = std::collections::BTreeSet::new();
+            fused_oracle(
+                &refs,
+                c,
+                trans,
+                batch,
+                &baseline,
+                &deltas,
+                clk,
+                |g, s, k| {
+                    want.insert((g, s, k));
+                },
             );
             walks.members += cones.len();
             assert_eq!(
@@ -1502,6 +1528,38 @@ mod tests {
         }
         .sample(&mut rng)
         .max(0.0)
+    }
+
+    #[test]
+    fn lazy_sample_differential_walk_draws_only_switching_arcs() {
+        let (c, t, _) = prune_circuit(8);
+        let n = 9;
+        let reference = InstanceBatch::from_instances(
+            &(0..n)
+                .map(|s| t.sample_instance_indexed(8, 3 + s as u64))
+                .collect::<Vec<_>>(),
+        );
+        for j in 0..4 {
+            let trans = random_pattern(&c, 8, j);
+            let batch = t.sample_instance_batch(8, 3, n);
+            let arr = transition_arrivals_batch(&c, &trans, &batch);
+            let want = transition_arrivals_batch(&c, &trans, &reference);
+            assert!(arr
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            let switching = c
+                .edge_ids()
+                .filter(|&e| {
+                    let arc = c.edge(e);
+                    let gate = c.node(arc.to()).kind() != GateKind::Input;
+                    gate && trans[arc.from().index()].is_event()
+                        && trans[arc.to().index()].is_event()
+                })
+                .count();
+            assert!(switching > 0 && switching < c.num_edges());
+            assert_eq!(batch.drawn_rows(), switching, "pattern {j}");
+        }
     }
 
     #[test]
@@ -1645,12 +1703,23 @@ mod tests {
         }
         let batch = InstanceBatch::from_instances(&instances);
         assert!(batch.has_negative_delay());
+        // A sampled batch over negative means knows it before drawing.
+        let mut means = t.edge_means().to_vec();
+        for m in means.iter_mut().step_by(5) {
+            *m = -0.05;
+        }
+        let lazy = CircuitTiming::from_means(means, t.variation()).sample_instance_batch(6, 0, n);
+        assert!(lazy.has_negative_delay());
+        assert_eq!(lazy.drawn_rows(), 0);
+        assert!(!t.sample_instance_batch(6, 0, n).has_negative_delay());
         let trans = random_pattern(&c, 6, 0);
-        let base = transition_arrivals_batch(&c, &trans, &batch);
-        let clk = quantile(&output_arrivals_sorted(&c, &base, n), 0.9);
-        assert_prune_matches_oracle(&c, &groups, &trans, &batch, clk, &|e, s| {
-            normal_delta(6, e, s)
-        });
+        for batch in [&batch, &lazy] {
+            let base = transition_arrivals_batch(&c, &trans, batch);
+            let clk = quantile(&output_arrivals_sorted(&c, &base, n), 0.9);
+            assert_prune_matches_oracle(&c, &groups, &trans, batch, clk, &|e, s| {
+                normal_delta(6, e, s)
+            });
+        }
     }
 
     #[test]

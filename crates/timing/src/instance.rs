@@ -1,7 +1,9 @@
 //! Circuit instances: fixed delay assignments (Definition D.2).
 
+use crate::keystream::{ChipStreams, QUAD};
 use sdd_netlist::EdgeId;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A *circuit instance* `C_in = (V, E, I, O, f_in)` (Definition D.2): one
 /// manufactured chip, where every pin-to-pin delay is a fixed constant.
@@ -92,18 +94,44 @@ impl TimingInstance {
 /// slice ([`InstanceBatch::edge_delays`]) instead of striding across
 /// `n_samples` separate delay vectors.
 ///
-/// The batch is a pure re-layout: `batch.delay(e, s)` equals
-/// `instances[s].delay(e)` bit-for-bit, so kernels reading from it stay
-/// bit-identical to per-instance evaluation.
-#[derive(Debug, Clone, PartialEq)]
+/// A sampled batch ([`CircuitTiming::sample_instance_batch`]) draws each
+/// row the first time it is read, so a pattern pays only for the arcs it
+/// exercises; a row, once drawn, is kept. Either way, `batch.delay(e, s)`
+/// equals `instances[s].delay(e)` bit-for-bit, so kernels reading from it
+/// stay bit-identical to per-instance evaluation.
+///
+/// [`CircuitTiming::sample_instance_batch`]: crate::CircuitTiming::sample_instance_batch
+#[derive(Debug, Clone)]
 pub struct InstanceBatch {
     n_edges: usize,
     n_samples: usize,
-    /// Edge-major, sample-contiguous: `delays[e * n_samples + s]`.
-    delays: Vec<f64>,
-    /// Whether any delay is finite and negative (never true of a sampled
-    /// batch; see [`InstanceBatch::has_negative_delay`]).
+    rows: Rows,
+    /// See [`InstanceBatch::has_negative_delay`].
     has_negative_delay: bool,
+}
+
+/// Batches are equal when they hold the same delays; comparing draws
+/// every row of a sampled batch.
+impl PartialEq for InstanceBatch {
+    fn eq(&self, other: &InstanceBatch) -> bool {
+        self.n_edges == other.n_edges
+            && self.n_samples == other.n_samples
+            && (0..self.n_edges).all(|e| {
+                let e = EdgeId::from_index(e);
+                self.edge_delays(e) == other.edge_delays(e)
+            })
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Rows {
+    /// Edge-major, sample-contiguous: `delays[e * n_samples + s]`.
+    Dense(Vec<f64>),
+    /// One row per edge, drawn from the chips' keystreams on first read.
+    Lazy {
+        rows: Box<[OnceLock<Box<[f64]>>]>,
+        chips: ChipStreams,
+    },
 }
 
 impl InstanceBatch {
@@ -122,31 +150,24 @@ impl InstanceBatch {
                 delays[e * n_samples + s] = d;
             }
         }
-        InstanceBatch::new(n_edges, n_samples, delays)
-    }
-
-    /// Wraps an edge-major, sample-contiguous delay matrix
-    /// (`delays[e * n_samples + s]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delays.len() != n_edges * n_samples`.
-    pub(crate) fn from_edge_major(
-        n_edges: usize,
-        n_samples: usize,
-        delays: Vec<f64>,
-    ) -> InstanceBatch {
-        assert_eq!(delays.len(), n_edges * n_samples, "batch shape mismatch");
-        InstanceBatch::new(n_edges, n_samples, delays)
-    }
-
-    fn new(n_edges: usize, n_samples: usize, delays: Vec<f64>) -> InstanceBatch {
-        let has_negative_delay = delays.iter().any(|&d| d < 0.0 && d.is_finite());
         InstanceBatch {
             n_edges,
             n_samples,
-            delays,
-            has_negative_delay,
+            has_negative_delay: delays.iter().any(|&d| d < 0.0 && d.is_finite()),
+            rows: Rows::Dense(delays),
+        }
+    }
+
+    /// A batch whose rows are drawn from `chips` on first read.
+    pub(crate) fn sampled(chips: ChipStreams) -> InstanceBatch {
+        InstanceBatch {
+            n_edges: chips.n_edges(),
+            n_samples: chips.n_samples(),
+            has_negative_delay: chips.may_draw_negative(),
+            rows: Rows::Lazy {
+                rows: (0..chips.n_edges()).map(|_| OnceLock::new()).collect(),
+                chips,
+            },
         }
     }
 
@@ -160,25 +181,76 @@ impl InstanceBatch {
         self.n_edges
     }
 
-    /// Whether some arc carries a finite negative delay. Samplers floor
-    /// every delay at a positive fraction of its mean, so only a
-    /// hand-built batch can; the pruned defect-cone walk
-    /// ([`crate::dynamic::DefectCone::apply_batch_fused`]) then skips its
-    /// clock-window test, whose rounding bound assumes non-negative
-    /// path terms.
+    /// Whether some arc may carry a finite negative delay. A sampled
+    /// batch answers from its model's means without drawing a row: a
+    /// delay is floored at 5% of its mean, so only a negative mean can
+    /// draw one. A hand-built batch answers from its delays. The pruned
+    /// defect-cone walk ([`crate::dynamic::DefectCone::apply_batch_fused`])
+    /// then skips its clock-window test, whose rounding bound assumes
+    /// non-negative path terms.
     pub(crate) fn has_negative_delay(&self) -> bool {
         self.has_negative_delay
     }
 
-    /// The delays of one arc across all samples (contiguous).
+    /// The delays of one arc across all samples (contiguous), drawn on
+    /// first read for a sampled batch.
     ///
     /// # Panics
     ///
     /// Panics if the edge index is out of range.
     #[inline]
     pub fn edge_delays(&self, edge: EdgeId) -> &[f64] {
-        let base = edge.index() * self.n_samples;
-        &self.delays[base..base + self.n_samples]
+        match &self.rows {
+            Rows::Dense(delays) => {
+                let base = edge.index() * self.n_samples;
+                &delays[base..base + self.n_samples]
+            }
+            Rows::Lazy { rows, chips } => rows[edge.index()].get_or_init(|| {
+                let draw = edge.index() + 1;
+                let (quad, j) = (draw / QUAD, draw % QUAD);
+                std::mem::take(&mut chips.draw_quad(quad, 1 << j)[j]).into_boxed_slice()
+            }),
+        }
+    }
+
+    /// Draws the rows of `edges` that a sampled batch has not drawn yet,
+    /// in one pass that computes each keystream block once for all the
+    /// rows it holds ([`InstanceBatch::edge_delays`] alone computes a
+    /// block per row). Values are those `edge_delays` draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge index is out of range.
+    pub(crate) fn draw_rows(&self, edges: impl IntoIterator<Item = EdgeId>) {
+        let Rows::Lazy { rows, chips } = &self.rows else {
+            return;
+        };
+        // Bit j of quads[q]: draw QUAD·q + j (arc QUAD·q + j - 1) is wanted.
+        let mut quads = vec![0u8; (self.n_edges + 1).div_ceil(QUAD)];
+        for e in edges {
+            if rows[e.index()].get().is_none() {
+                let draw = e.index() + 1;
+                quads[draw / QUAD] |= 1 << (draw % QUAD);
+            }
+        }
+        for (q, &wanted) in quads.iter().enumerate().filter(|(_, &w)| w != 0) {
+            for (j, row) in chips.draw_quad(q, wanted).into_iter().enumerate() {
+                if wanted & 1 << j != 0 {
+                    // A racing reader may have drawn the same values.
+                    let _ = rows[QUAD * q + j - 1].set(row.into_boxed_slice());
+                }
+            }
+        }
+    }
+
+    /// Rows held in memory: every row of a hand-built batch, the rows
+    /// read so far of a sampled one.
+    #[cfg(test)]
+    pub(crate) fn drawn_rows(&self) -> usize {
+        match &self.rows {
+            Rows::Dense(_) => self.n_edges,
+            Rows::Lazy { rows, .. } => rows.iter().filter(|r| r.get().is_some()).count(),
+        }
     }
 
     /// The delay of one arc in one sample.
@@ -189,7 +261,7 @@ impl InstanceBatch {
     #[inline]
     pub fn delay(&self, edge: EdgeId, sample: usize) -> f64 {
         assert!(sample < self.n_samples, "sample index out of range");
-        self.delays[edge.index() * self.n_samples + sample]
+        self.edge_delays(edge)[sample]
     }
 }
 

@@ -56,6 +56,7 @@ mod dist;
 pub mod dynamic;
 mod error;
 mod instance;
+mod keystream;
 pub mod path;
 mod sample;
 pub mod sta;

@@ -97,9 +97,8 @@ impl Path {
                 self.edges
                     .iter()
                     .map(|&e| {
-                        let mean = timing.edge_mean(e);
                         let l = standard_normal(&mut rng);
-                        (mean * (1.0 + var.global_frac * g + var.local_frac * l)).max(mean * 0.05)
+                        var.delay(timing.edge_mean(e), g, l)
                     })
                     .sum()
             })

@@ -1,6 +1,7 @@
 //! The statistical timing model of a circuit: `f(e)` for every arc.
 
 use crate::dist::standard_normal;
+use crate::keystream::ChipStreams;
 use crate::{CellLibrary, TimingInstance, VariationModel};
 use rand::Rng;
 use rand::SeedableRng;
@@ -119,18 +120,9 @@ impl CircuitTiming {
         let delays = self
             .edge_means
             .iter()
-            .map(|&mean| self.draw_delay(mean, g, rng))
+            .map(|&mean| self.variation.delay(mean, g, standard_normal(rng)))
             .collect();
         TimingInstance::new(delays)
-    }
-
-    /// One arc's delay on a chip whose die-level factor is `g`: draws the
-    /// arc's local factor from `rng`.
-    #[inline]
-    fn draw_delay<R: Rng + ?Sized>(&self, mean: f64, g: f64, rng: &mut R) -> f64 {
-        let l = standard_normal(rng);
-        let factor = 1.0 + self.variation.global_frac * g + self.variation.local_frac * l;
-        (mean * factor).max(mean * 0.05)
     }
 
     /// Manufactures `n` instances reproducibly from a seed. Instance `i`
@@ -145,42 +137,41 @@ impl CircuitTiming {
     /// Manufactures the `index`-th instance of the stream identified by
     /// `seed`.
     pub fn sample_instance_indexed(&self, seed: u64, index: u64) -> TimingInstance {
-        self.sample_instance(&mut indexed_rng(seed, index))
+        self.sample_instance(&mut ChaCha8Rng::seed_from_u64(stream_seed(seed, index)))
     }
 
     /// Manufactures instances `first_index..first_index + n` of the
-    /// stream identified by `seed`, directly in the sample-major layout
-    /// the batched dictionary kernel reads. Draws are keyed per index,
-    /// so `batch.delay(e, s)` is bit-identical to
+    /// stream identified by `seed`, in the sample-major layout the
+    /// batched dictionary kernel reads. Draws are keyed per index, so
+    /// `batch.delay(e, s)` is bit-identical to
     /// `sample_instance_indexed(seed, first_index + s).delay(e)`.
     ///
-    /// The `n` keyed streams are seeded once and advanced together, arc
-    /// by arc: each stream sees the same draw sequence as a one-chip
-    /// walk, while every batch row is written contiguously and no
-    /// per-instance vector or transpose exists.
+    /// Manufacture is demand-driven: this seeds the `n` keystreams,
+    /// scans them once for rejected Box-Muller attempts and draws each
+    /// chip's die-level factor; an arc's delays are drawn when its row
+    /// is first read ([`crate::InstanceBatch::edge_delays`]), so a
+    /// pattern pays only for the arcs that switch under it.
     pub fn sample_instance_batch(
         &self,
         seed: u64,
         first_index: u64,
         n: usize,
     ) -> crate::InstanceBatch {
-        let mut rngs: Vec<ChaCha8Rng> = (0..n as u64)
-            .map(|s| indexed_rng(seed, first_index + s))
+        let seeds: Vec<u64> = (0..n as u64)
+            .map(|s| stream_seed(seed, first_index + s))
             .collect();
-        let globals: Vec<f64> = rngs.iter_mut().map(standard_normal).collect();
-        let mut delays = Vec::with_capacity(self.edge_means.len() * n);
-        for &mean in &self.edge_means {
-            for (rng, &g) in rngs.iter_mut().zip(&globals) {
-                delays.push(self.draw_delay(mean, g, rng));
-            }
-        }
-        crate::InstanceBatch::from_edge_major(self.edge_means.len(), n, delays)
+        crate::InstanceBatch::sampled(ChipStreams::new(
+            &seeds,
+            self.edge_means.clone(),
+            self.variation,
+        ))
     }
 }
 
-/// The random stream of the `index`-th instance of the stream `seed`.
-fn indexed_rng(seed: u64, index: u64) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+/// The `ChaCha8Rng::seed_from_u64` seed of the `index`-th instance of
+/// the stream `seed`.
+fn stream_seed(seed: u64, index: u64) -> u64 {
+    seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 #[cfg(test)]
@@ -243,15 +234,98 @@ mod tests {
         assert_eq!(a[2], t.sample_instance_indexed(7, 2));
     }
 
+    /// Reads `batch`'s rows in `order` and checks each against the
+    /// per-index instances bit for bit.
+    fn assert_rows_match(
+        batch: &crate::InstanceBatch,
+        reference: &[TimingInstance],
+        order: &[usize],
+    ) {
+        for &e in order {
+            let e = EdgeId::from_index(e);
+            let row = batch.edge_delays(e);
+            assert_eq!(row.len(), reference.len());
+            for (s, inst) in reference.iter().enumerate() {
+                assert_eq!(
+                    row[s].to_bits(),
+                    inst.delay(e).to_bits(),
+                    "edge {e} sample {s}"
+                );
+                assert_eq!(batch.delay(e, s).to_bits(), row[s].to_bits());
+            }
+        }
+    }
+
     #[test]
-    fn batch_matches_indexed_instances() {
+    fn lazy_sample_differential_batch_matches_indexed_instances() {
+        use rand::seq::SliceRandom;
         let (_, t) = demo();
-        for (first, n) in [(0u64, 1usize), (3, 5), (40, 17)] {
-            let batch = t.sample_instance_batch(9, first, n);
+        let n_edges = t.num_edges();
+        let forward: Vec<usize> = (0..n_edges).collect();
+        let reversed: Vec<usize> = forward.iter().rev().copied().collect();
+        let mut random = forward.clone();
+        random.shuffle(&mut ChaCha8Rng::seed_from_u64(17));
+        for (first, n) in [
+            (0u64, 1usize),
+            (3, 7),
+            (40, 8),
+            (1 << 40, 9),
+            (5, 17),
+            (77, 200),
+        ] {
             let reference: Vec<TimingInstance> = (0..n as u64)
                 .map(|s| t.sample_instance_indexed(9, first + s))
                 .collect();
-            assert_eq!(batch, crate::InstanceBatch::from_instances(&reference));
+            for order in [&forward, &reversed, &random] {
+                let batch = t.sample_instance_batch(9, first, n);
+                assert_eq!((batch.n_edges(), batch.n_samples()), (n_edges, n));
+                assert_eq!(batch.drawn_rows(), 0, "building a batch draws no row");
+                assert_rows_match(&batch, &reference, &order[..order.len() / 2]);
+                assert_eq!(batch.drawn_rows(), n_edges / 2);
+                assert_rows_match(&batch, &reference, order);
+            }
+            // Bulk draws: a scattered third (partial quads), then every
+            // row, part of them already drawn.
+            let batch = t.sample_instance_batch(9, first, n);
+            batch.draw_rows(random[..n_edges / 3].iter().map(|&e| EdgeId::from_index(e)));
+            assert_eq!(batch.drawn_rows(), n_edges / 3);
+            batch.draw_rows((0..n_edges).map(EdgeId::from_index));
+            assert_eq!(batch.drawn_rows(), n_edges);
+            assert_rows_match(&batch, &reference, &forward);
+            assert!(batch == crate::InstanceBatch::from_instances(&reference));
+        }
+    }
+
+    #[test]
+    fn lazy_sample_differential_threads_race_on_one_row() {
+        let (_, t) = demo();
+        let n = 17;
+        let reference: Vec<TimingInstance> = (0..n as u64)
+            .map(|s| t.sample_instance_indexed(4, 100 + s))
+            .collect();
+        for e in [0, t.num_edges() / 2, t.num_edges() - 1] {
+            let batch = t.sample_instance_batch(4, 100, n);
+            let start = std::sync::Barrier::new(2);
+            let rows: Vec<Vec<f64>> = std::thread::scope(|scope| {
+                let readers: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            batch.edge_delays(EdgeId::from_index(e)).to_vec()
+                        })
+                    })
+                    .collect();
+                readers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert_eq!(batch.drawn_rows(), 1);
+            for row in &rows {
+                let bits: Vec<u64> = row.iter().map(|d| d.to_bits()).collect();
+                let expected: Vec<u64> = reference
+                    .iter()
+                    .map(|i| i.delay(EdgeId::from_index(e)).to_bits())
+                    .collect();
+                assert_eq!(bits, expected, "edge {e}");
+            }
         }
     }
 

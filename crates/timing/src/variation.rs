@@ -44,6 +44,15 @@ impl VariationModel {
         (self.global_frac * self.global_frac + self.local_frac * self.local_frac).sqrt()
     }
 
+    /// One arc's delay `max(mean × 0.05, mean × (1 + global_frac·g +
+    /// local_frac·l))` on a chip with die-level factor `g` and the arc's
+    /// local factor `l`.
+    #[inline]
+    pub(crate) fn delay(&self, mean: f64, g: f64, l: f64) -> f64 {
+        let factor = 1.0 + self.global_frac * g + self.local_frac * l;
+        (mean * factor).max(mean * 0.05)
+    }
+
     /// Correlation coefficient between two distinct arcs' delays implied
     /// by the shared global component.
     pub fn pairwise_correlation(&self) -> f64 {
