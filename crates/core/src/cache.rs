@@ -22,6 +22,14 @@
 //!   subset assembled from the bank is bit-identical to a fresh build of
 //!   that subset.
 //!
+//! The cache also memoizes manufactured chip batches
+//! ([`sdd_timing::InstanceBatch`]): chip draws are keyed by (timing
+//! model, seed, instance index), so the batch of one pattern position is
+//! shared by every chip, clock level and kernel that simulates it.
+//! A one-shot cache (the engine behind
+//! [`ProbabilisticDictionary::build_with_behavior`]) runs the same build
+//! code but samples every batch fresh, so no batch outlives its pattern.
+//!
 //! Concurrency: every section is a private `KeyedMemo` — a
 //! `RwLock<HashMap>` from keys to per-key values behind
 //! `Arc<Mutex<_>>`. The outer lock is held only to look up or insert a
@@ -44,7 +52,7 @@
 
 use crate::dictionary::{
     assemble_from_masks, assemble_from_probs, defect_cones, screen_survivors, simulate_fail_masks,
-    simulate_fail_masks_shared, simulate_fail_probs_analytic, AnalyticSuspect, BatchCache, BitGrid,
+    simulate_fail_masks_shared, simulate_fail_probs_analytic, AnalyticSuspect, BitGrid,
     DictionaryConfig, ProbabilisticDictionary, SimKernel, SuspectMasks,
 };
 use crate::inject::AtpgConfig;
@@ -54,7 +62,7 @@ use crate::BehaviorMatrix;
 use sdd_atpg::PatternSet;
 use sdd_netlist::{Circuit, EdgeId};
 use sdd_timing::dynamic::DefectCone;
-use sdd_timing::{CircuitTiming, Dist};
+use sdd_timing::{CircuitTiming, Dist, InstanceBatch};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -236,11 +244,17 @@ pub struct DictionaryCache {
     /// independent of the screen budget, so screened builds with
     /// different `ScreenConfig`s share refinements.
     screened: KeyedMemo<StoreKey, Bank>,
+    /// Manufactured chip batches, keyed `(model_fp, seed, n,
+    /// first_index)`: everything the draw reads, so a memoized batch
+    /// holds exactly what resampling would produce. `None` until the
+    /// first request for its key. Read only through
+    /// [`DictionaryCache::batch`].
+    batches: KeyedMemo<(u64, u64, u64, u64), Option<Arc<InstanceBatch>>>,
+    /// Set on a one-shot cache: [`DictionaryCache::batch`] samples fresh
+    /// instead of memoizing, so each pattern's batch is freed once its
+    /// pattern is simulated.
+    one_shot: bool,
     store: Option<Arc<DictionaryStore>>,
-    /// Memoized chip-instance batches shared by every simulation this
-    /// cache runs (batched kernel only; bit-identity preserving — see
-    /// [`BatchCache`]).
-    batches: BatchCache,
 }
 
 impl DictionaryCache {
@@ -264,13 +278,16 @@ impl DictionaryCache {
         self.store.as_ref()
     }
 
-    /// Replaces the chip-batch memo's eviction bound (the default is
-    /// ~256 MiB; see `BatchCache`). `bytes` is a budget on cached
-    /// delay values at ≈ 8 bytes each; builder-style so layers can
-    /// configure it at construction.
-    pub fn with_batch_cache_bytes(mut self, bytes: usize) -> Self {
-        self.batches = BatchCache::with_capacity(bytes / 8);
-        self
+    /// A cache for a single build: the same build path, but chip
+    /// batches are sampled fresh rather than memoized (see
+    /// [`DictionaryCache::batch`]). Used by
+    /// [`ProbabilisticDictionary::build_with_behavior`] and by a
+    /// [`Diagnoser`](crate::diagnoser::Diagnoser) without a cache.
+    pub(crate) fn one_shot() -> DictionaryCache {
+        DictionaryCache {
+            one_shot: true,
+            ..DictionaryCache::default()
+        }
     }
 
     /// Number of distinct (model, pattern set, clk, config, defect dist)
@@ -353,29 +370,38 @@ impl DictionaryCache {
         })
     }
 
-    /// The batch of tested-delay chip instances `0..n` of stream `seed`,
-    /// memoized for the cache's lifetime. The draws are keyed per index
-    /// and depend only on (timing model, seed) — never on a chip's
-    /// sampled delays or its pattern set — so every chip of a campaign
-    /// shares one Box-Muller sampling pass. A hit holds the exact values
-    /// resampling would produce, so the tested-delay quantiles (and with
-    /// them the swept clocks) stay bit-identical.
-    pub(crate) fn tested_instance_batch(
+    /// The chip instances `first_index..first_index + n` of stream
+    /// `seed` under the timing model fingerprinted `model_fp`
+    /// ([`CircuitTiming::sample_instance_batch`]), memoized for the
+    /// cache's lifetime — or sampled fresh by a one-shot cache. The
+    /// draws are keyed per index and never depend on pattern content,
+    /// `clk` or a chip's delays, so every chip, clock level and kernel
+    /// that reads the same instances shares one batch, and a hit holds
+    /// the exact values resampling would produce: memoizing never
+    /// changes a bit of any result.
+    pub(crate) fn batch(
         &self,
-        circuit: &Circuit,
+        model_fp: u64,
         timing: &CircuitTiming,
         seed: u64,
+        first_index: u64,
         n: usize,
-    ) -> Arc<sdd_timing::InstanceBatch> {
+    ) -> Arc<InstanceBatch> {
+        let sample = || Arc::new(timing.sample_instance_batch(seed, first_index, n));
+        if self.one_shot {
+            return sample();
+        }
         self.batches
-            .get_or_sample_at(fingerprint_model(circuit, timing), timing, seed, 0, n)
+            .with((model_fp, seed, n as u64, first_index), |slot| {
+                Arc::clone(slot.get_or_insert_with(sample))
+            })
     }
 
     /// Builds a dictionary through the cache: simulates only the
     /// (baseline, suspect) grids missing under this key, then assembles
-    /// the result by counting. Bit-identical to
-    /// [`ProbabilisticDictionary::build_with_behavior`] with the same
-    /// arguments.
+    /// the result by counting. The result is bit-identical to a build
+    /// through a fresh cache: grids and chip batches are keyed draws,
+    /// so what the cache already holds changes only the work done.
     ///
     /// `metrics`, when given, receives one cache hit (nothing simulated)
     /// or miss, and the number of (pattern, sample) simulations run.
@@ -414,12 +440,16 @@ impl DictionaryCache {
                 "behavior/pattern count mismatch"
             );
         }
+        // One O(edges) model hash per build keys every section and chip
+        // batch the build touches.
+        let model_fp = fingerprint_model(circuit, timing);
         if config.kernel == SimKernel::Analytic {
             // Deterministic matrices from the memory-only analytic
             // section, repackaged as they are. The behaviour plays no
             // role: the joint estimate needs per-sample outcomes, which
             // the analytic kernel does not produce.
             let (m_crt, ordered) = self.analytic_matrices(
+                model_fp,
                 circuit,
                 timing,
                 defect_size,
@@ -434,6 +464,7 @@ impl DictionaryCache {
         }
         if config.kernel == SimKernel::Screened {
             return self.build_screened(
+                model_fp,
                 circuit,
                 timing,
                 defect_size,
@@ -445,7 +476,7 @@ impl DictionaryCache {
                 metrics,
             );
         }
-        let key = StoreKey::compute(circuit, timing, defect_size, patterns, clk, config);
+        let key = StoreKey::for_model(model_fp, defect_size, patterns, clk, config);
         self.banks.with(key, |bank| {
             // A never-touched bank may have a checkpoint on disk from an
             // earlier run; a load replaces the entire Monte-Carlo phase.
@@ -472,7 +503,8 @@ impl DictionaryCache {
                     cones,
                     clk,
                     config,
-                    Some(&self.batches),
+                    self,
+                    model_fp,
                     metrics,
                 )
             });
@@ -505,6 +537,7 @@ impl DictionaryCache {
     #[allow(clippy::too_many_arguments)]
     fn analytic_matrices(
         &self,
+        model_fp: u64,
         circuit: &Circuit,
         timing: &CircuitTiming,
         defect_size: &Dist,
@@ -515,7 +548,7 @@ impl DictionaryCache {
         quad_points: Option<usize>,
         metrics: Option<&MetricsSink>,
     ) -> (sdd_timing::crit::ProbMatrix, Vec<(EdgeId, AnalyticSuspect)>) {
-        let key = StoreKey::compute(circuit, timing, defect_size, patterns, clk, config);
+        let key = StoreKey::for_model(model_fp, defect_size, patterns, clk, config);
         let order = quad_points.unwrap_or(sdd_timing::analytic::DEFAULT_QUADRATURE_POINTS);
         self.analytic.with((key, order), |bank| {
             let missing: Vec<EdgeId> = suspect_edges
@@ -580,6 +613,7 @@ impl DictionaryCache {
     #[allow(clippy::too_many_arguments)]
     fn build_screened(
         &self,
+        model_fp: u64,
         circuit: &Circuit,
         timing: &CircuitTiming,
         defect_size: &Dist,
@@ -600,6 +634,7 @@ impl DictionaryCache {
             .map(|&j| patterns.patterns()[j].clone())
             .collect();
         let (m_a, analytic) = self.analytic_matrices(
+            model_fp,
             circuit,
             timing,
             defect_size,
@@ -622,7 +657,7 @@ impl DictionaryCache {
         // Stage 2: population-consistent refinement of the survivors
         // through the screened bank section (memory-only; see the field
         // docs for why these grids never mix with batched banks).
-        let key = StoreKey::compute(circuit, timing, defect_size, patterns, clk, config);
+        let key = StoreKey::for_model(model_fp, defect_size, patterns, clk, config);
         self.screened.with(key, |bank| {
             // One shared population answers every pattern.
             let samples = config.n_samples as u64;
@@ -635,7 +670,8 @@ impl DictionaryCache {
                     cones,
                     clk,
                     config,
-                    Some(&self.batches),
+                    self,
+                    model_fp,
                     metrics,
                 )
             });
@@ -716,47 +752,95 @@ mod tests {
         let suspects: Vec<EdgeId> = c.edge_ids().collect();
         let size = Dist::defect_size(0.4);
         let clk = behavior.clk();
-        let fresh = ProbabilisticDictionary::build_with_behavior(
-            &c,
-            &t,
-            &size,
-            &ps,
-            &suspects,
-            clk,
-            config(),
-            Some(&behavior),
-        );
-        let cache = DictionaryCache::new();
-        let metrics = MetricsSink::new();
-        // First pass simulates, second is served entirely from the bank.
-        let first = cache.build_with_behavior(
-            &c,
-            &t,
-            &size,
-            &ps,
-            &suspects,
-            clk,
-            config(),
-            Some(&behavior),
-            Some(&metrics),
-        );
-        let second = cache.build_with_behavior(
-            &c,
-            &t,
-            &size,
-            &ps,
-            &suspects,
-            clk,
-            config(),
-            Some(&behavior),
-            Some(&metrics),
-        );
-        assert_eq!(fresh, first);
-        assert_eq!(fresh, second);
-        let snap = metrics.snapshot(Duration::ZERO);
-        assert_eq!(snap.dict_cache_misses, 1);
-        assert_eq!(snap.dict_cache_hits, 1);
-        assert_eq!(cache.num_keys(), 1);
+        for kernel in [
+            SimKernel::Batched,
+            SimKernel::Scalar,
+            SimKernel::Analytic,
+            SimKernel::Screened,
+        ] {
+            let config = config().with_kernel(kernel);
+            let fresh = ProbabilisticDictionary::build_with_behavior(
+                &c,
+                &t,
+                &size,
+                &ps,
+                &suspects,
+                clk,
+                config,
+                Some(&behavior),
+            );
+            let cache = DictionaryCache::new();
+            let metrics = MetricsSink::new();
+            let build = || {
+                cache.build_with_behavior(
+                    &c,
+                    &t,
+                    &size,
+                    &ps,
+                    &suspects,
+                    clk,
+                    config,
+                    Some(&behavior),
+                    Some(&metrics),
+                )
+            };
+            // First pass simulates, second is served entirely from the
+            // cache's sections.
+            let first = build();
+            let cold = metrics.snapshot(Duration::ZERO);
+            let second = build();
+            let warm = metrics.snapshot(Duration::ZERO);
+            assert_eq!(fresh, first, "{kernel:?}: cold cached build diverged");
+            assert_eq!(fresh, second, "{kernel:?}: warm cached build diverged");
+            assert!(cold.dict_cache_misses > 0, "{kernel:?}");
+            assert_eq!(cold.dict_cache_hits, 0, "{kernel:?}");
+            assert_eq!(warm.dict_cache_misses, cold.dict_cache_misses, "{kernel:?}");
+            assert_eq!(warm.dict_cache_hits, cold.dict_cache_misses, "{kernel:?}");
+            let mc_banks = matches!(kernel, SimKernel::Batched | SimKernel::Scalar);
+            assert_eq!(cache.num_keys(), usize::from(mc_banks), "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn one_shot_builds_memoize_no_chip_batch() {
+        let (c, t) = two_chains();
+        let ps: PatternSet = [
+            TestPattern::new(vec![false, false], vec![true, true]),
+            TestPattern::new(vec![true, true], vec![false, false]),
+        ]
+        .into_iter()
+        .collect();
+        let (behavior, _) = failing_behavior(&c, &t, &ps);
+        let suspects: Vec<EdgeId> = c.edge_ids().collect();
+        let size = Dist::defect_size(0.4);
+        for kernel in [SimKernel::Batched, SimKernel::Screened] {
+            let config = config().with_kernel(kernel);
+            let build = |cache: &DictionaryCache| {
+                cache.build_with_behavior(
+                    &c,
+                    &t,
+                    &size,
+                    &ps,
+                    &suspects,
+                    behavior.clk(),
+                    config,
+                    Some(&behavior),
+                    None,
+                )
+            };
+            // A one-shot cache frees each pattern's batch once its pattern
+            // is simulated; a long-lived one keeps every batch it read.
+            let one_shot = DictionaryCache::one_shot();
+            let memo = DictionaryCache::new();
+            assert_eq!(build(&one_shot), build(&memo), "{kernel:?}");
+            assert_eq!(one_shot.batches.len(), 0, "{kernel:?}");
+            let read = if kernel == SimKernel::Batched {
+                ps.len()
+            } else {
+                1
+            };
+            assert_eq!(memo.batches.len(), read, "{kernel:?}");
+        }
     }
 
     #[test]

@@ -85,7 +85,10 @@ impl<'a> Diagnoser<'a> {
         self
     }
 
-    /// Reports cache hits/misses and simulated samples to `metrics`.
+    /// Reports dictionary-cache hits/misses, simulated samples and the
+    /// kernel counters to `metrics` — with or without
+    /// [`Diagnoser::with_cache`] (a build without a cache counts as one
+    /// miss).
     pub fn with_metrics(mut self, metrics: &'a MetricsSink) -> Self {
         self.metrics = Some(metrics);
         self
@@ -108,29 +111,25 @@ impl<'a> Diagnoser<'a> {
         if suspects.is_empty() {
             return Err(DiagnosisError::NoSuspects);
         }
-        Ok(match self.cache {
-            Some(cache) => cache.build_with_behavior(
-                self.circuit,
-                self.timing,
-                &self.defect_size,
-                self.patterns,
-                &suspects,
-                behavior.clk(),
-                self.config.dictionary,
-                Some(behavior),
-                self.metrics,
-            ),
-            None => ProbabilisticDictionary::build_with_behavior(
-                self.circuit,
-                self.timing,
-                &self.defect_size,
-                self.patterns,
-                &suspects,
-                behavior.clk(),
-                self.config.dictionary,
-                Some(behavior),
-            ),
-        })
+        let one_shot;
+        let cache = match self.cache {
+            Some(cache) => cache,
+            None => {
+                one_shot = DictionaryCache::one_shot();
+                &one_shot
+            }
+        };
+        Ok(cache.build_with_behavior(
+            self.circuit,
+            self.timing,
+            &self.defect_size,
+            self.patterns,
+            &suspects,
+            behavior.clk(),
+            self.config.dictionary,
+            Some(behavior),
+            self.metrics,
+        ))
     }
 
     /// Ranks every suspect of a prebuilt dictionary against the observed
@@ -352,6 +351,30 @@ mod tests {
             d.diagnose(&behavior, ErrorFunction::MethodII, 3),
             Err(DiagnosisError::NoSuspects)
         ));
+    }
+
+    #[test]
+    fn metrics_without_a_cache_book_the_build() {
+        let (c, t) = two_chains();
+        let ps = both_rise();
+        let g1 = c.find("g1").unwrap();
+        let behavior = setup_failing(&c, &t, &ps, c.node(g1).fanin_edges()[0]);
+        let metrics = MetricsSink::new();
+        let d = Diagnoser::new(
+            &c,
+            &t,
+            &ps,
+            sdd_timing::Dist::defect_size(0.8),
+            DiagnoserConfig::new(DictionaryConfig::new().with_samples(40)),
+        )
+        .with_metrics(&metrics);
+        let suspects = d.build_dictionary(&behavior).unwrap().suspects().len();
+        assert!(suspects > 0);
+        let snap = metrics.snapshot(std::time::Duration::ZERO);
+        assert_eq!(snap.dict_cache_misses, 1);
+        assert_eq!(snap.dict_cache_hits, 0);
+        assert_eq!(snap.samples_simulated, (ps.len() * 40) as u64);
+        assert_eq!(snap.cone_evals, (ps.len() * 40 * suspects) as u64);
     }
 
     #[test]

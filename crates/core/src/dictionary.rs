@@ -21,14 +21,16 @@
 //! pass/fail outcome of every (pattern, chip sample, suspect) as bit
 //! grids, and `assemble_from_masks` turns grids into probabilities
 //! (plus, optionally, the joint consistency estimate against an observed
-//! behaviour matrix). The chip-independent grids are what
-//! [`DictionaryCache`](crate::cache::DictionaryCache) shares across a
-//! campaign. Every random quantity is keyed, not sequenced: the chip
+//! behaviour matrix). Both phases run inside [`DictionaryCache`], which
+//! shares the chip-independent grids across a campaign (a one-off
+//! [`ProbabilisticDictionary::build`] uses a throwaway cache). Every
+//! random quantity is keyed, not sequenced: the chip
 //! sample by (seed, pattern, sample) and the defect size by (seed,
 //! pattern, sample, suspect *arc*) — so simulating any subset of
 //! suspects yields bit-identical grids to selecting the same rows from a
 //! superset build.
 
+use crate::cache::DictionaryCache;
 use crate::metrics::Counter;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -41,10 +43,9 @@ use sdd_timing::dynamic::{
     transition_arrivals, transition_arrivals_batch, BaselineOutputs, DefectCone, FusedScratch,
     NO_EVENT,
 };
-use sdd_timing::{CircuitTiming, Dist, InstanceBatch};
+use sdd_timing::{CircuitTiming, Dist};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// Which kernel evaluates the dictionary's fail probabilities.
 ///
@@ -330,7 +331,15 @@ pub struct ProbabilisticDictionary {
 
 impl ProbabilisticDictionary {
     /// Builds the dictionary by Monte-Carlo statistical dynamic timing
-    /// simulation (parallelized over patterns).
+    /// simulation (parallelized over patterns), with the kernel selected
+    /// by [`DictionaryConfig::kernel`].
+    ///
+    /// A one-off build through a private, throwaway
+    /// [`DictionaryCache`]: the same code path as a cached build, with
+    /// nothing kept afterwards (chip batches are not even kept between
+    /// patterns). Builds that share work across chips or clocks should
+    /// go through one long-lived [`DictionaryCache`] instead; the
+    /// results are bit-identical.
     ///
     /// * `timing` — the statistical timing model (the predictor for the
     ///   failing chip's unknown delay configuration).
@@ -396,146 +405,17 @@ impl ProbabilisticDictionary {
         config: DictionaryConfig,
         behavior: Option<&crate::BehaviorMatrix>,
     ) -> ProbabilisticDictionary {
-        assert!(
-            config.n_samples > 0,
-            "monte-carlo sample count must be positive"
-        );
-        assert!(!patterns.is_empty(), "pattern set must be non-empty");
-        if let Some(b) = behavior {
-            assert_eq!(
-                b.num_outputs(),
-                circuit.primary_outputs().len(),
-                "behavior/output count mismatch"
-            );
-            assert_eq!(
-                b.num_patterns(),
-                patterns.len(),
-                "behavior/pattern count mismatch"
-            );
-        }
-        let n_out = circuit.primary_outputs().len();
-        let cones = defect_cones(circuit, suspect_edges);
-        if config.kernel == SimKernel::Analytic {
-            let (m_crt, suspects) = simulate_fail_probs_analytic(
-                circuit,
-                timing,
-                defect_size,
-                patterns,
-                &cones,
-                clk,
-                None,
-                None,
-            );
-            let ordered: Vec<(EdgeId, AnalyticSuspect)> =
-                cones.iter().map(|c| c.edge()).zip(suspects).collect();
-            return assemble_from_probs(clk, m_crt, ordered);
-        }
-        if config.kernel == SimKernel::Screened {
-            let behavior =
-                behavior.expect("screened kernel requires an observed behaviour to score against");
-            // Stage 1: analytic screen over every suspect, zero draws,
-            // coarse die-level quadrature (ranking accuracy only) and,
-            // under a `screen_patterns` budget, only the failing-richest
-            // behaviour columns.
-            let cols = screen_pattern_columns(behavior, config.screen.screen_patterns);
-            let screen_patterns: PatternSet = cols
-                .iter()
-                .map(|&j| patterns.patterns()[j].clone())
-                .collect();
-            let (m_a, analytic) = simulate_fail_probs_analytic(
-                circuit,
-                timing,
-                defect_size,
-                &screen_patterns,
-                &cones,
-                clk,
-                Some(SCREEN_QUADRATURE_POINTS),
-                None,
-            );
-            let pairs: Vec<(EdgeId, &AnalyticSuspect)> = cones
-                .iter()
-                .map(|c| c.edge())
-                .zip(analytic.iter())
-                .collect();
-            let survivors = screen_survivors(&m_a, &pairs, behavior, &cols, config.screen);
-            let surviving_cones: Vec<DefectCone> =
-                survivors.iter().map(|&i| cones[i].clone()).collect();
-            // Stage 2: population-consistent MC refinement of the
-            // survivors only, over the full pattern set (see
-            // `simulate_fail_masks_shared`).
-            let per_pattern = simulate_fail_masks_shared(
-                circuit,
-                timing,
-                defect_size,
-                patterns,
-                &surviving_cones,
-                clk,
-                config,
-                None,
-                None,
-            );
-            let mut base: Vec<BitGrid> = Vec::with_capacity(per_pattern.len());
-            let mut suspect_masks: Vec<SuspectMasks> = surviving_cones
-                .iter()
-                .map(|c| SuspectMasks {
-                    reachable: c.reachable_outputs().to_vec(),
-                    fails: Vec::with_capacity(patterns.len()),
-                })
-                .collect();
-            for (b, fails) in per_pattern {
-                base.push(b);
-                for (ci, grid) in fails.into_iter().enumerate() {
-                    suspect_masks[ci].fails.push(grid);
-                }
-            }
-            let base_refs: Vec<&BitGrid> = base.iter().collect();
-            let ordered: Vec<(EdgeId, &SuspectMasks)> = surviving_cones
-                .iter()
-                .zip(&suspect_masks)
-                .map(|(c, m)| (c.edge(), m))
-                .collect();
-            return assemble_from_masks(
-                clk,
-                n_out,
-                config.n_samples,
-                &base_refs,
-                &ordered,
-                Some(behavior),
-            );
-        }
-        let per_pattern = simulate_fail_masks(
+        DictionaryCache::one_shot().build_with_behavior(
             circuit,
             timing,
             defect_size,
             patterns,
-            &cones,
+            suspect_edges,
             clk,
             config,
+            behavior,
             None,
-            None,
-        );
-        // Transpose the per-pattern grids into per-suspect banks.
-        let mut base: Vec<BitGrid> = Vec::with_capacity(per_pattern.len());
-        let mut suspect_masks: Vec<SuspectMasks> = cones
-            .iter()
-            .map(|c| SuspectMasks {
-                reachable: c.reachable_outputs().to_vec(),
-                fails: Vec::with_capacity(patterns.len()),
-            })
-            .collect();
-        for (b, fails) in per_pattern {
-            base.push(b);
-            for (ci, grid) in fails.into_iter().enumerate() {
-                suspect_masks[ci].fails.push(grid);
-            }
-        }
-        let base_refs: Vec<&BitGrid> = base.iter().collect();
-        let ordered: Vec<(EdgeId, &SuspectMasks)> = cones
-            .iter()
-            .zip(&suspect_masks)
-            .map(|(c, m)| (c.edge(), m))
-            .collect();
-        assemble_from_masks(clk, n_out, config.n_samples, &base_refs, &ordered, behavior)
+        )
     }
 
     /// The cut-off period the probabilities refer to.
@@ -706,147 +586,6 @@ pub(crate) struct SuspectMasks {
     pub(crate) fails: Vec<BitGrid>,
 }
 
-/// Memoizes manufactured [`InstanceBatch`]es across dictionary builds.
-///
-/// Chip-instance draws are keyed by `(seed, pattern position, sample)` —
-/// never by pattern content or `clk` — so the sample-major delay matrix
-/// of pattern position `j` is a pure function of (timing model, seed,
-/// `n_samples`, `j`). A campaign re-simulates the same positions for
-/// every chip and every swept clock level; memoizing the batches removes
-/// the Box-Muller sampling cost from all but the first build, and
-/// because a memoized batch holds the exact values resampling would
-/// produce, the resulting grids stay bit-identical.
-///
-/// Memory-bounded: when an insertion would push the cached delay count
-/// past `cap_f64`, least-recently-used entries are evicted (oldest touch
-/// first, key order on ties) until the newcomer fits. A campaign touches
-/// one circuit and at most `max_patterns` positions, so eviction only
-/// fires when a layer moves between large circuits — and then it
-/// sheds the stale circuit's batches while the hot ones survive, instead
-/// of dropping the whole map and resampling everything.
-#[derive(Debug)]
-pub(crate) struct BatchCache {
-    /// Budget in cached `f64` delay values (≈ 8 bytes each).
-    cap_f64: usize,
-    inner: Mutex<BatchCacheInner>,
-}
-
-#[derive(Debug, Default)]
-struct BatchCacheInner {
-    used_f64: usize,
-    /// Monotonic touch counter; every hit or insert stamps its entry.
-    tick: u64,
-    map: HashMap<(u64, u64, u64, u64), BatchSlot>,
-}
-
-#[derive(Debug)]
-struct BatchSlot {
-    batch: Arc<InstanceBatch>,
-    /// Delay values held by this batch (`n_edges × n_samples`).
-    size_f64: usize,
-    last_used: u64,
-}
-
-impl BatchCacheInner {
-    fn touch(&mut self, key: &(u64, u64, u64, u64)) -> Option<Arc<InstanceBatch>> {
-        let tick = self.tick;
-        let slot = self.map.get_mut(key)?;
-        slot.last_used = tick;
-        self.tick += 1;
-        Some(Arc::clone(&slot.batch))
-    }
-
-    /// Evicts least-recently-used entries until `incoming` fits under
-    /// `cap_f64` (or the map is empty — one oversized batch is still
-    /// cached rather than resampled every call).
-    fn make_room(&mut self, incoming: usize, cap_f64: usize) {
-        while self.used_f64 + incoming > cap_f64 && !self.map.is_empty() {
-            let oldest = self
-                .map
-                .iter()
-                .min_by_key(|(key, slot)| (slot.last_used, **key))
-                .map(|(key, _)| *key)
-                .expect("non-empty map has a minimum");
-            let evicted = self.map.remove(&oldest).expect("key just found");
-            self.used_f64 -= evicted.size_f64;
-        }
-    }
-}
-
-impl Default for BatchCache {
-    /// 32 Mi delay values ≈ 256 MiB: roughly eight paper-scale pattern
-    /// positions of the largest Table-I circuit.
-    fn default() -> Self {
-        BatchCache::with_capacity(32 << 20)
-    }
-}
-
-impl BatchCache {
-    pub(crate) fn with_capacity(cap_f64: usize) -> BatchCache {
-        BatchCache {
-            cap_f64,
-            inner: Mutex::default(),
-        }
-    }
-
-    /// The batch for pattern position `j` under `config`, sampling it on
-    /// first use.
-    fn get_or_sample(
-        &self,
-        model_fp: u64,
-        timing: &CircuitTiming,
-        config: DictionaryConfig,
-        j: usize,
-    ) -> Arc<InstanceBatch> {
-        self.get_or_sample_at(
-            model_fp,
-            timing,
-            config.seed,
-            (j * config.n_samples) as u64,
-            config.n_samples,
-        )
-    }
-
-    /// The batch of instances `first_index..first_index + n` of stream
-    /// `seed`, sampling it on first use. Keyed on everything the draw
-    /// reads, so a hit holds the exact values resampling would produce.
-    /// Sampling runs outside the lock, so concurrent misses on one key
-    /// may sample twice; both produce identical values and only one is
-    /// kept.
-    pub(crate) fn get_or_sample_at(
-        &self,
-        model_fp: u64,
-        timing: &CircuitTiming,
-        seed: u64,
-        first_index: u64,
-        n: usize,
-    ) -> Arc<InstanceBatch> {
-        let key = (model_fp, seed, n as u64, first_index);
-        if let Some(hit) = self.inner.lock().expect("batch cache lock").touch(&key) {
-            return hit;
-        }
-        let batch = Arc::new(timing.sample_instance_batch(seed, first_index, n));
-        let size = batch.n_edges() * batch.n_samples();
-        let mut inner = self.inner.lock().expect("batch cache lock");
-        if let Some(hit) = inner.touch(&key) {
-            return hit;
-        }
-        inner.make_room(size, self.cap_f64);
-        inner.used_f64 += size;
-        let tick = inner.tick;
-        inner.tick += 1;
-        inner.map.insert(
-            key,
-            BatchSlot {
-                batch: Arc::clone(&batch),
-                size_f64: size,
-                last_used: tick,
-            },
-        );
-        batch
-    }
-}
-
 /// Draws the defect size for one (chip sample, suspect) cell. Keyed on
 /// the suspect *arc id*, not its position in the suspect list, so the
 /// draw is independent of which other suspects are simulated alongside.
@@ -881,8 +620,8 @@ pub(crate) fn defect_cones(circuit: &Circuit, suspects: &[EdgeId]) -> Vec<Defect
 ///
 /// `metrics`, when given, accumulates the wall clock of the kernel's
 /// parallel region and the number of (pattern, sample, suspect) cone
-/// evaluations. `batches`, when given, memoizes the manufactured chip
-/// batches across calls (batched kernel only — the scalar oracle stays
+/// evaluations. The batched kernel takes its chip batches from
+/// [`DictionaryCache::batch`] under `model_fp` (the scalar oracle stays
 /// the plain seed path).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_fail_masks(
@@ -893,7 +632,8 @@ pub(crate) fn simulate_fail_masks(
     cones: &[DefectCone],
     clk: f64,
     config: DictionaryConfig,
-    batches: Option<&BatchCache>,
+    batches: &DictionaryCache,
+    model_fp: u64,
     metrics: Option<&crate::metrics::MetricsSink>,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     if let Some(m) = metrics {
@@ -912,6 +652,7 @@ pub(crate) fn simulate_fail_masks(
             clk,
             config,
             batches,
+            model_fp,
             metrics,
         ),
         SimKernel::Scalar => simulate_fail_masks_scalar(
@@ -1236,12 +977,11 @@ fn simulate_fail_masks_batched(
     cones: &[DefectCone],
     clk: f64,
     config: DictionaryConfig,
-    batches: Option<&BatchCache>,
+    batches: &DictionaryCache,
+    model_fp: u64,
     metrics: Option<&crate::metrics::MetricsSink>,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     let n = config.n_samples;
-    // One O(edges) hash buys memo lookups for every pattern position.
-    let model_fp = batches.map(|_| crate::store::fingerprint_model(circuit, timing));
     let groups = sink_groups(circuit, cones);
     let t_kernel = std::time::Instant::now();
     let per_pattern = patterns
@@ -1250,10 +990,7 @@ fn simulate_fail_masks_batched(
         .enumerate()
         .map(|(j, p)| {
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
-            let batch = match (batches, model_fp) {
-                (Some(bc), Some(fp)) => bc.get_or_sample(fp, timing, config, j),
-                _ => Arc::new(timing.sample_instance_batch(config.seed, (j * n) as u64, n)),
-            };
+            let batch = batches.batch(model_fp, timing, config.seed, (j * n) as u64, n);
             walk_sink_groups(
                 circuit,
                 &transitions,
@@ -1389,7 +1126,8 @@ pub(crate) fn simulate_fail_masks_shared(
     cones: &[DefectCone],
     clk: f64,
     config: DictionaryConfig,
-    batches: Option<&BatchCache>,
+    batches: &DictionaryCache,
+    model_fp: u64,
     metrics: Option<&crate::metrics::MetricsSink>,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     if let Some(m) = metrics {
@@ -1401,17 +1139,8 @@ pub(crate) fn simulate_fail_masks_shared(
     let n = config.n_samples;
     // The shared population: instances 0..n of the seed's stream — the
     // very chips the batched kernel manufactures for pattern position 0,
-    // so a warm [`BatchCache`] serves both kernels from one entry.
-    let batch = match batches {
-        Some(bc) => bc.get_or_sample_at(
-            crate::store::fingerprint_model(circuit, timing),
-            timing,
-            config.seed,
-            0,
-            n,
-        ),
-        None => Arc::new(timing.sample_instance_batch(config.seed, 0, n)),
-    };
+    // so one memoized batch serves both kernels.
+    let batch = batches.batch(model_fp, timing, config.seed, 0, n);
     // One defect size per (chip, arc), shared by every pattern.
     let deltas_of: Vec<Vec<f64>> = cones
         .iter()
@@ -1702,58 +1431,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_cache_evicts_oldest_and_keeps_hot_keys() {
-        let (_, t) = two_chains();
-        let config = DictionaryConfig {
-            n_samples: 16,
-            seed: 3,
-            ..DictionaryConfig::default()
-        };
-        // Measure one batch, then build a cache that holds exactly two.
-        let probe = BatchCache::with_capacity(usize::MAX);
-        let one = probe.get_or_sample(1, &t, config, 0);
-        let size = one.n_edges() * one.n_samples();
-        let cache = BatchCache::with_capacity(2 * size);
-
-        let a = cache.get_or_sample(1, &t, config, 0);
-        let b = cache.get_or_sample(1, &t, config, 1);
-        // Touch A: B is now the least recently used entry.
-        assert!(Arc::ptr_eq(&a, &cache.get_or_sample(1, &t, config, 0)));
-        // Inserting C must evict B (oldest), not the whole map.
-        cache.get_or_sample(1, &t, config, 2);
-        assert!(
-            Arc::ptr_eq(&a, &cache.get_or_sample(1, &t, config, 0)),
-            "hot key was evicted"
-        );
-        let b2 = cache.get_or_sample(1, &t, config, 1);
-        assert!(
-            !Arc::ptr_eq(&b, &b2),
-            "LRU key survived past the capacity limit"
-        );
-        // Determinism: the resampled batch equals the evicted one.
-        assert_eq!(*b, *b2);
-    }
-
-    #[test]
-    fn batch_cache_still_caches_one_oversized_batch() {
-        let (_, t) = two_chains();
-        let config = DictionaryConfig {
-            n_samples: 16,
-            seed: 3,
-            ..DictionaryConfig::default()
-        };
-        let cache = BatchCache::with_capacity(1);
-        let a = cache.get_or_sample(1, &t, config, 0);
-        assert!(
-            Arc::ptr_eq(&a, &cache.get_or_sample(1, &t, config, 0)),
-            "an oversized batch should still be memoized until displaced"
-        );
-        // A second oversized key displaces it rather than leaking memory.
-        cache.get_or_sample(1, &t, config, 1);
-        assert!(!Arc::ptr_eq(&a, &cache.get_or_sample(1, &t, config, 0)));
-    }
-
-    #[test]
     fn signature_is_nonnegative_and_bounded() {
         let (c, t) = two_chains();
         let ps = both_rise();
@@ -1941,7 +1618,8 @@ mod tests {
                     kernel,
                     screen: ScreenConfig::default(),
                 },
-                None,
+                &DictionaryCache::one_shot(),
+                0,
                 None,
             )
         };
@@ -1983,8 +1661,18 @@ mod tests {
             kernel: SimKernel::Batched,
             screen: ScreenConfig::default(),
         };
-        let grids =
-            simulate_fail_masks_shared(&c, &t, &defect, &ps, &cones, clk, config, None, None);
+        let grids = simulate_fail_masks_shared(
+            &c,
+            &t,
+            &defect,
+            &ps,
+            &cones,
+            clk,
+            config,
+            &DictionaryCache::one_shot(),
+            0,
+            None,
+        );
         let outputs = c.primary_outputs();
         let (mut scratch, mut out) = (Vec::new(), Vec::new());
         for (p, (base, fails)) in ps.patterns().iter().zip(&grids) {
@@ -2033,7 +1721,19 @@ mod tests {
                 kernel,
                 screen: ScreenConfig::default(),
             };
-            simulate_fail_masks(&c, &t, &defect, &ps, &cones, 0.3, config, None, Some(&m));
+            let one_shot = DictionaryCache::one_shot();
+            simulate_fail_masks(
+                &c,
+                &t,
+                &defect,
+                &ps,
+                &cones,
+                0.3,
+                config,
+                &one_shot,
+                0,
+                Some(&m),
+            );
             let snap = m.snapshot(std::time::Duration::ZERO);
             assert_eq!(snap.cone_evals, (ps.len() * 16 * cones.len()) as u64);
             snap.cone_walks
@@ -2331,8 +2031,18 @@ mod tests {
             mean: 0.2,
             std: 0.08,
         };
-        let per_pattern =
-            simulate_fail_masks(&c, &t, &defect, &ps, &cones, clk, config, None, None);
+        let per_pattern = simulate_fail_masks(
+            &c,
+            &t,
+            &defect,
+            &ps,
+            &cones,
+            clk,
+            config,
+            &DictionaryCache::one_shot(),
+            0,
+            None,
+        );
         let chip = t
             .sample_instance_indexed(5, 0)
             .with_extra_delay(edges[3], 0.3);

@@ -801,7 +801,8 @@ fn observe_behavior(
             // sampling cost — the bulk of a warm observe phase — is paid
             // once instead of once per chip. Values are bit-identical to
             // a fresh draw.
-            let batch = cache.tested_instance_batch(circuit, timing, config.seed ^ 0x7E57, n);
+            let model_fp = crate::store::fingerprint_model(circuit, timing);
+            let batch = cache.batch(model_fp, timing, config.seed ^ 0x7E57, 0, n);
             tested_delay_samples_from_batch(circuit, patterns, &batch)
         }
         ObserveKernel::Scalar => {

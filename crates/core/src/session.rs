@@ -66,21 +66,6 @@ use std::time::{Duration, Instant};
 pub struct ArtifactLayerBuilder {
     store_dir: Option<PathBuf>,
     num_threads: Option<usize>,
-    batch_cache_bytes: Option<usize>,
-}
-
-/// Environment variable overriding the layer's chip-batch memo bound
-/// (bytes, plain integer). An explicit
-/// [`ArtifactLayerBuilder::batch_cache_bytes`] call wins over the
-/// environment; unparseable or empty values fall back to the built-in
-/// ~256 MiB default.
-pub const BATCH_CACHE_BYTES_ENV: &str = "SDD_BATCH_CACHE_BYTES";
-
-/// Parses an [`BATCH_CACHE_BYTES_ENV`] value: a plain byte count.
-/// `None`/empty/garbage all yield `None` (keep the default) so a typo'd
-/// environment can never silently zero the cache.
-fn batch_cache_bytes_from_env(raw: Option<&str>) -> Option<usize> {
-    raw?.trim().parse::<usize>().ok()
 }
 
 impl ArtifactLayerBuilder {
@@ -100,17 +85,6 @@ impl ArtifactLayerBuilder {
         self
     }
 
-    /// Bounds the layer's chip-batch memo at roughly `bytes` of cached
-    /// instance data (LRU-evicted; the default is ~256 MiB). Eviction is
-    /// semantics-preserving — batches are keyed draws, so a re-computed
-    /// batch is bit-identical to the evicted one — making this purely a
-    /// memory/latency trade-off. Takes precedence over the
-    /// [`BATCH_CACHE_BYTES_ENV`] environment override.
-    pub fn batch_cache_bytes(mut self, bytes: usize) -> Self {
-        self.batch_cache_bytes = Some(bytes);
-        self
-    }
-
     /// Builds the layer.
     ///
     /// # Errors
@@ -121,13 +95,6 @@ impl ArtifactLayerBuilder {
         let cache = match self.store_dir {
             Some(dir) => DictionaryCache::with_store(Arc::new(DictionaryStore::open(dir)?)),
             None => DictionaryCache::new(),
-        };
-        let batch_bytes = self.batch_cache_bytes.or_else(|| {
-            batch_cache_bytes_from_env(std::env::var(BATCH_CACHE_BYTES_ENV).ok().as_deref())
-        });
-        let cache = match batch_bytes {
-            Some(bytes) => cache.with_batch_cache_bytes(bytes),
-            None => cache,
         };
         let pool = self
             .num_threads
@@ -543,43 +510,6 @@ mod tests {
         assert!(report.traces.iter().all(|t| t.tenant == "t-42"));
         report.validate().expect("session report validates");
         assert!(report.counters.session_latency.count() >= 1);
-    }
-
-    #[test]
-    fn batch_cache_env_parser_accepts_byte_counts_only() {
-        assert_eq!(batch_cache_bytes_from_env(None), None);
-        assert_eq!(batch_cache_bytes_from_env(Some("")), None);
-        assert_eq!(batch_cache_bytes_from_env(Some("  ")), None);
-        assert_eq!(batch_cache_bytes_from_env(Some("256MiB")), None);
-        assert_eq!(batch_cache_bytes_from_env(Some("-1")), None);
-        assert_eq!(batch_cache_bytes_from_env(Some("4096")), Some(4096));
-        assert_eq!(
-            batch_cache_bytes_from_env(Some(" 268435456 ")),
-            Some(268435456)
-        );
-    }
-
-    #[test]
-    fn batch_cache_bound_is_configurable_and_semantics_preserving() {
-        // A layer squeezed to a degenerate chip-batch memo must evict
-        // constantly yet answer bit-identically to a roomy one: batches
-        // are keyed draws, so recomputation reproduces the evicted data.
-        let cfg = CampaignConfig::quick(7);
-        let tiny = ArtifactLayer::builder()
-            .batch_cache_bytes(1)
-            .build()
-            .unwrap()
-            .session("tiny")
-            .run_campaign(&profiles::S27, &cfg)
-            .unwrap();
-        let roomy = ArtifactLayer::builder()
-            .batch_cache_bytes(1 << 30)
-            .build()
-            .unwrap()
-            .session("roomy")
-            .run_campaign(&profiles::S27, &cfg)
-            .unwrap();
-        assert_eq!(tiny, roomy, "batch-cache bound changed an answer");
     }
 
     #[test]

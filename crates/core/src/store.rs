@@ -109,8 +109,27 @@ impl StoreKey {
         clk: f64,
         config: DictionaryConfig,
     ) -> StoreKey {
+        StoreKey::for_model(
+            fingerprint_model(circuit, timing),
+            defect_size,
+            patterns,
+            clk,
+            config,
+        )
+    }
+
+    /// [`StoreKey::compute`] for a model already fingerprinted
+    /// (`model_fp` from `fingerprint_model`), so one build hashes its
+    /// O(edges) model once however many keys it derives.
+    pub(crate) fn for_model(
+        model_fp: u64,
+        defect_size: &Dist,
+        patterns: &PatternSet,
+        clk: f64,
+        config: DictionaryConfig,
+    ) -> StoreKey {
         StoreKey {
-            model_fp: fingerprint_model(circuit, timing),
+            model_fp,
             patterns_fp: fingerprint_patterns(patterns),
             clk_bits: clk.to_bits(),
             n_samples: config.n_samples as u64,
