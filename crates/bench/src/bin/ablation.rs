@@ -12,7 +12,7 @@
 //! ```text
 //! cargo run -p sdd-bench --release --bin ablation \
 //!     [-- --seed 2] [--circuit s1196] \
-//!     [--kernel scalar|batched|analytic|screened] [--metrics-json PATH]
+//!     [--kernel batched|analytic|screened] [--metrics-json PATH]
 //! ```
 //!
 //! `--kernel` swaps the dictionary simulation kernel under *every*
@@ -41,10 +41,9 @@ fn main() {
     let circuit = flag_value(&args, "--circuit").unwrap_or_else(|| "s1196".to_owned());
     let kernel = match flag_value(&args, "--kernel").as_deref() {
         None | Some("batched") => SimKernel::Batched,
-        Some("scalar") => SimKernel::Scalar,
         Some("analytic") => SimKernel::Analytic,
         Some("screened") => SimKernel::Screened,
-        Some(other) => panic!("unknown --kernel `{other}` (scalar|batched|analytic|screened)"),
+        Some(other) => panic!("unknown --kernel `{other}` (batched|analytic|screened)"),
     };
     let profile = profiles::by_name(&circuit).expect("known circuit name");
 

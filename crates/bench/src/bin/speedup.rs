@@ -1,13 +1,13 @@
 //! Measures the campaign speedup: the shared-cache parallel
 //! [`DiagnosisSession`] path against the serial seed path (one fresh
-//! dictionary per chip, no sharing), on the Table-I workload — and the
-//! batched sample-major Monte-Carlo kernel against the scalar oracle.
+//! dictionary per chip, no sharing), on the Table-I workload.
 //!
-//! All paths produce bit-identical per-chip outcomes — the serial leg is
-//! the session's per-chip pipeline with a throwaway cache, and the two
-//! kernels perform the same keyed draws in the same float order — so
-//! each comparison isolates one change. Prints the success tables (they
-//! must agree), the phase/cache/kernel metrics and the ratios.
+//! Both paths produce bit-identical per-chip outcomes — the serial leg
+//! is the session's per-chip pipeline with a throwaway cache — so the
+//! comparison isolates the sharing and the fan-out. Prints the success
+//! tables (they must agree), the phase/cache/kernel metrics and the
+//! ratios. The kernels' bit-identity to their scalar oracles is pinned
+//! by the test suite, not here: the oracles are test-only code.
 //!
 //! With `--store <dir>`, dictionary Monte-Carlo banks *and per-site
 //! ATPG pattern sets* persist across runs: the first invocation
@@ -22,30 +22,23 @@
 //! over the store when one is attached (disk-warm), the primary session
 //! itself otherwise (memory-warm) — asserts the report is bit-identical
 //! to the serial oracle, and asserts the Patterns phase actually got
-//! faster (≥ 3× under a warm store at paper scale).
-//!
-//! An **observe leg** then re-runs the warm configuration with the
-//! scalar per-pattern observe kernel ([`ObserveKernel::Scalar`]): the
-//! report must again equal the serial oracle (batched-vs-scalar observe
-//! bit-identity, asserted in-bench), and the batched observe phase must
-//! be ≥ 3× faster than the scalar one. Its metrics report is exported
-//! alongside the primary and warm legs, so the observe timings land in
-//! `BENCH_speedup.json` schema-compatibly.
+//! faster (≥ 3× under a warm store at paper scale). Its metrics report
+//! is exported alongside the primary leg's, so the warm phase timings
+//! land in `BENCH_speedup.json`.
 //!
 //! `--quick` swaps the paper-scale workload for the reduced test
 //! configuration — the CI sanity mode.
-//! `--kernel scalar|batched|analytic|screened` skips the kernel
-//! comparison and runs a single kernel (for profiling); `--kernel all`
-//! runs the analytic and screened legs ahead of the two MC legs. The
-//! analytic kernel is *not* bit-identical to MC (it is sampling-free
-//! moment propagation), so its leg is checked structurally instead —
-//! zero MC cone evals, zero samples simulated, analytic counters
-//! populated — and compared on wall-clock; the screened kernel prunes
-//! the suspect set, so its leg is likewise checked structurally (screen
-//! counters populated, pruning non-vacuous, fewer cone evals than
-//! batched); bit-identity continues to be asserted among the MC legs
-//! (and for the analytic/screened leg against its own serial oracle
-//! when it is the only kernel).
+//! `--kernel batched|analytic|screened` runs a single dictionary kernel
+//! (default: batched); `--kernel all` runs the analytic and screened
+//! legs ahead of the batched leg. The analytic kernel is *not*
+//! bit-identical to MC (it is sampling-free moment propagation), so its
+//! leg is checked structurally instead — zero MC cone evals, zero
+//! samples simulated, analytic counters populated — and compared on
+//! wall-clock; the screened kernel prunes the suspect set, so its leg
+//! is likewise checked structurally (screen counters populated, pruning
+//! non-vacuous, fewer cone evals than batched); bit-identity with the
+//! serial oracle is asserted for the batched leg (and for the
+//! analytic/screened leg when it is the only kernel).
 //! `--metrics-json <path>` additionally writes the primary and warm
 //! legs' counters, per-phase latency histograms and per-instance traces
 //! as a [`sdd_core::MetricsExport`] document (see `metrics_check`); with
@@ -57,14 +50,14 @@
 //! ```text
 //! cargo run -p sdd-bench --release --bin speedup \
 //!     [-- --circuit s1196] [--seed 2] [--store DIR] [--quick] \
-//!     [--kernel scalar|batched|analytic|screened|both|all] [--metrics-json PATH]
+//!     [--kernel batched|analytic|screened|all] [--metrics-json PATH]
 //! ```
 
 use sdd_bench::{flag_value, write_metrics_export};
 use sdd_core::evaluate::AccuracyReport;
 use sdd_core::inject::{diagnose_one_instance, CampaignConfig, ClockPolicy, InstanceOutcome};
 use sdd_core::session::{ArtifactLayer, DiagnosisSession};
-use sdd_core::{ErrorFunction, MetricsReport, ObserveKernel, SimKernel};
+use sdd_core::{ErrorFunction, MetricsReport, SimKernel};
 use sdd_netlist::generator::generate;
 use sdd_netlist::profiles;
 use sdd_timing::sta;
@@ -84,24 +77,15 @@ fn main() {
     // oracle's kernel and may be store-backed, both of which must stay
     // with the production MC kernel whenever one is requested.
     let kernels: Vec<SimKernel> = match kernel_flag.as_deref() {
-        Some("scalar") => vec![SimKernel::Scalar],
-        Some("batched") => vec![SimKernel::Batched],
+        Some("batched") | None => vec![SimKernel::Batched],
         Some("analytic") => vec![SimKernel::Analytic],
         Some("screened") => vec![SimKernel::Screened],
-        Some("both") | None => vec![SimKernel::Scalar, SimKernel::Batched],
-        Some("all") => vec![
-            SimKernel::Analytic,
-            SimKernel::Screened,
-            SimKernel::Scalar,
-            SimKernel::Batched,
-        ],
-        Some(other) => {
-            panic!("unknown --kernel `{other}` (scalar|batched|analytic|screened|both|all)")
-        }
+        Some("all") => vec![SimKernel::Analytic, SimKernel::Screened, SimKernel::Batched],
+        Some(other) => panic!("unknown --kernel `{other}` (batched|analytic|screened|all)"),
     };
     // Only the default kernel selection may refresh the committed CI
     // artifact at the repo root.
-    let canonical_kernels = matches!(kernel_flag.as_deref(), None | Some("both"));
+    let canonical_kernels = kernels == [SimKernel::Batched];
     let profile = profiles::by_name(&circuit_name).expect("known circuit name");
     let mut config = if quick {
         CampaignConfig::quick(seed)
@@ -168,11 +152,11 @@ fn main() {
         serial_elapsed.as_secs_f64() / primary_elapsed.as_secs_f64()
     );
 
-    // Every MC leg must agree bit-for-bit with the serial oracle, which
-    // runs the last (MC when any is present) kernel. The analytic leg is
-    // only bit-comparable when it *is* the oracle's kernel — otherwise
-    // it is checked structurally: a genuinely sampling-free dictionary
-    // phase, with the analytic counters carrying the work instead.
+    // The leg running the serial oracle's kernel (the last one: batched
+    // whenever it is requested) must agree bit-for-bit with it. The
+    // analytic and screened legs are otherwise checked structurally: a
+    // genuinely sampling-free dictionary phase with the analytic
+    // counters carrying the work, or a screen that really pruned.
     let serial_kernel = *kernels.last().expect("at least one kernel");
     let mut identical_legs = 1; // the serial leg itself
     for (kernel, report, _) in &reports {
@@ -212,9 +196,7 @@ fn main() {
             );
             assert!(m.screen_nanos > 0, "screened kernel booked no screen time");
         }
-        let bit_comparable = *kernel == serial_kernel
-            || !matches!(kernel, SimKernel::Analytic | SimKernel::Screened);
-        if bit_comparable {
+        if *kernel == serial_kernel {
             assert_eq!(
                 &serial, report,
                 "{kernel:?} kernel altered the diagnosis results"
@@ -240,24 +222,6 @@ fn main() {
     }
 
     let leg = |k: SimKernel| reports.iter().find(|(kernel, _, _)| *kernel == k);
-    if let (Some((_, scalar, _)), Some((_, batched, _))) =
-        (leg(SimKernel::Scalar), leg(SimKernel::Batched))
-    {
-        let dict_ratio =
-            scalar.metrics.dictionary_nanos as f64 / batched.metrics.dictionary_nanos.max(1) as f64;
-        let kernel_ratio =
-            scalar.metrics.kernel_nanos as f64 / batched.metrics.kernel_nanos.max(1) as f64;
-        println!(
-            "dictionary phase           : scalar {:.2?} vs batched {:.2?} ({dict_ratio:.2}x)",
-            std::time::Duration::from_nanos(scalar.metrics.dictionary_nanos),
-            std::time::Duration::from_nanos(batched.metrics.dictionary_nanos),
-        );
-        println!("kernel inner loop          : scalar {:.2?} vs batched {:.2?} ({kernel_ratio:.2}x), {} cone evals\n",
-            std::time::Duration::from_nanos(scalar.metrics.kernel_nanos),
-            std::time::Duration::from_nanos(batched.metrics.kernel_nanos),
-            batched.metrics.cone_evals,
-        );
-    }
     if let Some((_, analytic, _)) = leg(SimKernel::Analytic) {
         println!(
             "analytic dictionary phase  : {:.2?} ({} cone propagations in {:.2?}, 0 samples drawn)",
@@ -375,47 +339,6 @@ fn main() {
     }
     println!("results identical (warm)   : yes\n");
 
-    // Observe leg: the warm configuration again, but with the scalar
-    // per-pattern observe kernel. Patterns and dictionaries stay warm,
-    // so the observe phase dominates the difference and the comparison
-    // isolates the batched pattern-lane observe path (plus the
-    // clock-sweep capture amortization and batched delay sampling).
-    let mut scalar_observe_config = config.clone();
-    scalar_observe_config.observe = ObserveKernel::Scalar;
-    let observe_scalar = match &store_dir {
-        Some(dir) => ArtifactLayer::builder()
-            .store_dir(dir)
-            .build()
-            .expect("observe layer builds")
-            .session("speedup-observe")
-            .run_campaign_on(&circuit, &scalar_observe_config)
-            .expect("scalar-observe campaign runs"),
-        None => session
-            .run_campaign_on(&circuit, &scalar_observe_config)
-            .expect("scalar-observe campaign runs"),
-    };
-    // The in-bench bit-identity check for the observe kernels: both the
-    // batched legs above and this scalar leg must equal the serial
-    // oracle, so batched-vs-scalar observe agree end to end — success
-    // tables, rankings, suspect statistics and all.
-    assert_eq!(
-        &serial, &observe_scalar,
-        "scalar observe kernel altered the diagnosis results"
-    );
-    let batched_obs = warm.metrics.observe_nanos;
-    let scalar_obs = observe_scalar.metrics.observe_nanos;
-    let obs_ratio = scalar_obs as f64 / batched_obs.max(1) as f64;
-    println!(
-        "observe phase (warm)       : scalar {:.2?} vs batched {:.2?} ({obs_ratio:.2}x)",
-        std::time::Duration::from_nanos(scalar_obs),
-        std::time::Duration::from_nanos(batched_obs),
-    );
-    assert!(
-        scalar_obs >= 3 * batched_obs,
-        "batched observe under 3x on the warm leg: {batched_obs} ns vs {scalar_obs} ns scalar"
-    );
-    println!("results identical (observe): yes\n");
-
     println!("{}", primary.render_table());
     println!("{}", primary.metrics.render());
 
@@ -423,7 +346,6 @@ fn main() {
         vec![
             MetricsReport::from_report(primary),
             MetricsReport::from_report(&warm),
-            MetricsReport::from_report(&observe_scalar),
         ]
     };
     if let Some(path) = flag_value(&args, "--metrics-json") {

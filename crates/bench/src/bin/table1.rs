@@ -8,7 +8,7 @@
 //! ```text
 //! cargo run -p sdd-bench --release --bin table1 \
 //!     [-- --quick] [--circuit s1196] [--seed 2] [--store DIR] \
-//!     [--kernel scalar|batched|analytic|screened] [--metrics-json PATH]
+//!     [--kernel batched|analytic|screened] [--metrics-json PATH]
 //! ```
 //!
 //! `--kernel` selects the dictionary simulation kernel (default:
@@ -50,10 +50,9 @@ fn main() {
         .unwrap_or(2);
     let kernel = match flag_value(&args, "--kernel").as_deref() {
         None | Some("batched") => SimKernel::Batched,
-        Some("scalar") => SimKernel::Scalar,
         Some("analytic") => SimKernel::Analytic,
         Some("screened") => SimKernel::Screened,
-        Some(other) => panic!("unknown --kernel `{other}` (scalar|batched|analytic|screened)"),
+        Some(other) => panic!("unknown --kernel `{other}` (batched|analytic|screened)"),
     };
     let mut builder = ArtifactLayer::builder();
     if let Some(dir) = flag_value(&args, "--store") {

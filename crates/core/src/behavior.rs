@@ -31,28 +31,6 @@ pub enum CaptureModel {
     Waveform,
 }
 
-/// Which implementation records the behaviour matrix during observation.
-///
-/// Both kernels are bit-identical by construction (the batched kernel is
-/// a loop-nest interchange of the scalar one); the scalar path survives
-/// as the differential oracle and as an escape hatch. Campaigns select a
-/// kernel through `CampaignConfig::observe`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum ObserveKernel {
-    /// Pattern-lane batched capture: all patterns simulated through one
-    /// topology walk with fixed-width unit-stride inner lanes
-    /// ([`sdd_timing::dynamic::transition_arrivals_patterns`]), and the
-    /// clock-independent capture state reused across re-observations at
-    /// different `clk` values. The production default.
-    #[default]
-    Batched,
-    /// Per-pattern scalar capture
-    /// ([`BehaviorMatrix::observe_with_scalar`]): one full-circuit walk
-    /// per pattern per observation. The oracle the batched kernel is
-    /// pinned against.
-    Scalar,
-}
-
 /// Fail-closed clock-edge capture test for transition-arrival semantics.
 ///
 /// `NO_EVENT` (−∞) means the output never switches — a pass at any
@@ -243,7 +221,8 @@ impl BehaviorMatrix {
     }
 
     /// Observes the behaviour under an explicit capture model, using the
-    /// batched pattern-lane kernel ([`ObserveKernel::Batched`]).
+    /// batched pattern-lane kernel: one topology walk covers every
+    /// pattern ([`sdd_timing::dynamic::transition_arrivals_patterns`]).
     ///
     /// # Panics
     ///
@@ -260,9 +239,8 @@ impl BehaviorMatrix {
 
     /// Scalar observation oracle: one full-circuit walk per pattern, the
     /// loop nest the batched kernel interchanges. Kept as the reference
-    /// implementation the differential suite (and the `speedup` bench)
-    /// pins [`BehaviorMatrix::observe_with`] against, and selectable in
-    /// campaigns via [`ObserveKernel::Scalar`].
+    /// implementation the differential suite pins
+    /// [`BehaviorMatrix::observe_with`] against; no campaign runs it.
     ///
     /// # Panics
     ///

@@ -6,7 +6,7 @@
 //! diagnosis. A serial campaign nevertheless re-simulates it for every
 //! chip and every redraw attempt. [`DictionaryCache`] shares the work:
 //! it stores the raw per-(pattern, sample, suspect) fail *bit grids*
-//! (see [`simulate_fail_masks`](crate::dictionary)) keyed on a
+//! (see [`simulate_fail_masks_batched`](crate::dictionary)) keyed on a
 //! fingerprint of everything the simulation reads, and assembles
 //! per-chip dictionaries from them by pure counting.
 //!
@@ -51,9 +51,9 @@
 //! checkpointed in the background whenever simulation extends them.
 
 use crate::dictionary::{
-    assemble_from_masks, assemble_from_probs, defect_cones, screen_survivors, simulate_fail_masks,
-    simulate_fail_masks_shared, simulate_fail_probs_analytic, AnalyticSuspect, BitGrid,
-    DictionaryConfig, ProbabilisticDictionary, SimKernel, SuspectMasks,
+    assemble_from_masks, assemble_from_probs, defect_cones, screen_survivors,
+    simulate_fail_masks_batched, simulate_fail_masks_shared, simulate_fail_probs_analytic,
+    AnalyticSuspect, BitGrid, DictionaryConfig, ProbabilisticDictionary, SimKernel, SuspectMasks,
 };
 use crate::inject::AtpgConfig;
 use crate::metrics::{Counter, MetricsSink};
@@ -495,7 +495,7 @@ impl DictionaryCache {
             }
             let samples = (patterns.len() * config.n_samples) as u64;
             let simulated = bank.extend(circuit, suspect_edges, samples, metrics, |cones| {
-                simulate_fail_masks(
+                simulate_fail_masks_batched(
                     circuit,
                     timing,
                     defect_size,
@@ -752,12 +752,7 @@ mod tests {
         let suspects: Vec<EdgeId> = c.edge_ids().collect();
         let size = Dist::defect_size(0.4);
         let clk = behavior.clk();
-        for kernel in [
-            SimKernel::Batched,
-            SimKernel::Scalar,
-            SimKernel::Analytic,
-            SimKernel::Screened,
-        ] {
+        for kernel in [SimKernel::Batched, SimKernel::Analytic, SimKernel::Screened] {
             let config = config().with_kernel(kernel);
             let fresh = ProbabilisticDictionary::build_with_behavior(
                 &c,
@@ -796,7 +791,7 @@ mod tests {
             assert_eq!(cold.dict_cache_hits, 0, "{kernel:?}");
             assert_eq!(warm.dict_cache_misses, cold.dict_cache_misses, "{kernel:?}");
             assert_eq!(warm.dict_cache_hits, cold.dict_cache_misses, "{kernel:?}");
-            let mc_banks = matches!(kernel, SimKernel::Batched | SimKernel::Scalar);
+            let mc_banks = kernel == SimKernel::Batched;
             assert_eq!(cache.num_keys(), usize::from(mc_banks), "{kernel:?}");
         }
     }

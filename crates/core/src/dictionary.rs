@@ -17,7 +17,7 @@
 //! Outputs structurally unreachable from a suspect arc have
 //! `err_ij = crt_ij` (signature 0) and are stored implicitly.
 //!
-//! The build is two-phase: `simulate_fail_masks` records the raw
+//! The build is two-phase: `simulate_fail_masks_batched` records the raw
 //! pass/fail outcome of every (pattern, chip sample, suspect) as bit
 //! grids, and `assemble_from_masks` turns grids into probabilities
 //! (plus, optionally, the joint consistency estimate against an observed
@@ -39,24 +39,19 @@ use sdd_atpg::PatternSet;
 use sdd_netlist::logic::simulate_pair;
 use sdd_netlist::{Circuit, EdgeId};
 use sdd_timing::crit::ProbMatrix;
-use sdd_timing::dynamic::{
-    transition_arrivals, transition_arrivals_batch, BaselineOutputs, DefectCone, FusedScratch,
-    NO_EVENT,
-};
+use sdd_timing::dynamic::{transition_arrivals_batch, BaselineOutputs, DefectCone, FusedScratch};
 use sdd_timing::{CircuitTiming, Dist};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Which kernel evaluates the dictionary's fail probabilities.
 ///
-/// The two *Monte-Carlo* kernels (`Batched`, `Scalar`) perform, per
-/// (pattern, chip sample, suspect), the exact same keyed random draws
-/// and the same per-sample sequence of floating-point operations, so
-/// their bit grids — and therefore every stored `.sdds` checkpoint and
-/// every ranking — are bit-identical. The scalar kernel is kept as the
-/// simple oracle the batched kernel is differentially tested against
-/// (see the `batch_kernel` integration tests); the batched kernel is the
-/// production default.
+/// The `Batched` kernel is the Monte-Carlo production default. Per
+/// (pattern, chip sample, suspect) it performs the same keyed random
+/// draws and the same per-sample floating-point operations as a plain
+/// per-sample walk — the test-only scalar oracle it is differentially
+/// pinned against — so its bit grids, every stored `.sdds` checkpoint
+/// and every ranking are reproducible from those keyed draws alone.
 ///
 /// The `Analytic` kernel draws **no** instances at all: it propagates
 /// `(mean, variance)` moments through each defect cone
@@ -80,12 +75,11 @@ use std::collections::HashMap;
 /// equivalence instead.
 ///
 /// The kernel choice deliberately does **not** enter
-/// [`StoreKey`](crate::store::StoreKey): grids simulated by the scalar
-/// and batched MC kernels are valid checkpoints for each other, and
-/// keeping the key kernel-blind is exactly why the analytic kernel must
-/// bypass the store. Screened refinement grids use a different draw
-/// scheme, so they live in their own memory-only cache section and
-/// never reach the `.sdds` store either.
+/// [`StoreKey`](crate::store::StoreKey): only batched grids are ever
+/// checkpointed, and keeping the key kernel-blind is exactly why the
+/// analytic kernel must bypass the store. Screened refinement grids use
+/// a different draw scheme, so they live in their own memory-only cache
+/// section and never reach the `.sdds` store either.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SimKernel {
     /// Sample-major batched evaluation: one pruned pass over the cone
@@ -94,9 +88,6 @@ pub enum SimKernel {
     /// contiguous [`sdd_timing::InstanceBatch`].
     #[default]
     Batched,
-    /// One isolated [`DefectCone::apply`] walk per (pattern, sample,
-    /// suspect) — the original seed path, retained as the oracle.
-    Scalar,
     /// Sampling-free moment propagation: Gauss–Hermite quadrature over
     /// the die-level factor, Clark max per merge, normal-CDF tails
     /// ([`sdd_timing::analytic::pattern_fail_probs`]).
@@ -610,77 +601,6 @@ pub(crate) fn defect_cones(circuit: &Circuit, suspects: &[EdgeId]) -> Vec<Defect
         .collect()
 }
 
-/// Phase 1 of the dictionary build: Monte-Carlo simulate every (pattern,
-/// chip sample) and record, as bit grids, which outputs exceed `clk` —
-/// defect-free (baseline) and with a random-size defect on each cone's
-/// arc. Parallelized over patterns; dispatches to the kernel selected by
-/// [`DictionaryConfig::kernel`] (bit-identical outcomes either way).
-/// Returns, per pattern, the baseline grid (samples × all outputs) and
-/// one grid per cone (samples × its reachable outputs).
-///
-/// `metrics`, when given, accumulates the wall clock of the kernel's
-/// parallel region and the number of (pattern, sample, suspect) cone
-/// evaluations. The batched kernel takes its chip batches from
-/// [`DictionaryCache::batch`] under `model_fp` (the scalar oracle stays
-/// the plain seed path).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_fail_masks(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    defect_size: &Dist,
-    patterns: &PatternSet,
-    cones: &[DefectCone],
-    clk: f64,
-    config: DictionaryConfig,
-    batches: &DictionaryCache,
-    model_fp: u64,
-    metrics: Option<&crate::metrics::MetricsSink>,
-) -> Vec<(BitGrid, Vec<BitGrid>)> {
-    if let Some(m) = metrics {
-        m.add(
-            Counter::ConeEvals,
-            (patterns.len() * config.n_samples * cones.len()) as u64,
-        );
-    }
-    match config.kernel {
-        SimKernel::Batched => simulate_fail_masks_batched(
-            circuit,
-            timing,
-            defect_size,
-            patterns,
-            cones,
-            clk,
-            config,
-            batches,
-            model_fp,
-            metrics,
-        ),
-        SimKernel::Scalar => simulate_fail_masks_scalar(
-            circuit,
-            timing,
-            defect_size,
-            patterns,
-            cones,
-            clk,
-            config,
-            metrics,
-        ),
-        // The analytic kernel produces probabilities, not per-sample bit
-        // grids; it has its own entry point and must never be routed
-        // through the mask path (which books MC cone evals).
-        SimKernel::Analytic => {
-            panic!("analytic kernel has no fail masks; use simulate_fail_probs_analytic")
-        }
-        // The screened kernel orchestrates above this layer: its stage 2
-        // runs the dedicated population-consistent path
-        // (`simulate_fail_masks_shared`), so reaching here means the
-        // screen was skipped.
-        SimKernel::Screened => {
-            panic!("screened kernel orchestrates above the mask path; screen first")
-        }
-    }
-}
-
 /// Selects the behaviour columns stage 1 scores on: the
 /// [`ScreenConfig::screen_patterns`] pattern positions with the most
 /// failing cells, ties towards lower index, returned in ascending
@@ -765,9 +685,9 @@ pub(crate) struct AnalyticSuspect {
     pub(crate) err: ProbMatrix,
 }
 
-/// The analytic counterpart of [`simulate_fail_masks`]: fills `M_crt`
-/// and the per-suspect `E_crt` probability matrices directly by moment
-/// propagation ([`sdd_timing::analytic::pattern_fail_probs`]) — zero
+/// The analytic counterpart of [`simulate_fail_masks_batched`]: fills
+/// `M_crt` and the per-suspect `E_crt` probability matrices directly by
+/// moment propagation ([`sdd_timing::analytic::pattern_fail_probs`]) — zero
 /// instance draws, parallelized over patterns. Deterministic: the result
 /// depends only on (circuit, timing, defect-size moments, patterns,
 /// `clk`), never on `n_samples` or `seed`.
@@ -882,94 +802,33 @@ fn record_kernel_nanos(metrics: Option<&crate::metrics::MetricsSink>, start: std
     }
 }
 
-/// The original per-sample kernel: one full arrival pass plus one
-/// [`DefectCone::apply`] walk per (pattern, sample, suspect). Kept as
-/// the differential oracle for [`simulate_fail_masks_batched`].
-#[allow(clippy::too_many_arguments)]
-fn simulate_fail_masks_scalar(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    defect_size: &Dist,
-    patterns: &PatternSet,
-    cones: &[DefectCone],
-    clk: f64,
-    config: DictionaryConfig,
-    metrics: Option<&crate::metrics::MetricsSink>,
-) -> Vec<(BitGrid, Vec<BitGrid>)> {
-    let n_out = circuit.primary_outputs().len();
-    let outputs = circuit.primary_outputs();
-    if let Some(m) = metrics {
-        // Every (pattern, suspect) pair walks, once per sample.
-        let pairs = if config.n_samples > 0 {
-            patterns.len() * cones.len()
-        } else {
-            0
-        };
-        m.add(Counter::ConeWalks, pairs as u64);
-    }
-    let t_kernel = std::time::Instant::now();
-    let per_pattern = patterns
-        .patterns()
-        .par_iter()
-        .enumerate()
-        .map(|(j, p)| {
-            let transitions = simulate_pair(circuit, &p.v1, &p.v2);
-            let mut base = BitGrid::new(config.n_samples, n_out);
-            let mut fails: Vec<BitGrid> = cones
-                .iter()
-                .map(|c| BitGrid::new(config.n_samples, c.reachable_outputs().len()))
-                .collect();
-            let mut scratch = vec![NO_EVENT; circuit.num_nodes()];
-            let mut out_buf: Vec<f64> = Vec::new();
-            for s in 0..config.n_samples {
-                let instance_index = (j * config.n_samples + s) as u64;
-                let instance = timing.sample_instance_indexed(config.seed, instance_index);
-                let baseline = transition_arrivals(circuit, &transitions, &instance);
-                for (i, &o) in outputs.iter().enumerate() {
-                    if baseline[o.index()] > clk {
-                        base.set(s, i);
-                    }
-                }
-                for (ci, cone) in cones.iter().enumerate() {
-                    let delta = sample_delta(config.seed, instance_index, cone.edge(), defect_size);
-                    cone.apply(
-                        circuit,
-                        &transitions,
-                        &instance,
-                        &baseline,
-                        delta,
-                        &mut scratch,
-                        &mut out_buf,
-                    );
-                    for (k, &arr) in out_buf.iter().enumerate() {
-                        if arr > clk {
-                            fails[ci].set(s, k);
-                        }
-                    }
-                }
-            }
-            (base, fails)
-        })
-        .collect();
-    record_kernel_nanos(metrics, t_kernel);
-    per_pattern
-}
-
-/// The batched sample-major kernel: per pattern, manufacture the whole
-/// chip-sample batch once (sample-major delay matrix), run one batched
-/// baseline arrival pass and summarize its output verdicts
-/// ([`BaselineOutputs`]), then one pruned [`DefectCone::apply_batch_fused`]
-/// walk per sink group covering every member and sample. The walk
+/// Phase 1 of the dictionary build, the Monte-Carlo production kernel:
+/// record, as bit grids, which outputs exceed `clk` for every (pattern,
+/// chip sample) — defect-free (baseline) and with a random-size defect
+/// on each cone's arc. Returns, per pattern, the baseline grid (samples
+/// × all outputs) and one grid per cone (samples × its reachable
+/// outputs).
+///
+/// Per pattern it takes the whole chip-sample batch from
+/// [`DictionaryCache::batch`] under `model_fp` (sample-major delay
+/// matrix, drawn on demand), runs one batched baseline arrival pass,
+/// summarizes its output verdicts ([`BaselineOutputs`]), then runs one
+/// pruned [`DefectCone::apply_batch_fused`] walk per sink group covering
+/// every member and sample. The walk
 /// reports idle and clock-settled members from the baseline summary and
 /// recomputes only the cone rows a defect changes.
 ///
-/// Every random quantity uses the same keyed draws as the scalar kernel
-/// (chip sample by `(seed, pattern, sample)`, defect size by `(seed,
-/// pattern, sample, arc)`, drawn only for arcs the pattern exercises),
-/// and every computed per-sample float operation runs in the same order,
-/// so the produced grids are bit-identical.
+/// Every random quantity uses the same keyed draws as the scalar test
+/// oracle (chip sample by `(seed, pattern, sample)`, defect size by
+/// `(seed, pattern, sample, arc)`, drawn only for arcs the pattern
+/// exercises), and every computed per-sample float operation runs in
+/// the same order, so the produced grids are bit-identical to it.
+///
+/// `metrics`, when given, accumulates the wall clock of the parallel
+/// region, the (pattern, sample, suspect) cone evaluations and the
+/// (pattern, suspect) pairs that actually walked.
 #[allow(clippy::too_many_arguments)]
-fn simulate_fail_masks_batched(
+pub(crate) fn simulate_fail_masks_batched(
     circuit: &Circuit,
     timing: &CircuitTiming,
     defect_size: &Dist,
@@ -982,6 +841,12 @@ fn simulate_fail_masks_batched(
     metrics: Option<&crate::metrics::MetricsSink>,
 ) -> Vec<(BitGrid, Vec<BitGrid>)> {
     let n = config.n_samples;
+    if let Some(m) = metrics {
+        m.add(
+            Counter::ConeEvals,
+            (patterns.len() * n * cones.len()) as u64,
+        );
+    }
     let groups = sink_groups(circuit, cones);
     let t_kernel = std::time::Instant::now();
     let per_pattern = patterns
@@ -1302,6 +1167,67 @@ impl ObservedColumn {
 
 /// The per-bit assembly [`assemble_from_masks`] replaced: the oracle the
 /// `differential_assembly_*` tests compare it against.
+/// The original per-sample kernel: one full arrival pass plus one
+/// [`DefectCone::apply`] walk per (pattern, sample, suspect). Kept as
+/// the differential oracle for [`simulate_fail_masks_batched`].
+#[cfg(test)]
+fn simulate_fail_masks_scalar(
+    circuit: &Circuit,
+    timing: &CircuitTiming,
+    defect_size: &Dist,
+    patterns: &PatternSet,
+    cones: &[DefectCone],
+    clk: f64,
+    config: DictionaryConfig,
+) -> Vec<(BitGrid, Vec<BitGrid>)> {
+    let n_out = circuit.primary_outputs().len();
+    let outputs = circuit.primary_outputs();
+    patterns
+        .patterns()
+        .par_iter()
+        .enumerate()
+        .map(|(j, p)| {
+            let transitions = simulate_pair(circuit, &p.v1, &p.v2);
+            let mut base = BitGrid::new(config.n_samples, n_out);
+            let mut fails: Vec<BitGrid> = cones
+                .iter()
+                .map(|c| BitGrid::new(config.n_samples, c.reachable_outputs().len()))
+                .collect();
+            let mut scratch = vec![sdd_timing::dynamic::NO_EVENT; circuit.num_nodes()];
+            let mut out_buf: Vec<f64> = Vec::new();
+            for s in 0..config.n_samples {
+                let instance_index = (j * config.n_samples + s) as u64;
+                let instance = timing.sample_instance_indexed(config.seed, instance_index);
+                let baseline =
+                    sdd_timing::dynamic::transition_arrivals(circuit, &transitions, &instance);
+                for (i, &o) in outputs.iter().enumerate() {
+                    if baseline[o.index()] > clk {
+                        base.set(s, i);
+                    }
+                }
+                for (ci, cone) in cones.iter().enumerate() {
+                    let delta = sample_delta(config.seed, instance_index, cone.edge(), defect_size);
+                    cone.apply(
+                        circuit,
+                        &transitions,
+                        &instance,
+                        &baseline,
+                        delta,
+                        &mut scratch,
+                        &mut out_buf,
+                    );
+                    for (k, &arr) in out_buf.iter().enumerate() {
+                        if arr > clk {
+                            fails[ci].set(s, k);
+                        }
+                    }
+                }
+            }
+            (base, fails)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 fn assemble_from_masks_oracle(
     clk: f64,
@@ -1402,6 +1328,7 @@ mod tests {
     use super::*;
     use sdd_atpg::TestPattern;
     use sdd_netlist::{CircuitBuilder, GateKind};
+    use sdd_timing::dynamic::transition_arrivals;
     use sdd_timing::{CellLibrary, VariationModel};
 
     /// Two independent chains sharing nothing:
@@ -1577,10 +1504,11 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_scalar_kernels_produce_identical_grids() {
+    fn kernel_oracle_grids_match_batched() {
         // Grid-level differential check: the raw fail masks — baseline
-        // and per-suspect — must be bit-identical between kernels, on a
-        // generated circuit large enough to exercise multi-fanin cones.
+        // and per-suspect — must be bit-identical between the batched
+        // kernel and the scalar oracle, on a generated circuit large
+        // enough to exercise multi-fanin cones.
         let c = sdd_netlist::generator::generate(&sdd_netlist::generator::GeneratorConfig::small(
             "kern", 17,
         ))
@@ -1599,36 +1527,107 @@ mod tests {
             .map(|e| DefectCone::new(&c, e))
             .collect();
         assert!(cones.len() >= 4, "want several cones, got {}", cones.len());
-        let clk = 0.3;
         let defect = Dist::Normal {
             mean: 0.2,
             std: 0.08,
         };
-        let mk = |kernel| {
-            simulate_fail_masks(
+        let config = DictionaryConfig {
+            n_samples: 37, // odd, not a multiple of the word size
+            seed: 0xBEEF,
+            ..DictionaryConfig::default()
+        };
+        // A fixed clock, and one inside the tested-delay spread where
+        // the outcomes hinge on the drawn defect sizes.
+        let spread = crate::inject::tested_delay_samples(&c, &t, &ps, 100, 1).quantile(0.6);
+        for clk in [0.3, spread] {
+            let batched = simulate_fail_masks_batched(
                 &c,
                 &t,
                 &defect,
                 &ps,
                 &cones,
                 clk,
-                DictionaryConfig {
-                    n_samples: 37, // odd, not a multiple of the word size
-                    seed: 0xBEEF,
-                    kernel,
-                    screen: ScreenConfig::default(),
-                },
+                config,
                 &DictionaryCache::one_shot(),
                 0,
                 None,
-            )
+            );
+            let scalar = simulate_fail_masks_scalar(&c, &t, &defect, &ps, &cones, clk, config);
+            assert_eq!(batched.len(), scalar.len());
+            for (j, ((bb, bf), (sb, sf))) in batched.iter().zip(&scalar).enumerate() {
+                assert_eq!(bb, sb, "clk {clk}: baseline grid differs at pattern {j}");
+                assert_eq!(bf, sf, "clk {clk}: suspect grids differ at pattern {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_oracle_dictionaries_match_batched_build() {
+        // Dictionary-level differential check on two differently shaped
+        // generated circuits (a shallow wide one and a deeper one with
+        // flip-flop boundaries): a production build must equal the
+        // scalar oracle's grids assembled by the same counting, joint
+        // consistency estimates included.
+        use sdd_netlist::profiles::BenchmarkProfile;
+        let shallow = BenchmarkProfile {
+            name: "bk-shallow",
+            inputs: 9,
+            outputs: 7,
+            dffs: 0,
+            gates: 70,
+            depth: 8,
         };
-        let batched = mk(SimKernel::Batched);
-        let scalar = mk(SimKernel::Scalar);
-        assert_eq!(batched.len(), scalar.len());
-        for (j, ((bb, bf), (sb, sf))) in batched.iter().zip(&scalar).enumerate() {
-            assert_eq!(bb, sb, "baseline grid differs at pattern {j}");
-            assert_eq!(bf, sf, "suspect grids differ at pattern {j}");
+        let deep = BenchmarkProfile {
+            name: "bk-deep",
+            inputs: 6,
+            outputs: 4,
+            dffs: 5,
+            gates: 90,
+            depth: 16,
+        };
+        for profile in [shallow, deep] {
+            let c = sdd_netlist::generator::generate(&profile.to_config(11))
+                .unwrap()
+                .to_combinational()
+                .unwrap();
+            let t = CircuitTiming::characterize(
+                &c,
+                &CellLibrary::default_025um(),
+                VariationModel::new(0.04, 0.06),
+            );
+            let ps = PatternSet::random(&c, 5, 3);
+            let suspects: Vec<EdgeId> = c.edge_ids().step_by(2).collect();
+            let defect = Dist::Normal {
+                mean: 0.15,
+                std: 0.05,
+            };
+            let (clk, n) = (0.3, 45);
+            let config = DictionaryConfig::new().with_samples(n).with_seed(0xD1FF);
+            let chip = t
+                .sample_instance_indexed(9, 0)
+                .with_extra_delay(suspects[1], 0.3);
+            let behavior = crate::BehaviorMatrix::observe(&c, &ps, &chip, clk);
+            let cones = defect_cones(&c, &suspects);
+            let grids = simulate_fail_masks_scalar(&c, &t, &defect, &ps, &cones, clk, config);
+            let base: Vec<&BitGrid> = grids.iter().map(|(b, _)| b).collect();
+            let masks: Vec<SuspectMasks> = cones
+                .iter()
+                .enumerate()
+                .map(|(ci, cone)| SuspectMasks {
+                    reachable: cone.reachable_outputs().to_vec(),
+                    fails: grids.iter().map(|(_, f)| f[ci].clone()).collect(),
+                })
+                .collect();
+            let pairs: Vec<(EdgeId, &SuspectMasks)> =
+                suspects.iter().copied().zip(&masks).collect();
+            let n_out = c.primary_outputs().len();
+            for behavior in [None, Some(&behavior)] {
+                let oracle = assemble_from_masks(clk, n_out, n, &base, &pairs, behavior);
+                let built = ProbabilisticDictionary::build_with_behavior(
+                    &c, &t, &defect, &ps, &suspects, clk, config, behavior,
+                );
+                assert_eq!(built, oracle, "{}: dictionaries differ", profile.name);
+            }
         }
     }
 
@@ -1713,36 +1712,30 @@ mod tests {
             mean: 0.2,
             std: 0.08,
         };
-        let walks = |kernel| {
-            let m = crate::metrics::MetricsSink::new();
-            let config = DictionaryConfig {
-                n_samples: 16,
-                seed: 3,
-                kernel,
-                screen: ScreenConfig::default(),
-            };
-            let one_shot = DictionaryCache::one_shot();
-            simulate_fail_masks(
-                &c,
-                &t,
-                &defect,
-                &ps,
-                &cones,
-                0.3,
-                config,
-                &one_shot,
-                0,
-                Some(&m),
-            );
-            let snap = m.snapshot(std::time::Duration::ZERO);
-            assert_eq!(snap.cone_evals, (ps.len() * 16 * cones.len()) as u64);
-            snap.cone_walks
+        let m = crate::metrics::MetricsSink::new();
+        let config = DictionaryConfig {
+            n_samples: 16,
+            seed: 3,
+            ..DictionaryConfig::default()
         };
+        simulate_fail_masks_batched(
+            &c,
+            &t,
+            &defect,
+            &ps,
+            &cones,
+            0.3,
+            config,
+            &DictionaryCache::one_shot(),
+            0,
+            Some(&m),
+        );
+        let snap = m.snapshot(std::time::Duration::ZERO);
+        assert_eq!(snap.cone_evals, (ps.len() * 16 * cones.len()) as u64);
+        // An unpruned walk visits every (pattern, suspect) pair; the
+        // pruned kernel settles most of them from the baseline.
         let pairs = (ps.len() * cones.len()) as u64;
-        // The scalar oracle walks every pair; the pruned kernel settles
-        // most of them from the baseline.
-        assert_eq!(walks(SimKernel::Scalar), pairs);
-        let pruned = walks(SimKernel::Batched);
+        let pruned = snap.cone_walks;
         assert!(
             pruned > 0 && pruned < pairs,
             "{pruned} of {pairs} pairs walked"
@@ -1760,13 +1753,10 @@ mod tests {
         assert_eq!(cfg.kernel, SimKernel::Batched);
         assert_eq!(cfg.screen, ScreenConfig::default());
         // And the full roundtrip preserves a non-default kernel.
-        let scalar = DictionaryConfig {
-            kernel: SimKernel::Scalar,
-            ..DictionaryConfig::default()
-        };
+        let analytic = DictionaryConfig::default().with_kernel(SimKernel::Analytic);
         let back: DictionaryConfig =
-            serde_json::from_str(&serde_json::to_string(&scalar).unwrap()).unwrap();
-        assert_eq!(back, scalar);
+            serde_json::from_str(&serde_json::to_string(&analytic).unwrap()).unwrap();
+        assert_eq!(back, analytic);
     }
 
     #[test]
@@ -2031,7 +2021,7 @@ mod tests {
             mean: 0.2,
             std: 0.08,
         };
-        let per_pattern = simulate_fail_masks(
+        let per_pattern = simulate_fail_masks_batched(
             &c,
             &t,
             &defect,

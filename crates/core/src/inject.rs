@@ -15,7 +15,7 @@ use crate::dictionary::DictionaryConfig;
 use crate::error_fn::ErrorFunction;
 use crate::evaluate::AccuracyReport;
 use crate::metrics::{Counter, InstanceTrace, MetricsSink, Phase, TraceOutcome};
-use crate::{BehaviorMatrix, CaptureModel, DiagnosisError, ObserveKernel, ObservedBehavior};
+use crate::{BehaviorMatrix, CaptureModel, DiagnosisError, ObservedBehavior};
 use rayon::prelude::*;
 use sdd_atpg::fault::{PathDelayFault, TransitionDirection};
 use sdd_atpg::path_atpg::generate_candidate_tests;
@@ -58,13 +58,6 @@ pub struct CampaignConfig {
     pub max_redraws: usize,
     /// How the tester's capture is modelled when observing `B`.
     pub capture: CaptureModel,
-    /// Which observe implementation records `B` (batched pattern-lane
-    /// kernel vs the scalar per-pattern oracle); bit-identical by
-    /// contract, so this only affects speed. Defaults to
-    /// [`ObserveKernel::Batched`] (also for configs deserialized from
-    /// older exports without the field).
-    #[serde(default)]
-    pub observe: ObserveKernel,
     /// Backtrack budget per path-test justification (sensitizable paths
     /// justify quickly; a tight budget bounds the cost of the many false
     /// paths that cannot be justified at all).
@@ -95,7 +88,6 @@ impl CampaignConfig {
             seed,
             max_redraws: 10,
             capture: CaptureModel::TransitionArrival,
-            observe: ObserveKernel::Batched,
             path_backtracks: 120,
             podem_backtracks: 500,
             sweep_extra_steps: 2,
@@ -121,7 +113,6 @@ impl CampaignConfig {
             seed,
             max_redraws: 6,
             capture: CaptureModel::TransitionArrival,
-            observe: ObserveKernel::Batched,
             path_backtracks: 100,
             podem_backtracks: 300,
             sweep_extra_steps: 2,
@@ -149,13 +140,6 @@ impl CampaignConfig {
     /// Sets the clock policy.
     pub fn with_clock(mut self, clock: ClockPolicy) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// Selects the observe implementation (batched pattern-lane kernel
-    /// vs scalar oracle).
-    pub fn with_observe_kernel(mut self, observe: ObserveKernel) -> Self {
-        self.observe = observe;
         self
     }
 }
@@ -243,6 +227,30 @@ pub enum ClockPolicy {
 /// The quantile ladder walked by [`ClockPolicy::Sweep`], tightest last.
 pub const SWEEP_QUANTILES: [f64; 6] = [0.95, 0.8, 0.65, 0.5, 0.35, 0.2];
 
+/// The clock sweep of [`ClockPolicy::Sweep`] over one chip's
+/// clock-independent capture: walk [`SWEEP_QUANTILES`] of the
+/// tested-delay `samples` until the chip fails some pattern, then
+/// tighten `extra_steps` more levels (clamped to the ladder) and record
+/// `B` there. Every level re-thresholds the same capture, so the whole
+/// ladder costs one topology walk. Returns `None` when the chip passes
+/// at every level.
+///
+/// The first failing level often exposes only the chip's single most
+/// critical tested path; going deeper makes more of the defect's paths
+/// fail, which shrinks the ambiguity group of arcs that could explain
+/// the behaviour.
+pub(crate) fn sweep_ladder(
+    observed: &ObservedBehavior,
+    samples: &sdd_timing::Samples,
+    extra_steps: usize,
+) -> Option<BehaviorMatrix> {
+    let first = SWEEP_QUANTILES
+        .iter()
+        .position(|&q| !observed.matrix_at(samples.quantile(q)).all_pass())?;
+    let level = (first + extra_steps).min(SWEEP_QUANTILES.len() - 1);
+    Some(observed.matrix_at(samples.quantile(SWEEP_QUANTILES[level])))
+}
+
 /// Monte-Carlo samples of `Δ(Induced(Path_TP))` (Definition D.5): the
 /// maximum dynamic arrival time over all patterns and outputs, per
 /// manufactured model instance. The clock policies quantize this
@@ -251,9 +259,9 @@ pub const SWEEP_QUANTILES: [f64; 6] = [0.95, 0.8, 0.65, 0.5, 0.35, 0.2];
 /// Runs sample-major: one [`sdd_timing::InstanceBatch`] carries every
 /// instance and each pattern is timed for all samples in one
 /// [`sdd_timing::dynamic::transition_arrivals_batch`] walk. Bit-identical
-/// to [`tested_delay_samples_scalar`] — the batch draws the same keyed
-/// per-index instances and the max-fold runs in the same
-/// (pattern, output) order per sample; only the loop nest is
+/// to a per-instance scalar walk (the test suite's oracle) — the batch
+/// draws the same keyed per-index instances and the max-fold runs in the
+/// same (pattern, output) order per sample; only the loop nest is
 /// interchanged.
 ///
 /// # Panics
@@ -306,43 +314,6 @@ pub fn tested_delay_samples_from_batch(
         }
     }
     worst.into_iter().collect()
-}
-
-/// Scalar oracle for [`tested_delay_samples`]: one instance at a time,
-/// one full-circuit walk per (sample, pattern). Kept for the
-/// differential suite and the `speedup` bench's scalar-observe leg.
-///
-/// # Panics
-///
-/// Panics if `n_samples == 0` or the pattern set is empty.
-pub fn tested_delay_samples_scalar(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    patterns: &PatternSet,
-    n_samples: usize,
-    seed: u64,
-) -> sdd_timing::Samples {
-    assert!(n_samples > 0, "monte-carlo sample count must be positive");
-    assert!(!patterns.is_empty(), "pattern set must be non-empty");
-    let transitions: Vec<_> = patterns
-        .iter()
-        .map(|p| sdd_netlist::logic::simulate_pair(circuit, &p.v1, &p.v2))
-        .collect();
-    (0..n_samples)
-        .map(|i| {
-            let instance = timing.sample_instance_indexed(seed ^ 0x7E57, i as u64);
-            let mut worst = 0.0f64;
-            for t in &transitions {
-                let arr = sdd_timing::dynamic::transition_arrivals(circuit, t, &instance);
-                for &o in circuit.primary_outputs() {
-                    if arr[o.index()].is_finite() {
-                        worst = worst.max(arr[o.index()]);
-                    }
-                }
-            }
-            worst
-        })
-        .collect()
 }
 
 /// The clock for [`ClockPolicy::TestedQuantile`]: the given quantile of
@@ -537,6 +508,7 @@ pub(crate) fn run_campaign_on_with(
     let trace_baseline = metrics.trace_seq();
     let library = CellLibrary::default_025um();
     let timing = CircuitTiming::characterize(circuit, &library, config.variation);
+    let model_fp = crate::store::fingerprint_model(circuit, &timing);
     let circuit_clk = match config.clock {
         ClockPolicy::CircuitQuantile(q) => Some(
             sta::static_mc(circuit, &timing, config.sta_samples, config.seed)?.clock_at_quantile(q),
@@ -555,6 +527,7 @@ pub(crate) fn run_campaign_on_with(
             diagnose_instance_impl(
                 circuit,
                 &timing,
+                model_fp,
                 &defect_model,
                 circuit_clk,
                 config,
@@ -601,6 +574,7 @@ pub fn diagnose_one_instance(
     diagnose_instance_impl(
         circuit,
         timing,
+        crate::store::fingerprint_model(circuit, timing),
         defect_model,
         circuit_clk,
         config,
@@ -622,10 +596,15 @@ pub fn diagnose_one_instance(
 /// into the shared sink and derives the per-phase latency histograms
 /// and the [`InstanceTrace`] from the very same numbers — so the
 /// aggregate counters, the histograms and the traces agree exactly.
+///
+/// `model_fp` is the caller's one
+/// [`fingerprint_model`](crate::store::fingerprint_model) of (circuit,
+/// timing): it keys the tested-delay chip batch of every redraw.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn diagnose_instance_impl(
     circuit: &Circuit,
     timing: &CircuitTiming,
+    model_fp: u64,
     defect_model: &SingleDefectModel,
     circuit_clk: Option<f64>,
     config: &CampaignConfig,
@@ -690,6 +669,7 @@ pub(crate) fn diagnose_instance_impl(
             observe_behavior(
                 circuit,
                 timing,
+                model_fp,
                 &patterns,
                 &failing_chip,
                 circuit_clk,
@@ -775,6 +755,7 @@ pub(crate) fn diagnose_instance_impl(
 fn observe_behavior(
     circuit: &Circuit,
     timing: &CircuitTiming,
+    model_fp: u64,
     patterns: &PatternSet,
     failing_chip: &TimingInstance,
     circuit_clk: Option<f64>,
@@ -782,88 +763,29 @@ fn observe_behavior(
     cache: &DictionaryCache,
     metrics: &MetricsSink,
 ) -> Option<BehaviorMatrix> {
-    let observe_one = |clk: f64| match config.observe {
-        ObserveKernel::Batched => {
-            BehaviorMatrix::observe_with(circuit, patterns, failing_chip, clk, config.capture)
-        }
-        ObserveKernel::Scalar => BehaviorMatrix::observe_with_scalar(
+    if let Some(clk) = circuit_clk {
+        return Some(BehaviorMatrix::observe_with(
             circuit,
             patterns,
             failing_chip,
             clk,
             config.capture,
-        ),
-    };
-    let delay_samples = |n: usize| match config.observe {
-        ObserveKernel::Batched => {
-            // The tested-delay instance draws depend only on (timing
-            // model, seed): memoize them campaign-wide so the Box-Muller
-            // sampling cost — the bulk of a warm observe phase — is paid
-            // once instead of once per chip. Values are bit-identical to
-            // a fresh draw.
-            let model_fp = crate::store::fingerprint_model(circuit, timing);
-            let batch = cache.batch(model_fp, timing, config.seed ^ 0x7E57, 0, n);
-            tested_delay_samples_from_batch(circuit, patterns, &batch)
-        }
-        ObserveKernel::Scalar => {
-            tested_delay_samples_scalar(circuit, timing, patterns, n, config.seed)
-        }
-    };
-    match (circuit_clk, config.clock) {
-        (Some(clk), _) => Some(observe_one(clk)),
-        (None, ClockPolicy::TestedQuantile(q)) => {
-            let n = config.sta_samples.min(150);
-            metrics.add(Counter::SamplesSimulated, (n * patterns.len()) as u64);
-            let clk = delay_samples(n).quantile(q);
-            Some(observe_one(clk))
-        }
-        (None, ClockPolicy::Sweep) if config.observe == ObserveKernel::Batched => {
-            let n = config.sta_samples.min(150);
-            metrics.add(Counter::SamplesSimulated, (n * patterns.len()) as u64);
-            let samples = delay_samples(n);
-            // One clock-independent capture serves the whole ladder: the
-            // sweep re-thresholds it per level instead of re-simulating
-            // (up to 7 observations amortized into one topology walk).
-            let observed =
-                ObservedBehavior::capture(circuit, patterns, failing_chip, config.capture);
-            for (level, &q) in SWEEP_QUANTILES.iter().enumerate() {
-                let b = observed.matrix_at(samples.quantile(q));
-                if !b.all_pass() {
-                    // Tighten extra steps (when available): the first
-                    // failing level often exposes only the chip's single
-                    // most critical tested path; going deeper makes more
-                    // of the defect's paths fail, which shrinks the
-                    // ambiguity group of arcs that could explain the
-                    // behaviour.
-                    let extra = (level + config.sweep_extra_steps).min(SWEEP_QUANTILES.len() - 1);
-                    return Some(if extra > level {
-                        observed.matrix_at(samples.quantile(SWEEP_QUANTILES[extra]))
-                    } else {
-                        b
-                    });
-                }
-            }
-            None
-        }
-        (None, ClockPolicy::Sweep) => {
-            let n = config.sta_samples.min(150);
-            metrics.add(Counter::SamplesSimulated, (n * patterns.len()) as u64);
-            let samples = delay_samples(n);
-            for (level, &q) in SWEEP_QUANTILES.iter().enumerate() {
-                let clk = samples.quantile(q);
-                let b = observe_one(clk);
-                if !b.all_pass() {
-                    let extra = (level + config.sweep_extra_steps).min(SWEEP_QUANTILES.len() - 1);
-                    return Some(if extra > level {
-                        observe_one(samples.quantile(SWEEP_QUANTILES[extra]))
-                    } else {
-                        b
-                    });
-                }
-            }
-            None
-        }
-        (None, ClockPolicy::CircuitQuantile(_)) => {
+        ));
+    }
+    let n = config.sta_samples.min(150);
+    metrics.add(Counter::SamplesSimulated, (n * patterns.len()) as u64);
+    // The tested-delay instance draws depend only on (timing model,
+    // seed): memoize them campaign-wide so the Box-Muller sampling cost
+    // — the bulk of a warm observe phase — is paid once instead of once
+    // per chip. Values are bit-identical to a fresh draw.
+    let batch = cache.batch(model_fp, timing, config.seed ^ 0x7E57, 0, n);
+    let samples = tested_delay_samples_from_batch(circuit, patterns, &batch);
+    // One clock-independent capture serves every clock the policy tries.
+    let observed = ObservedBehavior::capture(circuit, patterns, failing_chip, config.capture);
+    match config.clock {
+        ClockPolicy::TestedQuantile(q) => Some(observed.matrix_at(samples.quantile(q))),
+        ClockPolicy::Sweep => sweep_ladder(&observed, &samples, config.sweep_extra_steps),
+        ClockPolicy::CircuitQuantile(_) => {
             unreachable!("campaign precomputes the circuit-level clock")
         }
     }
@@ -881,6 +803,172 @@ mod tests {
             .unwrap()
             .to_combinational()
             .unwrap()
+    }
+
+    /// Scalar oracle for [`tested_delay_samples`]: one instance at a
+    /// time, one full-circuit walk per (sample, pattern).
+    fn tested_delay_samples_scalar(
+        circuit: &Circuit,
+        timing: &CircuitTiming,
+        patterns: &PatternSet,
+        n_samples: usize,
+        seed: u64,
+    ) -> sdd_timing::Samples {
+        assert!(n_samples > 0, "monte-carlo sample count must be positive");
+        assert!(!patterns.is_empty(), "pattern set must be non-empty");
+        let transitions: Vec<_> = patterns
+            .iter()
+            .map(|p| sdd_netlist::logic::simulate_pair(circuit, &p.v1, &p.v2))
+            .collect();
+        (0..n_samples)
+            .map(|i| {
+                let instance = timing.sample_instance_indexed(seed ^ 0x7E57, i as u64);
+                let mut worst = 0.0f64;
+                for t in &transitions {
+                    let arr = sdd_timing::dynamic::transition_arrivals(circuit, t, &instance);
+                    for &o in circuit.primary_outputs() {
+                        if arr[o.index()].is_finite() {
+                            worst = worst.max(arr[o.index()]);
+                        }
+                    }
+                }
+                worst
+            })
+            .collect()
+    }
+
+    /// Differently shaped generated circuits: the observe differential
+    /// suite's shallow wide and deep sequential (scan-cut) profiles,
+    /// plus s27.
+    fn oracle_circuits() -> Vec<Circuit> {
+        use sdd_netlist::profiles::BenchmarkProfile;
+        let shallow = BenchmarkProfile {
+            name: "ok-shallow",
+            inputs: 9,
+            outputs: 7,
+            dffs: 0,
+            gates: 70,
+            depth: 8,
+        };
+        let deep = BenchmarkProfile {
+            name: "ok-deep",
+            inputs: 6,
+            outputs: 4,
+            dffs: 5,
+            gates: 90,
+            depth: 16,
+        };
+        [shallow, deep, profiles::S27]
+            .into_iter()
+            .map(|p| {
+                generate(&p.to_config(11))
+                    .unwrap()
+                    .to_combinational()
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    fn oracle_timing(c: &Circuit) -> CircuitTiming {
+        CircuitTiming::characterize(
+            c,
+            &CellLibrary::default_025um(),
+            VariationModel::new(0.04, 0.06),
+        )
+    }
+
+    #[test]
+    fn observe_oracle_tested_delay_samples_match_scalar() {
+        for c in oracle_circuits() {
+            let t = oracle_timing(&c);
+            let ps = PatternSet::random(&c, 7, 5);
+            for n in [1, 7, 150] {
+                let bits = |s: sdd_timing::Samples| -> Vec<u64> {
+                    s.values().iter().map(|v| v.to_bits()).collect()
+                };
+                let batched = bits(tested_delay_samples(&c, &t, &ps, n, 19));
+                let scalar = bits(tested_delay_samples_scalar(&c, &t, &ps, n, 19));
+                assert_eq!(batched, scalar, "{}: n = {n}", c.name());
+            }
+        }
+    }
+
+    /// The scalar clock sweep: one fresh per-pattern observation per
+    /// ladder level, at the quantiles of the scalar tested delays.
+    fn scalar_sweep(
+        c: &Circuit,
+        t: &CircuitTiming,
+        ps: &PatternSet,
+        chip: &TimingInstance,
+        config: &CampaignConfig,
+    ) -> Option<BehaviorMatrix> {
+        let n = config.sta_samples.min(150);
+        let samples = tested_delay_samples_scalar(c, t, ps, n, config.seed);
+        let observe = |q: f64| {
+            BehaviorMatrix::observe_with_scalar(c, ps, chip, samples.quantile(q), config.capture)
+        };
+        for (level, &q) in SWEEP_QUANTILES.iter().enumerate() {
+            let b = observe(q);
+            if !b.all_pass() {
+                let extra = (level + config.sweep_extra_steps).min(SWEEP_QUANTILES.len() - 1);
+                return Some(if extra > level {
+                    observe(SWEEP_QUANTILES[extra])
+                } else {
+                    b
+                });
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn observe_oracle_sweep_ladder_matches_scalar_replay() {
+        // The campaign's observe path (memoized chip batch, one capture,
+        // re-thresholded ladder) must choose exactly the behaviour a
+        // per-level scalar replay chooses, for every extra-step budget,
+        // both capture models, defective chips and a chip that never
+        // fails.
+        let (mut chose, mut never) = (0, 0);
+        for c in oracle_circuits() {
+            let t = oracle_timing(&c);
+            let fp = crate::store::fingerprint_model(&c, &t);
+            let ps = PatternSet::random(&c, 6, 9);
+            let cache = DictionaryCache::new();
+            let edges: Vec<EdgeId> = c.edge_ids().collect();
+            let mut chips: Vec<TimingInstance> = (0..3u64)
+                .map(|i| {
+                    t.sample_instance_indexed(0xC41F, i)
+                        .with_extra_delay(edges[(i as usize * 7) % edges.len()], 0.3)
+                })
+                .collect();
+            // Zero delay on every arc: nothing arrives after time 0, so
+            // no ladder level can fail it.
+            let mut fast = t.sample_instance_indexed(0xC41F, 9);
+            for &e in &edges {
+                fast.set_delay(e, 0.0);
+            }
+            chips.push(fast);
+            for extra in [0, 2, 9] {
+                for capture in [CaptureModel::TransitionArrival, CaptureModel::Waveform] {
+                    let mut config = CampaignConfig::quick(13);
+                    config.sweep_extra_steps = extra;
+                    config.capture = capture;
+                    for (i, chip) in chips.iter().enumerate() {
+                        let sink = MetricsSink::new();
+                        let got =
+                            observe_behavior(&c, &t, fp, &ps, chip, None, &config, &cache, &sink);
+                        let want = scalar_sweep(&c, &t, &ps, chip, &config);
+                        assert_eq!(got, want, "{} chip {i} extra {extra} {capture:?}", c.name());
+                        match got {
+                            Some(_) => chose += 1,
+                            None => never += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(chose > 0, "no chip ever failed a ladder level");
+        assert!(never > 0, "the never-failing chip failed");
     }
 
     #[test]
@@ -975,12 +1063,14 @@ mod tests {
         // A fixed, absurdly slack clock: every draw passes, every chip
         // walks the full redraw budget.
         let cfg = CampaignConfig::quick(4).with_clock(ClockPolicy::CircuitQuantile(0.95));
+        let fp = crate::store::fingerprint_model(&c, &t);
         let cache = DictionaryCache::new();
         let sink = MetricsSink::new();
         let mut saw_repeat = false;
         for index in 0..12usize {
             let seq = sink.trace_seq();
-            let out = diagnose_instance_impl(&c, &t, &model, Some(1e9), &cfg, index, &cache, &sink);
+            let out =
+                diagnose_instance_impl(&c, &t, fp, &model, Some(1e9), &cfg, index, &cache, &sink);
             assert!(out.is_none(), "chip {index} failed under a 1e9 clock");
             let trace = sink
                 .traces_since(seq)

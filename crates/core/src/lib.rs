@@ -63,7 +63,6 @@ pub mod error_fn;
 pub mod evaluate;
 pub mod format;
 pub mod inject;
-pub mod kselect;
 pub mod metrics;
 pub mod multi_defect;
 pub mod session;
@@ -72,7 +71,7 @@ pub mod suspects;
 pub mod table;
 pub mod testutil;
 
-pub use behavior::{BehaviorMatrix, CaptureModel, ObserveKernel, ObservedBehavior};
+pub use behavior::{BehaviorMatrix, CaptureModel, ObservedBehavior};
 pub use cache::DictionaryCache;
 pub use defect::{InjectedDefect, SingleDefectModel};
 pub use diagnoser::{Diagnoser, DiagnoserConfig, RankedSite};

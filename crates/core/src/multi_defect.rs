@@ -12,7 +12,7 @@ use crate::defect::SingleDefectModel;
 use crate::diagnoser::{Diagnoser, DiagnoserConfig};
 use crate::error_fn::ErrorFunction;
 use crate::evaluate::is_success;
-use crate::inject::{patterns_through_site, tested_delay_samples, CampaignConfig, SWEEP_QUANTILES};
+use crate::inject::{patterns_through_site, sweep_ladder, tested_delay_samples, CampaignConfig};
 use crate::{BehaviorMatrix, DiagnosisError, ObservedBehavior};
 use sdd_netlist::{Circuit, EdgeId};
 use sdd_timing::{CellLibrary, CircuitTiming, TimingInstance};
@@ -183,18 +183,9 @@ fn observe_multi(
             config.sta_samples.min(150),
             config.seed,
         );
-        // One clock-independent capture per redraw; the sweep only
-        // re-thresholds it, so the ladder costs one topology walk
-        // instead of one per quantile.
         let observed = ObservedBehavior::capture(circuit, &patterns, &failing, config.capture);
-        for (level, &q) in SWEEP_QUANTILES.iter().enumerate() {
-            let clk = samples.quantile(q);
-            if !observed.matrix_at(clk).all_pass() {
-                let extra = (level + config.sweep_extra_steps).min(SWEEP_QUANTILES.len() - 1);
-                let clk = samples.quantile(SWEEP_QUANTILES[extra]);
-                let b = observed.matrix_at(clk);
-                return Some((defects.iter().map(|d| d.edge).collect(), patterns, b));
-            }
+        if let Some(b) = sweep_ladder(&observed, &samples, config.sweep_extra_steps) {
+            return Some((defects.iter().map(|d| d.edge).collect(), patterns, b));
         }
     }
     None

@@ -385,6 +385,7 @@ impl DiagnosisSession {
             diagnose_instance_impl(
                 circuit,
                 timing,
+                crate::store::fingerprint_model(circuit, timing),
                 defect_model,
                 circuit_clk,
                 &cfg,
@@ -518,10 +519,10 @@ mod tests {
         let mut cfg = CampaignConfig::quick(5);
         let via_override = layer
             .session("o")
-            .with_kernel(SimKernel::Scalar)
+            .with_kernel(SimKernel::Analytic)
             .run_campaign(&profiles::S27, &cfg)
             .unwrap();
-        cfg.dictionary.kernel = SimKernel::Scalar;
+        cfg.dictionary.kernel = SimKernel::Analytic;
         let via_config = layer
             .session("c")
             .run_campaign(&profiles::S27, &cfg)

@@ -3,7 +3,7 @@
 //! [`DictionaryCache`](crate::cache::DictionaryCache).
 //!
 //! The Monte-Carlo phase of dictionary construction
-//! ([`simulate_fail_masks`](crate::dictionary)) dominates campaign
+//! ([`simulate_fail_masks_batched`](crate::dictionary)) dominates campaign
 //! wall-clock, yet its output depends only on (circuit, timing model,
 //! pattern set, `clk`, defect-size distribution, Monte-Carlo config) —
 //! nothing about the chip under diagnosis, nothing about the process

@@ -1,10 +1,10 @@
 //! Differential tests for the analytic moment-propagation dictionary
-//! kernel ([`SimKernel::Analytic`]) against the scalar Monte-Carlo
-//! oracle.
+//! kernel ([`SimKernel::Analytic`]) against the batched Monte-Carlo
+//! kernel (itself pinned bit for bit to the scalar oracle).
 //!
 //! The analytic kernel is deliberately *not* bit-identical to the MC
 //! kernels — it replaces sampling with Clark-style moment propagation —
-//! so instead of the exact-equality contract of `batch_kernel.rs` this
+//! so instead of the exact-equality contract of the MC oracle tests this
 //! suite enforces a **bounded-divergence contract**: at the paper-scale
 //! Monte-Carlo budget (`n_samples = 150`) every per-cell probability the
 //! two kernels produce (the defect-free `M_crt` and every suspect
@@ -134,9 +134,9 @@ fn analytic_dictionary_tracks_scalar_mc_within_epsilon() {
             )
         };
         let analytic = build(SimKernel::Analytic, 150);
-        let mc = build(SimKernel::Scalar, 150);
+        let mc = build(SimKernel::Batched, 150);
         let worst = max_cell_divergence(&analytic, &mc);
-        let mc_dense = build(SimKernel::Scalar, 4000);
+        let mc_dense = build(SimKernel::Batched, 4000);
         let worst_dense = max_cell_divergence(&analytic, &mc_dense);
         println!("{name}: max |p_analytic - p_mc| = {worst:.4} @150, {worst_dense:.4} @4000");
         assert!(

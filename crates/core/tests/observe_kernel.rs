@@ -1,13 +1,14 @@
 //! Differential tests for the batched pattern-lane observe path: on
 //! every input an observation can see — healthy instances, defect-shifted
-//! instances, NaN/Inf-poisoned instances, both capture models, full
-//! campaigns — the batched kernel must produce behaviours bit-identical
-//! to the scalar per-pattern oracle.
+//! instances, NaN/Inf-poisoned instances, both capture models — the
+//! batched kernel must produce behaviours bit-identical to the scalar
+//! per-pattern oracle. The campaign-level halves (tested-delay samples
+//! and the clock-sweep ladder against a scalar replay) are unit tests
+//! of `sdd_core::inject` (`observe_oracle_*`), because their scalar
+//! oracles are test-only code.
 
-use sdd_core::evaluate::AccuracyReport;
 use sdd_core::inject::CampaignConfig;
-use sdd_core::session::ArtifactLayer;
-use sdd_core::{BehaviorMatrix, CaptureModel, ObserveKernel, ObservedBehavior};
+use sdd_core::{BehaviorMatrix, CaptureModel, ObservedBehavior};
 use sdd_netlist::generator::generate;
 use sdd_netlist::profiles::BenchmarkProfile;
 use sdd_netlist::Circuit;
@@ -140,23 +141,14 @@ fn poisoned_instances_fail_closed_and_agree_across_kernels() {
 }
 
 #[test]
-fn campaign_reports_are_bit_identical_across_observe_kernels() {
-    // The `table1 --quick` path in miniature: full campaigns through the
-    // batched observe path (pattern-lane arrivals + amortized sweep +
-    // batched delay samples) must reproduce the scalar-observe campaign
-    // exactly — success counts, rankings, suspect statistics and all.
-    for (name, c) in circuits() {
-        let run = |observe| -> AccuracyReport {
-            let mut cfg = CampaignConfig::quick(23);
-            cfg.observe = observe;
-            ArtifactLayer::new()
-                .session("")
-                .run_campaign_on(&c, &cfg)
-                .expect("campaign runs")
-        };
-        let batched = run(ObserveKernel::Batched);
-        let scalar = run(ObserveKernel::Scalar);
-        assert_eq!(batched, scalar, "{name}: campaign reports differ");
-        assert!(batched.trials > 0, "{name}: campaign diagnosed nothing");
-    }
+fn campaign_config_with_retired_observe_field_still_parses() {
+    // Exports written while campaigns could select the observe kernel
+    // carry an `"observe"` field; it is ignored on the way back in, and
+    // the config is otherwise unchanged.
+    let config = CampaignConfig::quick(23);
+    let json = serde_json::to_string(&config).unwrap();
+    assert!(!json.contains("\"observe\""), "{json}");
+    let legacy = json.replacen('{', r#"{"observe": "Scalar", "#, 1);
+    let parsed: CampaignConfig = serde_json::from_str(&legacy).unwrap();
+    assert_eq!(parsed, config);
 }

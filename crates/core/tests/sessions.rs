@@ -154,7 +154,7 @@ fn idle_pool_diagnosis_report_validates() {
     );
     let defect = Dist::defect_size(library.nominal_cell_delay());
 
-    for kernel in [SimKernel::Batched, SimKernel::Scalar, SimKernel::Analytic] {
+    for kernel in [SimKernel::Batched, SimKernel::Analytic, SimKernel::Screened] {
         // A fresh layer per kernel, so every request simulates.
         let layer = ArtifactLayer::builder()
             .num_threads(2)

@@ -232,6 +232,12 @@ fn store_roundtrip_reports_are_bit_identical_across_processes_worth_of_state() {
     let cold = run(dir.path(), 21);
     let warm = run(dir.path(), 21);
     assert_eq!(cold, warm);
+    // Neither store path changes an answer: a store-less layer agrees.
+    let storeless = ArtifactLayer::new()
+        .session("")
+        .run_campaign(&profiles::S27, &CampaignConfig::quick(21))
+        .expect("campaign runs");
+    assert_eq!(cold, storeless, "the store changed the report");
     assert!(warm.metrics.store_hits > 0);
     assert_eq!(
         warm.metrics.dict_cache_misses, 0,

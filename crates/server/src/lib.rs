@@ -77,7 +77,7 @@ pub struct Request {
     #[serde(default)]
     pub config: Option<CampaignConfig>,
     /// Kernel the tenant's session is pinned to: `""` (request/config
-    /// choice), `batched`, `scalar`, `analytic` or `screened`.
+    /// choice), `batched`, `analytic` or `screened`.
     #[serde(default)]
     pub kernel: String,
     /// Survivor budget of the analytic screen (screened kernel only);
@@ -325,11 +325,10 @@ fn parse_kernel(name: &str) -> Result<Option<SimKernel>, String> {
     match name.to_ascii_lowercase().as_str() {
         "" => Ok(None),
         "batched" => Ok(Some(SimKernel::Batched)),
-        "scalar" => Ok(Some(SimKernel::Scalar)),
         "analytic" => Ok(Some(SimKernel::Analytic)),
         "screened" => Ok(Some(SimKernel::Screened)),
         other => Err(format!(
-            "unknown kernel {other:?} (expected batched, scalar, analytic or screened)"
+            "unknown kernel {other:?} (expected batched, analytic or screened)"
         )),
     }
 }

@@ -1,6 +1,7 @@
 //! Protocol-robustness regression tests: malformed, oversized or
-//! garbage request lines must each produce a structured `error`
-//! response and leave the connection serving follow-up requests. Also
+//! garbage request lines, and retired kernel names, must each produce a
+//! structured `error` response and leave the connection serving
+//! follow-up requests. Also
 //! pins the screened-kernel protocol surface: `"kernel": "screened"` +
 //! `top_k` submits serve rankings bit-identical to an in-process
 //! screened session, and behaviour submits under a circuit-quantile
@@ -167,6 +168,36 @@ fn behavior_submit_under_circuit_quantile_matches_in_process_diagnose_behavior()
         served.rankings, local,
         "served behaviour rankings must be bit-identical"
     );
+    assert_alive(&mut client);
+}
+
+#[test]
+fn retired_scalar_kernel_name_yields_error_and_connection_survives() {
+    // The scalar reference kernel is test code, not a wire name: a
+    // submit naming it gets one structured error listing the kernels a
+    // tenant can pin, and the connection keeps serving — including a
+    // valid submit under the same tenant, which was never pinned.
+    let mut client = connect(start_server());
+    let mut request = Request::new("submit");
+    request.tenant = "retired-t".into();
+    request.circuit = "s27".into();
+    request.chips = vec![0];
+    request.config = Some(CampaignConfig::quick(2));
+    for name in ["scalar", "Scalar"] {
+        request.kernel = name.into();
+        client.send(&request).expect("send");
+        let response = client.recv().expect("recv").expect("response");
+        assert_eq!(response.op, "error", "{response:?}");
+        assert_eq!(response.tenant, "retired-t", "{response:?}");
+        for kernel in ["batched", "analytic", "screened"] {
+            assert!(response.error.contains(kernel), "{response:?}");
+        }
+    }
+    assert_alive(&mut client);
+    request.kernel = "batched".into();
+    let responses = client.submit(&request).expect("batched submit");
+    assert_eq!(responses.len(), 1, "{responses:?}");
+    assert_eq!(responses[0].op, "outcome", "{responses:?}");
     assert_alive(&mut client);
 }
 
