@@ -14,7 +14,8 @@
 //! | `fig3`   | Figure 3 — equivalence-checking error model (eq. 5) | `cargo run -p sdd-bench --release --bin fig3` |
 //!
 //! `table1` accepts `--quick` (reduced budgets), `--circuit <name>` (one
-//! circuit only) and `--seed <n>`.
+//! circuit only), `--seed <n>` and `--seeds A..B` (seeds `A` to `B`
+//! pooled, with Wilson 95% intervals).
 //!
 //! Every binary accepts `--metrics-json <path>` and writes a
 //! [`sdd_core::MetricsExport`] document — the same top-level schema
@@ -90,6 +91,22 @@ pub fn table1_reference(circuit: &str) -> Option<[(usize, [u32; 3]); 3]> {
     }
 }
 
+/// The Wilson score 95% interval of a binomial rate, `hits` of `n`, as
+/// fractions `(low, high)`. Unlike the normal approximation it stays
+/// inside `[0, 1]` and is not degenerate at 0 or `n` hits; an empty
+/// sample gives the whole unit interval.
+pub fn wilson_interval(hits: usize, n: usize) -> (f64, f64) {
+    if n == 0 {
+        return (0.0, 1.0);
+    }
+    const Z: f64 = 1.959_963_984_540_054;
+    let (n, p) = (n as f64, hits as f64 / n as f64);
+    let z2n = Z * Z / n;
+    let center = (p + z2n / 2.0) / (1.0 + z2n);
+    let half = Z / (1.0 + z2n) * (p * (1.0 - p) / n + z2n / (4.0 * n)).sqrt();
+    ((center - half).max(0.0), (center + half).min(1.0))
+}
+
 /// A compact profile for the Criterion benches (s1196-scale is the sweet
 /// spot between realism and bench runtime).
 pub fn bench_profile() -> BenchmarkProfile {
@@ -127,6 +144,23 @@ mod tests {
                 assert_eq!(row.0, k, "{}", p.name);
             }
         }
+    }
+
+    #[test]
+    fn wilson_interval_matches_reference_values() {
+        // 10 of 20: center 0.5, half-width 0.2076 (textbook value).
+        let (lo, hi) = wilson_interval(10, 20);
+        assert!(
+            (lo - 0.2993).abs() < 1e-4 && (hi - 0.7007).abs() < 1e-4,
+            "{lo} {hi}"
+        );
+        // 0 of 20 keeps a positive upper bound; n of n a lower one.
+        let (lo, hi) = wilson_interval(0, 20);
+        assert_eq!(lo, 0.0);
+        assert!((hi - 0.1611).abs() < 1e-4, "{hi}");
+        let (lo, hi) = wilson_interval(20, 20);
+        assert!((lo - 0.8389).abs() < 1e-4 && hi == 1.0, "{lo}");
+        assert_eq!(wilson_interval(0, 0), (0.0, 1.0));
     }
 
     #[test]

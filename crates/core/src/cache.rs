@@ -6,7 +6,7 @@
 //! diagnosis. A serial campaign nevertheless re-simulates it for every
 //! chip and every redraw attempt. [`DictionaryCache`] shares the work:
 //! it stores the raw per-(pattern, sample, suspect) fail *bit grids*
-//! (see [`simulate_fail_masks_batched`](crate::dictionary)) keyed on a
+//! (see [`simulate_fail_masks`](crate::dictionary)) keyed on a
 //! fingerprint of everything the simulation reads, and assembles
 //! per-chip dictionaries from them by pure counting.
 //!
@@ -22,13 +22,19 @@
 //!   subset assembled from the bank is bit-identical to a fresh build of
 //!   that subset.
 //!
+//! Both Monte-Carlo kernels write one section of banks. The batched
+//! kernel asks for every suspect; the screened kernel asks only for
+//! the survivors of an analytic suspect filter. So a screened build
+//! reads rows a batched build simulated (and the other way round), and
+//! both use the same `.sdds` checkpoints.
+//!
 //! The cache also memoizes manufactured chip batches
 //! ([`sdd_timing::InstanceBatch`]): chip draws are keyed by (timing
-//! model, seed, instance index), so the batch of one pattern position is
-//! shared by every chip, clock level and kernel that simulates it.
-//! A one-shot cache (the engine behind
-//! [`ProbabilisticDictionary::build_with_behavior`]) runs the same build
-//! code but samples every batch fresh, so no batch outlives its pattern.
+//! model, seed, instance index), and one population answers every
+//! pattern, so one batch per (model, seed, sample count) serves every
+//! chip, clock level, pattern set and kernel. A throwaway cache (the
+//! engine behind [`ProbabilisticDictionary::build_with_behavior`])
+//! frees its one batch with the cache.
 //!
 //! Concurrency: every section is a private `KeyedMemo` — a
 //! `RwLock<HashMap>` from keys to per-key values behind
@@ -51,9 +57,9 @@
 //! checkpointed in the background whenever simulation extends them.
 
 use crate::dictionary::{
-    assemble_from_masks, assemble_from_probs, defect_cones, screen_survivors,
-    simulate_fail_masks_batched, simulate_fail_masks_shared, simulate_fail_probs_analytic,
-    AnalyticSuspect, BitGrid, DictionaryConfig, ProbabilisticDictionary, SimKernel, SuspectMasks,
+    assemble_from_masks, assemble_from_probs, defect_cones, screen_survivors, simulate_fail_masks,
+    simulate_fail_probs_analytic, AnalyticSuspect, BitGrid, DictionaryConfig,
+    ProbabilisticDictionary, SimKernel, SuspectMasks,
 };
 use crate::inject::AtpgConfig;
 use crate::metrics::{Counter, MetricsSink};
@@ -235,25 +241,11 @@ pub struct DictionaryCache {
     /// are not interchangeable with the analytic kernel's default-order
     /// ones and must never satisfy each other's lookups.
     analytic: KeyedMemo<(StoreKey, usize), AnalyticBank>,
-    /// Stage-2 refinement grids of the screened kernel, in their own
-    /// memory-only section: the population-consistent draw scheme
-    /// ([`simulate_fail_masks_shared`](crate::dictionary)) produces
-    /// grids that are *not* bit-identical to batched grids, so they
-    /// must never satisfy a batched lookup nor be checkpointed to the
-    /// kernel-blind `.sdds` store. Grids are keyed per suspect and
-    /// independent of the screen budget, so screened builds with
-    /// different `ScreenConfig`s share refinements.
-    screened: KeyedMemo<StoreKey, Bank>,
-    /// Manufactured chip batches, keyed `(model_fp, seed, n,
-    /// first_index)`: everything the draw reads, so a memoized batch
-    /// holds exactly what resampling would produce. `None` until the
-    /// first request for its key. Read only through
-    /// [`DictionaryCache::batch`].
-    batches: KeyedMemo<(u64, u64, u64, u64), Option<Arc<InstanceBatch>>>,
-    /// Set on a one-shot cache: [`DictionaryCache::batch`] samples fresh
-    /// instead of memoizing, so each pattern's batch is freed once its
-    /// pattern is simulated.
-    one_shot: bool,
+    /// Manufactured chip batches, keyed `(model_fp, seed, n)`:
+    /// everything the draw reads, so a memoized batch holds exactly what
+    /// resampling would produce. `None` until the first request for its
+    /// key. Read only through [`DictionaryCache::batch`].
+    batches: KeyedMemo<(u64, u64, u64), Option<Arc<InstanceBatch>>>,
     store: Option<Arc<DictionaryStore>>,
 }
 
@@ -276,18 +268,6 @@ impl DictionaryCache {
     /// The backing store, if one is attached.
     pub fn store(&self) -> Option<&Arc<DictionaryStore>> {
         self.store.as_ref()
-    }
-
-    /// A cache for a single build: the same build path, but chip
-    /// batches are sampled fresh rather than memoized (see
-    /// [`DictionaryCache::batch`]). Used by
-    /// [`ProbabilisticDictionary::build_with_behavior`] and by a
-    /// [`Diagnoser`](crate::diagnoser::Diagnoser) without a cache.
-    pub(crate) fn one_shot() -> DictionaryCache {
-        DictionaryCache {
-            one_shot: true,
-            ..DictionaryCache::default()
-        }
     }
 
     /// Number of distinct (model, pattern set, clk, config, defect dist)
@@ -370,31 +350,26 @@ impl DictionaryCache {
         })
     }
 
-    /// The chip instances `first_index..first_index + n` of stream
-    /// `seed` under the timing model fingerprinted `model_fp`
-    /// ([`CircuitTiming::sample_instance_batch`]), memoized for the
-    /// cache's lifetime — or sampled fresh by a one-shot cache. The
-    /// draws are keyed per index and never depend on pattern content,
-    /// `clk` or a chip's delays, so every chip, clock level and kernel
-    /// that reads the same instances shares one batch, and a hit holds
-    /// the exact values resampling would produce: memoizing never
-    /// changes a bit of any result.
+    /// The chip instances `0..n` of stream `seed` under the timing model
+    /// fingerprinted `model_fp` ([`CircuitTiming::sample_instance_batch`]),
+    /// memoized for the cache's lifetime. The draws are keyed per index
+    /// and never depend on pattern content, `clk` or a chip's delays, so
+    /// every chip, clock level, pattern set and kernel that reads the
+    /// same population shares one batch, and a hit holds the exact
+    /// values resampling would produce: memoizing never changes a bit of
+    /// any result.
     pub(crate) fn batch(
         &self,
         model_fp: u64,
         timing: &CircuitTiming,
         seed: u64,
-        first_index: u64,
         n: usize,
     ) -> Arc<InstanceBatch> {
-        let sample = || Arc::new(timing.sample_instance_batch(seed, first_index, n));
-        if self.one_shot {
-            return sample();
-        }
-        self.batches
-            .with((model_fp, seed, n as u64, first_index), |slot| {
-                Arc::clone(slot.get_or_insert_with(sample))
-            })
+        self.batches.with((model_fp, seed, n as u64), |slot| {
+            Arc::clone(
+                slot.get_or_insert_with(|| Arc::new(timing.sample_instance_batch(seed, 0, n))),
+            )
+        })
     }
 
     /// Builds a dictionary through the cache: simulates only the
@@ -402,9 +377,13 @@ impl DictionaryCache {
     /// the result by counting. The result is bit-identical to a build
     /// through a fresh cache: grids and chip batches are keyed draws,
     /// so what the cache already holds changes only the work done.
+    /// Under [`SimKernel::Screened`] the suspects are first filtered by
+    /// the analytic screen (when a behaviour is given) and the build
+    /// runs on the survivors.
     ///
     /// `metrics`, when given, receives one cache hit (nothing simulated)
-    /// or miss, and the number of (pattern, sample) simulations run.
+    /// or miss, and on a miss `patterns × n_samples` simulated samples
+    /// (every pattern of one chip population), whichever kernel asked.
     ///
     /// # Panics
     ///
@@ -462,19 +441,29 @@ impl DictionaryCache {
             );
             return assemble_from_probs(clk, m_crt, ordered);
         }
-        if config.kernel == SimKernel::Screened {
-            return self.build_screened(
-                model_fp,
-                circuit,
-                timing,
-                defect_size,
-                patterns,
-                suspect_edges,
-                clk,
-                config,
-                behavior,
-                metrics,
-            );
+        let requested = suspect_edges.len() as u64;
+        let survivors: Vec<EdgeId>;
+        let suspect_edges = match (config.kernel, behavior) {
+            (SimKernel::Screened, Some(b)) => {
+                survivors = self.screen(
+                    model_fp,
+                    circuit,
+                    timing,
+                    defect_size,
+                    patterns,
+                    suspect_edges,
+                    clk,
+                    config,
+                    b,
+                    metrics,
+                );
+                &survivors
+            }
+            _ => suspect_edges,
+        };
+        if let (SimKernel::Screened, Some(m)) = (config.kernel, metrics) {
+            m.add(Counter::SuspectsScreened, requested);
+            m.add(Counter::SuspectsRefined, suspect_edges.len() as u64);
         }
         let key = StoreKey::for_model(model_fp, defect_size, patterns, clk, config);
         self.banks.with(key, |bank| {
@@ -495,7 +484,7 @@ impl DictionaryCache {
             }
             let samples = (patterns.len() * config.n_samples) as u64;
             let simulated = bank.extend(circuit, suspect_edges, samples, metrics, |cones| {
-                simulate_fail_masks_batched(
+                simulate_fail_masks(
                     circuit,
                     timing,
                     defect_size,
@@ -585,33 +574,19 @@ impl DictionaryCache {
         })
     }
 
-    /// The tiered screened build path ([`SimKernel::Screened`]): stage 1
-    /// scores **all** requested suspects with the analytic kernel at the
-    /// coarse screening quadrature
+    /// The suspect filter of [`SimKernel::Screened`]: scores **all**
+    /// requested suspects with the analytic kernel at the coarse
+    /// screening quadrature
     /// ([`SCREEN_QUADRATURE_POINTS`](crate::SCREEN_QUADRATURE_POINTS))
     /// on the failing-richest behaviour columns (the
     /// [`ScreenConfig::screen_patterns`](crate::ScreenConfig) budget),
     /// through the shared in-memory analytic section — so the
     /// chip-independent matrices are computed once per key and reused
-    /// across chips, redraws and tenants — and prunes to the top-K
-    /// survivors plus margin. Stage 2 refines only the survivors with
-    /// the population-consistent MC kernel
-    /// ([`simulate_fail_masks_shared`](crate::dictionary)), whose grids
-    /// live in the cache's own screened section: keyed per suspect, so
-    /// later screened builds (other chips, other screen budgets) reuse
-    /// them, but never visible to batched lookups nor the `.sdds` store
-    /// (the draw schemes differ).
-    ///
-    /// `metrics` books the screen wall-clock plus the
-    /// screened/refined suspect counts alongside whatever the two
-    /// underlying paths record.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `behavior` is `None` — the screen needs an observed
-    /// behaviour to score against.
+    /// across chips, redraws and tenants — and returns the top-K
+    /// survivors plus margin, in request order. Books the screen's wall
+    /// clock.
     #[allow(clippy::too_many_arguments)]
-    fn build_screened(
+    fn screen(
         &self,
         model_fp: u64,
         circuit: &Circuit,
@@ -621,11 +596,9 @@ impl DictionaryCache {
         suspect_edges: &[EdgeId],
         clk: f64,
         config: DictionaryConfig,
-        behavior: Option<&BehaviorMatrix>,
+        behavior: &BehaviorMatrix,
         metrics: Option<&MetricsSink>,
-    ) -> ProbabilisticDictionary {
-        let behavior =
-            behavior.expect("screened kernel requires an observed behaviour to score against");
+    ) -> Vec<EdgeId> {
         let t_screen = std::time::Instant::now();
         let cols =
             crate::dictionary::screen_pattern_columns(behavior, config.screen.screen_patterns);
@@ -648,41 +621,10 @@ impl DictionaryCache {
         let pairs: Vec<(EdgeId, &AnalyticSuspect)> =
             analytic.iter().map(|(e, s)| (*e, s)).collect();
         let survivors = screen_survivors(&m_a, &pairs, behavior, &cols, config.screen);
-        let surviving_edges: Vec<EdgeId> = survivors.iter().map(|&i| suspect_edges[i]).collect();
         if let Some(m) = metrics {
             m.add(Counter::ScreenNanos, t_screen.elapsed().as_nanos() as u64);
-            m.add(Counter::SuspectsScreened, suspect_edges.len() as u64);
-            m.add(Counter::SuspectsRefined, surviving_edges.len() as u64);
         }
-        // Stage 2: population-consistent refinement of the survivors
-        // through the screened bank section (memory-only; see the field
-        // docs for why these grids never mix with batched banks).
-        let key = StoreKey::for_model(model_fp, defect_size, patterns, clk, config);
-        self.screened.with(key, |bank| {
-            // One shared population answers every pattern.
-            let samples = config.n_samples as u64;
-            bank.extend(circuit, &surviving_edges, samples, metrics, |cones| {
-                simulate_fail_masks_shared(
-                    circuit,
-                    timing,
-                    defect_size,
-                    patterns,
-                    cones,
-                    clk,
-                    config,
-                    self,
-                    model_fp,
-                    metrics,
-                )
-            });
-            bank.assemble(
-                circuit,
-                &surviving_edges,
-                clk,
-                config.n_samples,
-                Some(behavior),
-            )
-        })
+        survivors.iter().map(|&i| suspect_edges[i]).collect()
     }
 }
 
@@ -791,51 +733,177 @@ mod tests {
             assert_eq!(cold.dict_cache_hits, 0, "{kernel:?}");
             assert_eq!(warm.dict_cache_misses, cold.dict_cache_misses, "{kernel:?}");
             assert_eq!(warm.dict_cache_hits, cold.dict_cache_misses, "{kernel:?}");
-            let mc_banks = kernel == SimKernel::Batched;
+            let mc_banks = kernel != SimKernel::Analytic;
             assert_eq!(cache.num_keys(), usize::from(mc_banks), "{kernel:?}");
         }
     }
 
-    #[test]
-    fn one_shot_builds_memoize_no_chip_batch() {
-        let (c, t) = two_chains();
-        let ps: PatternSet = [
+    fn two_patterns() -> PatternSet {
+        [
             TestPattern::new(vec![false, false], vec![true, true]),
             TestPattern::new(vec![true, true], vec![false, false]),
         ]
         .into_iter()
-        .collect();
+        .collect()
+    }
+
+    #[test]
+    fn long_lived_cache_holds_one_chip_batch_per_population() {
+        // One chip population answers every pattern, clock and kernel:
+        // a long-lived cache keeps exactly one batch per (model, seed,
+        // sample count), however many builds read it.
+        let (c, t) = two_chains();
+        let ps = two_patterns();
         let (behavior, _) = failing_behavior(&c, &t, &ps);
         let suspects: Vec<EdgeId> = c.edge_ids().collect();
         let size = Dist::defect_size(0.4);
+        let cache = DictionaryCache::new();
+        let build = |config: DictionaryConfig, clk: f64| {
+            cache.build_with_behavior(
+                &c,
+                &t,
+                &size,
+                &ps,
+                &suspects,
+                clk,
+                config,
+                Some(&behavior),
+                None,
+            )
+        };
         for kernel in [SimKernel::Batched, SimKernel::Screened] {
-            let config = config().with_kernel(kernel);
-            let build = |cache: &DictionaryCache| {
-                cache.build_with_behavior(
-                    &c,
-                    &t,
-                    &size,
-                    &ps,
-                    &suspects,
-                    behavior.clk(),
-                    config,
-                    Some(&behavior),
-                    None,
-                )
-            };
-            // A one-shot cache frees each pattern's batch once its pattern
-            // is simulated; a long-lived one keeps every batch it read.
-            let one_shot = DictionaryCache::one_shot();
-            let memo = DictionaryCache::new();
-            assert_eq!(build(&one_shot), build(&memo), "{kernel:?}");
-            assert_eq!(one_shot.batches.len(), 0, "{kernel:?}");
-            let read = if kernel == SimKernel::Batched {
-                ps.len()
-            } else {
-                1
-            };
-            assert_eq!(memo.batches.len(), read, "{kernel:?}");
+            build(config().with_kernel(kernel), behavior.clk());
+            build(config().with_kernel(kernel), behavior.clk() * 1.1);
         }
+        assert_eq!(cache.batches.len(), 1, "one population, one batch");
+        build(config().with_samples(30), behavior.clk());
+        build(config().with_seed(13), behavior.clk());
+        assert_eq!(cache.batches.len(), 3, "a batch per (seed, n)");
+        assert_eq!(cache.num_keys(), 4);
+    }
+
+    #[test]
+    fn screened_build_equals_unscreened_build_restricted_to_survivors() {
+        // The screen is a filter in front of the same bank: every
+        // surviving signature, M_crt and the joint estimates equal the
+        // unscreened dictionary's rows for those arcs, bit for bit.
+        let c = sdd_netlist::generator::generate(&sdd_netlist::generator::GeneratorConfig::small(
+            "filter", 17,
+        ))
+        .unwrap()
+        .to_combinational()
+        .unwrap();
+        let t = CircuitTiming::characterize(
+            &c,
+            &CellLibrary::default_025um(),
+            VariationModel::new(0.05, 0.08),
+        );
+        let ps = PatternSet::random(&c, 6, 0xA5);
+        let suspects: Vec<EdgeId> = c.edge_ids().collect();
+        let clk = crate::inject::tested_delay_samples(&c, &t, &ps, 100, 1).quantile(0.6);
+        let chip = t
+            .sample_instance_indexed(3, 0)
+            .with_extra_delay(suspects[5], 0.4);
+        let behavior = BehaviorMatrix::observe(&c, &ps, &chip, clk);
+        let size = Dist::defect_size(0.4);
+        let screen = crate::ScreenConfig::new().with_top_k(3).with_margin(0.0);
+        let build = |kernel| {
+            ProbabilisticDictionary::build_with_behavior(
+                &c,
+                &t,
+                &size,
+                &ps,
+                &suspects,
+                clk,
+                config().with_kernel(kernel).with_screen(screen),
+                Some(&behavior),
+            )
+        };
+        let screened = build(SimKernel::Screened);
+        let full = build(SimKernel::Batched);
+        let (kept, all) = (screened.suspects(), full.suspects());
+        assert!(
+            !kept.is_empty() && kept.len() < all.len(),
+            "the screen must prune: {} of {}",
+            kept.len(),
+            all.len()
+        );
+        let restricted: Vec<_> = all
+            .iter()
+            .filter(|s| kept.iter().any(|k| k.edge() == s.edge()))
+            .collect();
+        assert_eq!(kept.iter().collect::<Vec<_>>(), restricted);
+        assert_eq!(screened.m_crt(), full.m_crt());
+        assert_eq!(screened.clk(), full.clk());
+    }
+
+    #[test]
+    fn screened_build_without_behavior_screens_nothing() {
+        // With no behaviour to score against, every suspect survives
+        // and is booked as screened and refined; the build is the
+        // batched one.
+        let (c, t) = two_chains();
+        let ps = two_patterns();
+        let suspects: Vec<EdgeId> = c.edge_ids().collect();
+        let size = Dist::defect_size(0.4);
+        let metrics = MetricsSink::new();
+        let build = |kernel, metrics| {
+            DictionaryCache::new().build_with_behavior(
+                &c,
+                &t,
+                &size,
+                &ps,
+                &suspects,
+                0.25,
+                config().with_kernel(kernel),
+                None,
+                metrics,
+            )
+        };
+        let screened = build(SimKernel::Screened, Some(&metrics));
+        assert_eq!(screened, build(SimKernel::Batched, None));
+        let snap = metrics.snapshot(Duration::ZERO);
+        assert_eq!(snap.suspects_screened, suspects.len() as u64);
+        assert_eq!(snap.suspects_refined, suspects.len() as u64);
+    }
+
+    #[test]
+    fn screened_and_batched_misses_book_equal_samples() {
+        // A miss books patterns × n_samples simulated samples whichever
+        // kernel asked: a screened build and a batched build of its
+        // survivors do the same Monte-Carlo work.
+        let (c, t) = two_chains();
+        let ps = two_patterns();
+        let (behavior, clk) = failing_behavior(&c, &t, &ps);
+        let suspects: Vec<EdgeId> = c.edge_ids().collect();
+        let size = Dist::defect_size(0.4);
+        let build = |kernel, suspects: &[EdgeId]| {
+            let metrics = MetricsSink::new();
+            let dict = DictionaryCache::new().build_with_behavior(
+                &c,
+                &t,
+                &size,
+                &ps,
+                suspects,
+                clk,
+                config()
+                    .with_kernel(kernel)
+                    .with_screen(crate::ScreenConfig::new().with_top_k(1).with_margin(0.0)),
+                Some(&behavior),
+                Some(&metrics),
+            );
+            (dict, metrics.snapshot(Duration::ZERO))
+        };
+        let (screened, s) = build(SimKernel::Screened, &suspects);
+        let survivors: Vec<EdgeId> = screened.suspects().iter().map(|s| s.edge()).collect();
+        assert!(survivors.len() < suspects.len(), "nothing pruned");
+        let (batched, b) = build(SimKernel::Batched, &survivors);
+        assert_eq!(screened, batched);
+        assert_eq!(s.samples_simulated, (ps.len() * config().n_samples) as u64);
+        assert_eq!(
+            (s.samples_simulated, s.cone_evals),
+            (b.samples_simulated, b.cone_evals)
+        );
     }
 
     #[test]
@@ -990,6 +1058,104 @@ mod tests {
         let s2 = m2.snapshot(Duration::ZERO);
         assert_eq!(s2.store_hits, 1, "warm run loads from disk");
         assert_eq!(s2.samples_simulated, 0, "warm run simulates nothing");
+    }
+
+    /// Overwrites the format version word of the checkpoint at `path`.
+    /// The word sits in the unchecksummed header, so the rest of the
+    /// file stays valid.
+    fn stamp_version(path: &std::path::Path, version: u32) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn v1_dictionary_checkpoint_is_a_miss_then_recomputed() {
+        // Version-1 banks hold grids of the retired per-pattern draw
+        // scheme: a load must reject them (a recorded store miss), and
+        // the recomputed bank replaces the file.
+        let (c, t) = two_chains();
+        let ps = both_rise();
+        let (behavior, clk) = failing_behavior(&c, &t, &ps);
+        let suspects: Vec<EdgeId> = c.edge_ids().collect();
+        let size = Dist::defect_size(0.4);
+        let dir = crate::testutil::TestDir::new("cache-v1-dict");
+        let build = |metrics: &MetricsSink| {
+            let store = Arc::new(crate::store::DictionaryStore::open(dir.path()).unwrap());
+            let cache = DictionaryCache::with_store(Arc::clone(&store));
+            let dict = cache.build_with_behavior(
+                &c,
+                &t,
+                &size,
+                &ps,
+                &suspects,
+                clk,
+                config(),
+                Some(&behavior),
+                Some(metrics),
+            );
+            store.sync();
+            dict
+        };
+        let first = build(&MetricsSink::new());
+        let key = StoreKey::compute(&c, &t, &size, &ps, clk, config());
+        let path = dir.path().join(key.file_name());
+        stamp_version(&path, 1);
+        let m = MetricsSink::new();
+        assert_eq!(build(&m), first, "recomputed bank diverged");
+        let snap = m.snapshot(Duration::ZERO);
+        assert_eq!(
+            (snap.store_hits, snap.store_misses),
+            (0, 1),
+            "v1 bank loaded"
+        );
+        assert!(snap.samples_simulated > 0, "nothing recomputed");
+        assert_eq!(snap.store_flushes, 1, "recomputed bank not re-checkpointed");
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            bytes[8..12],
+            crate::format::DICTIONARY_FORMAT_VERSION.to_le_bytes()
+        );
+    }
+
+    #[test]
+    fn v1_pattern_checkpoint_still_loads() {
+        // Pattern checkpoints are versioned apart from dictionary banks:
+        // their contents did not change, so version-1 files keep loading
+        // and an existing store does not re-run ATPG.
+        let (c, t) = two_chains();
+        let atpg = AtpgConfig {
+            n_paths: 2,
+            max_patterns: 4,
+            path_config: sdd_atpg::podem::PodemConfig::bulk(),
+            podem_config: sdd_atpg::podem::PodemConfig::bulk(),
+        };
+        let site = c.edge_ids().next().unwrap();
+        let dir = crate::testutil::TestDir::new("cache-v1-pat");
+        let cache = || {
+            DictionaryCache::with_store(Arc::new(
+                crate::store::DictionaryStore::open(dir.path()).unwrap(),
+            ))
+        };
+        let generated = {
+            let cold = cache();
+            let set = cold.patterns_for_site(&c, &t, site, &atpg, 5, None);
+            cold.store().unwrap().sync();
+            set
+        };
+        let key = PatternKey {
+            model_fp: fingerprint_model(&c, &t),
+            edge: site.index() as u64,
+            atpg_fp: atpg.fingerprint(),
+            seed: 5,
+        };
+        let path = dir.path().join(key.file_name());
+        stamp_version(&path, 1);
+        let m = MetricsSink::new();
+        let loaded = cache().patterns_for_site(&c, &t, site, &atpg, 5, Some(&m));
+        assert_eq!(loaded, generated);
+        let snap = m.snapshot(Duration::ZERO);
+        assert_eq!((snap.pattern_store_hits, snap.pattern_store_misses), (1, 0));
     }
 
     #[test]

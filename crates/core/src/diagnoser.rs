@@ -111,12 +111,12 @@ impl<'a> Diagnoser<'a> {
         if suspects.is_empty() {
             return Err(DiagnosisError::NoSuspects);
         }
-        let one_shot;
+        let throwaway;
         let cache = match self.cache {
             Some(cache) => cache,
             None => {
-                one_shot = DictionaryCache::one_shot();
-                &one_shot
+                throwaway = DictionaryCache::new();
+                &throwaway
             }
         };
         Ok(cache.build_with_behavior(

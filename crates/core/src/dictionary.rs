@@ -17,16 +17,20 @@
 //! Outputs structurally unreachable from a suspect arc have
 //! `err_ij = crt_ij` (signature 0) and are stored implicitly.
 //!
-//! The build is two-phase: `simulate_fail_masks_batched` records the raw
+//! The build is two-phase: `simulate_fail_masks` records the raw
 //! pass/fail outcome of every (pattern, chip sample, suspect) as bit
 //! grids, and `assemble_from_masks` turns grids into probabilities
 //! (plus, optionally, the joint consistency estimate against an observed
 //! behaviour matrix). Both phases run inside [`DictionaryCache`], which
 //! shares the chip-independent grids across a campaign (a one-off
-//! [`ProbabilisticDictionary::build`] uses a throwaway cache). Every
-//! random quantity is keyed, not sequenced: the chip
-//! sample by (seed, pattern, sample) and the defect size by (seed,
-//! pattern, sample, suspect *arc*) — so simulating any subset of
+//! [`ProbabilisticDictionary::build`] uses a throwaway cache).
+//!
+//! The Monte-Carlo estimator is one population of chips that answers
+//! every pattern: chip sample `s` is the same circuit instance, with the
+//! same defect size on a given arc, under every pattern — the way one
+//! physical defective chip meets a tester. Every random quantity is
+//! keyed, not sequenced: the chip by (seed, sample) and the defect size
+//! by (seed, sample, suspect *arc*) — so simulating any subset of
 //! suspects yields bit-identical grids to selecting the same rows from a
 //! superset build.
 
@@ -46,12 +50,14 @@ use std::collections::HashMap;
 
 /// Which kernel evaluates the dictionary's fail probabilities.
 ///
-/// The `Batched` kernel is the Monte-Carlo production default. Per
-/// (pattern, chip sample, suspect) it performs the same keyed random
-/// draws and the same per-sample floating-point operations as a plain
-/// per-sample walk — the test-only scalar oracle it is differentially
-/// pinned against — so its bit grids, every stored `.sdds` checkpoint
-/// and every ranking are reproducible from those keyed draws alone.
+/// There is one Monte-Carlo kernel (`simulate_fail_masks`): one shared
+/// chip population answers every pattern, with one defect size per
+/// (chip, arc). `Batched` runs it for every suspect; `Screened` runs it
+/// for the suspects an analytic screen keeps. Both read and extend the
+/// same cache bank and the same `.sdds` checkpoints, so a screened
+/// dictionary is bit for bit the unscreened one restricted to the
+/// survivors. The kernel is pinned to a test-only per-sample walk of
+/// the same population (`kernel_oracle_*`).
 ///
 /// The `Analytic` kernel draws **no** instances at all: it propagates
 /// `(mean, variance)` moments through each defect cone
@@ -61,41 +67,27 @@ use std::collections::HashMap;
 /// suite, DESIGN.md §4.7) — so analytic results never touch the on-disk
 /// `.sdds` store and are cached in a separate in-memory section.
 ///
-/// The `Screened` kernel is the tiered pipeline of both: an analytic
-/// screen over **all** suspects ranks them by match score against the
-/// observed behaviour and prunes to the top-K survivors (plus a safety
-/// margin, see [`ScreenConfig`]); only the survivors are then MC
-/// refined by the population-consistent kernel
-/// (`simulate_fail_masks_shared`) — one shared chip population and
-/// one defect size per `(chip, arc)` answering every pattern, the way a
-/// physical chip meets a tester. Refined cells are unbiased with the
-/// same per-cell variance as batched cells but are correlated across
-/// patterns, so screened grids are **not** bit-identical to batched
-/// grids; the `screened_kernel` differential suite pins rate
-/// equivalence instead.
-///
 /// The kernel choice deliberately does **not** enter
-/// [`StoreKey`](crate::store::StoreKey): only batched grids are ever
-/// checkpointed, and keeping the key kernel-blind is exactly why the
-/// analytic kernel must bypass the store. Screened refinement grids use
-/// a different draw scheme, so they live in their own memory-only cache
-/// section and never reach the `.sdds` store either.
+/// [`StoreKey`](crate::store::StoreKey): batched and screened builds
+/// share Monte-Carlo grids, and keeping the key kernel-blind is exactly
+/// why the analytic kernel must bypass the store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SimKernel {
-    /// Sample-major batched evaluation: one pruned pass over the cone
-    /// topology per (pattern, sink group) covering every chip sample
-    /// ([`DefectCone::apply_batch_fused`]), reading delays from a
-    /// contiguous [`sdd_timing::InstanceBatch`].
+    /// Shared-population Monte-Carlo over every suspect: one pruned pass
+    /// over the cone topology per (pattern, sink group) covering every
+    /// chip sample ([`DefectCone::apply_batch_fused`]), reading delays
+    /// from one [`sdd_timing::InstanceBatch`] for all patterns.
     #[default]
     Batched,
     /// Sampling-free moment propagation: Gauss–Hermite quadrature over
     /// the die-level factor, Clark max per merge, normal-CDF tails
     /// ([`sdd_timing::analytic::pattern_fail_probs`]).
     Analytic,
-    /// Two-stage tiered pipeline: analytic screen over all suspects,
-    /// batched MC refinement of the top-K survivors (see
-    /// [`ScreenConfig`]). Requires an observed behaviour to score
-    /// against.
+    /// The batched kernel behind a suspect filter: an analytic screen
+    /// scores every suspect against the observed behaviour and keeps
+    /// the top-K survivors (see [`ScreenConfig`]); only they get
+    /// Monte-Carlo signatures. Without an observed behaviour nothing is
+    /// screened out and the build equals the batched one.
     Screened,
 }
 
@@ -109,8 +101,7 @@ pub enum SimKernel {
 /// build never pollutes (or reads) a plain analytic run's bank.
 pub const SCREEN_QUADRATURE_POINTS: usize = 5;
 
-/// Stage-1 pruning budget of the tiered pipeline
-/// ([`SimKernel::Screened`]).
+/// Pruning budget of the suspect filter of [`SimKernel::Screened`].
 ///
 /// The screen scores every suspect with
 /// [`sdd_timing::analytic::match_scores`] (lower = better match against
@@ -147,7 +138,7 @@ pub struct ScreenConfig {
     /// the discriminating evidence, so the ranking survives the cut
     /// while the screen's analytic cone propagation — its entire cost —
     /// shrinks proportionally. `None` (the default) screens on every
-    /// pattern; stage 2 always refines the full pattern set regardless.
+    /// pattern; survivors' signatures always cover the full pattern set.
     #[serde(default)]
     pub screen_patterns: Option<usize>,
 }
@@ -207,8 +198,9 @@ impl ScreenConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct DictionaryConfig {
-    /// Chip samples per pattern (ignored by [`SimKernel::Analytic`],
-    /// which draws no samples).
+    /// Chip samples: the size of the one chip population that answers
+    /// every pattern (ignored by [`SimKernel::Analytic`], which draws no
+    /// samples).
     pub n_samples: usize,
     /// Base seed; the full build is deterministic given the seed (the
     /// analytic kernel is deterministic regardless).
@@ -216,11 +208,11 @@ pub struct DictionaryConfig {
     /// The fail-probability kernel (see [`SimKernel`]).
     #[serde(default)]
     pub kernel: SimKernel,
-    /// Stage-1 pruning budget, read only by [`SimKernel::Screened`].
+    /// Suspect-filter budget, read only by [`SimKernel::Screened`].
     /// Deliberately outside [`StoreKey`](crate::store::StoreKey): the
-    /// screen only decides *which* suspects get refined, and refinement
-    /// grids are keyed per suspect, so they are valid cached inputs for
-    /// any screen setting.
+    /// screen only decides *which* suspects get Monte-Carlo signatures,
+    /// and grids are keyed per suspect, so they are valid cached inputs
+    /// for any screen setting.
     #[serde(default)]
     pub screen: ScreenConfig,
 }
@@ -325,12 +317,11 @@ impl ProbabilisticDictionary {
     /// simulation (parallelized over patterns), with the kernel selected
     /// by [`DictionaryConfig::kernel`].
     ///
-    /// A one-off build through a private, throwaway
-    /// [`DictionaryCache`]: the same code path as a cached build, with
-    /// nothing kept afterwards (chip batches are not even kept between
-    /// patterns). Builds that share work across chips or clocks should
-    /// go through one long-lived [`DictionaryCache`] instead; the
-    /// results are bit-identical.
+    /// A one-off build through a throwaway [`DictionaryCache`]: the same
+    /// code path as a cached build, with nothing kept afterwards. Builds
+    /// that share work across chips or clocks should go through one
+    /// long-lived [`DictionaryCache`] instead; the results are
+    /// bit-identical.
     ///
     /// * `timing` — the statistical timing model (the predictor for the
     ///   failing chip's unknown delay configuration).
@@ -373,18 +364,16 @@ impl ProbabilisticDictionary {
     /// `joint_phi` stays `None` and the diagnoser falls back to the
     /// independent-output product.
     ///
-    /// Under [`SimKernel::Screened`] the behaviour is what stage 1
-    /// scores against, so it is required: the analytic screen ranks all
-    /// suspects by match score, prunes to the top-K survivors (plus
-    /// margin, see [`ScreenConfig`]), and only the survivors are MC
-    /// refined by the population-consistent stage-2 kernel
-    /// (`simulate_fail_masks_shared`).
+    /// Under [`SimKernel::Screened`] the behaviour is also what the
+    /// suspect filter scores against: the analytic screen ranks all
+    /// suspects by match score and only the top-K survivors (plus
+    /// margin, see [`ScreenConfig`]) get signatures. With no behaviour
+    /// every suspect survives.
     ///
     /// # Panics
     ///
     /// Same conditions as [`ProbabilisticDictionary::build`]; also panics
-    /// if the behaviour matrix shape mismatches the circuit/patterns, or
-    /// if `behavior` is `None` under [`SimKernel::Screened`].
+    /// if the behaviour matrix shape mismatches the circuit/patterns.
     #[allow(clippy::too_many_arguments)]
     pub fn build_with_behavior(
         circuit: &Circuit,
@@ -396,7 +385,7 @@ impl ProbabilisticDictionary {
         config: DictionaryConfig,
         behavior: Option<&crate::BehaviorMatrix>,
     ) -> ProbabilisticDictionary {
-        DictionaryCache::one_shot().build_with_behavior(
+        DictionaryCache::new().build_with_behavior(
             circuit,
             timing,
             defect_size,
@@ -623,7 +612,7 @@ pub(crate) fn screen_pattern_columns(
     }
 }
 
-/// Stage-1 survivor selection of the screened pipeline: scores every
+/// Survivor selection of the screened kernel's filter: scores every
 /// suspect analytically against the observed behaviour
 /// ([`sdd_timing::analytic::match_scores`]) and returns the indices —
 /// in original suspect order — of the `top_k` best scorers plus every
@@ -685,7 +674,7 @@ pub(crate) struct AnalyticSuspect {
     pub(crate) err: ProbMatrix,
 }
 
-/// The analytic counterpart of [`simulate_fail_masks_batched`]: fills
+/// The analytic counterpart of [`simulate_fail_masks`]: fills
 /// `M_crt` and the per-suspect `E_crt` probability matrices directly by
 /// moment propagation ([`sdd_timing::analytic::pattern_fail_probs`]) — zero
 /// instance draws, parallelized over patterns. Deterministic: the result
@@ -722,7 +711,7 @@ pub(crate) fn simulate_fail_probs_analytic(
         Some(n) => GaussHermite::for_variation_with(&timing.variation(), n),
         None => GaussHermite::for_variation(&timing.variation()),
     };
-    // Censoring-aware defect moments: what the MC kernels' sample_delta
+    // Censoring-aware defect moments: what the MC kernel's sample_delta
     // actually draws, not the nominal parameters.
     let (delta_mean, delta_var) = defect_size.moments();
     let delta = GaussianArrival {
@@ -802,33 +791,36 @@ fn record_kernel_nanos(metrics: Option<&crate::metrics::MetricsSink>, start: std
     }
 }
 
-/// Phase 1 of the dictionary build, the Monte-Carlo production kernel:
-/// record, as bit grids, which outputs exceed `clk` for every (pattern,
-/// chip sample) — defect-free (baseline) and with a random-size defect
-/// on each cone's arc. Returns, per pattern, the baseline grid (samples
-/// × all outputs) and one grid per cone (samples × its reachable
-/// outputs).
+/// Phase 1 of the dictionary build, the Monte-Carlo kernel: record, as
+/// bit grids, which outputs exceed `clk` for every (pattern, chip
+/// sample) — defect-free (baseline) and with a random-size defect on
+/// each cone's arc. Returns, per pattern, the baseline grid (samples ×
+/// all outputs) and one grid per cone (samples × its reachable outputs).
 ///
-/// Per pattern it takes the whole chip-sample batch from
+/// One chip population answers every pattern: chip sample `s` is
+/// instance `s` of the seed's stream, taken from one
 /// [`DictionaryCache::batch`] under `model_fp` (sample-major delay
-/// matrix, drawn on demand), runs one batched baseline arrival pass,
-/// summarizes its output verdicts ([`BaselineOutputs`]), then runs one
-/// pruned [`DefectCone::apply_batch_fused`] walk per sink group covering
-/// every member and sample. The walk
-/// reports idle and clock-settled members from the baseline summary and
-/// recomputes only the cone rows a defect changes.
+/// matrix, drawn on demand), and its defect size on arc `a` is drawn
+/// once, keyed on `(seed, s, a)`, and held fixed across patterns — how
+/// one physical defective chip behaves on a tester, and the direct
+/// estimator of Def. E.1's probabilities over circuit instances. Cells
+/// are unbiased; columns of one grid set are correlated across
+/// patterns because they share chips.
 ///
-/// Every random quantity uses the same keyed draws as the scalar test
-/// oracle (chip sample by `(seed, pattern, sample)`, defect size by
-/// `(seed, pattern, sample, arc)`, drawn only for arcs the pattern
-/// exercises), and every computed per-sample float operation runs in
-/// the same order, so the produced grids are bit-identical to it.
+/// Per pattern it runs one batched baseline arrival pass, summarizes
+/// its output verdicts ([`BaselineOutputs`]), then runs one pruned
+/// [`DefectCone::apply_batch_fused`] walk per sink group covering every
+/// member and sample. The walk reports idle and clock-settled members
+/// from the baseline summary and recomputes only the cone rows a defect
+/// changes. Every per-sample float operation runs in the order of the
+/// scalar test oracle, so the grids equal its per-sample walks bit for
+/// bit, at any thread count.
 ///
 /// `metrics`, when given, accumulates the wall clock of the parallel
 /// region, the (pattern, sample, suspect) cone evaluations and the
 /// (pattern, suspect) pairs that actually walked.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_fail_masks_batched(
+pub(crate) fn simulate_fail_masks(
     circuit: &Circuit,
     timing: &CircuitTiming,
     defect_size: &Dist,
@@ -847,35 +839,56 @@ pub(crate) fn simulate_fail_masks_batched(
             (patterns.len() * n * cones.len()) as u64,
         );
     }
+    let batch = batches.batch(model_fp, timing, config.seed, n);
+    // One defect size per (chip, arc), shared by every pattern.
+    let deltas_of: Vec<Vec<f64>> = cones
+        .iter()
+        .map(|cone| {
+            (0..n)
+                .map(|s| sample_delta(config.seed, s as u64, cone.edge(), defect_size))
+                .collect()
+        })
+        .collect();
     let groups = sink_groups(circuit, cones);
+    let n_out = circuit.primary_outputs().len();
     let t_kernel = std::time::Instant::now();
     let per_pattern = patterns
         .patterns()
         .par_iter()
-        .enumerate()
-        .map(|(j, p)| {
+        .map(|p| {
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
-            let batch = batches.batch(model_fp, timing, config.seed, (j * n) as u64, n);
-            walk_sink_groups(
-                circuit,
-                &transitions,
-                &batch,
-                cones,
-                &groups,
-                clk,
-                |ci, sizes| {
-                    for (s, d) in sizes.iter_mut().enumerate() {
-                        let instance_index = (j * n + s) as u64;
-                        *d = sample_delta(
-                            config.seed,
-                            instance_index,
-                            cones[ci].edge(),
-                            defect_size,
-                        );
-                    }
-                },
-                metrics,
-            )
+            let baseline = transition_arrivals_batch(circuit, &transitions, &batch);
+            let outputs = BaselineOutputs::new(circuit, &baseline, n, clk);
+            let mut base = BitGrid::new(n, n_out);
+            for i in 0..n_out {
+                for &s in outputs.fails(i) {
+                    base.set(s as usize, i);
+                }
+            }
+            let mut scratch = FusedScratch::default();
+            let mut fails: Vec<BitGrid> = cones
+                .iter()
+                .map(|cone| BitGrid::new(n, cone.reachable_outputs().len()))
+                .collect();
+            let mut walks = 0;
+            for group in &groups {
+                let members: Vec<&DefectCone> = group.iter().map(|&ci| &cones[ci]).collect();
+                walks += DefectCone::apply_batch_fused(
+                    &members,
+                    circuit,
+                    &transitions,
+                    &batch,
+                    &baseline,
+                    &outputs,
+                    |g, sizes| sizes.copy_from_slice(&deltas_of[group[g]]),
+                    &mut scratch,
+                    |g, s, k| fails[group[g]].set(s, k),
+                );
+            }
+            if let Some(m) = metrics {
+                m.add(Counter::ConeWalks, walks as u64);
+            }
+            (base, fails)
         })
         .collect();
     record_kernel_nanos(metrics, t_kernel);
@@ -901,141 +914,6 @@ fn sink_groups(circuit: &Circuit, cones: &[DefectCone]) -> Vec<Vec<usize>> {
         }
     }
     groups
-}
-
-/// One pattern of the Monte-Carlo kernels: the baseline arrival pass on
-/// `batch`, its output verdicts as the baseline grid (samples × all
-/// outputs), then one pruned fused walk per sink group, filling one grid
-/// per suspect (samples × its reachable outputs). `draw(ci, sizes)` fills
-/// suspect `ci`'s defect size per sample; it runs only for suspects whose
-/// arc the pattern exercises. Books the suspects that walked a cone as
-/// `cone_walks`.
-#[allow(clippy::too_many_arguments)]
-fn walk_sink_groups(
-    circuit: &Circuit,
-    transitions: &[sdd_netlist::logic::Transition],
-    batch: &sdd_timing::InstanceBatch,
-    cones: &[DefectCone],
-    groups: &[Vec<usize>],
-    clk: f64,
-    mut draw: impl FnMut(usize, &mut [f64]),
-    metrics: Option<&crate::metrics::MetricsSink>,
-) -> (BitGrid, Vec<BitGrid>) {
-    let n = batch.n_samples();
-    let n_out = circuit.primary_outputs().len();
-    let baseline = transition_arrivals_batch(circuit, transitions, batch);
-    let outputs = BaselineOutputs::new(circuit, &baseline, n, clk);
-    let mut base = BitGrid::new(n, n_out);
-    for i in 0..n_out {
-        for &s in outputs.fails(i) {
-            base.set(s as usize, i);
-        }
-    }
-    let mut scratch = FusedScratch::default();
-    let mut fails: Vec<BitGrid> = cones
-        .iter()
-        .map(|cone| BitGrid::new(n, cone.reachable_outputs().len()))
-        .collect();
-    let mut walks = 0;
-    for group in groups {
-        let members: Vec<&DefectCone> = group.iter().map(|&ci| &cones[ci]).collect();
-        walks += DefectCone::apply_batch_fused(
-            &members,
-            circuit,
-            transitions,
-            batch,
-            &baseline,
-            &outputs,
-            |g, sizes| draw(group[g], sizes),
-            &mut scratch,
-            |g, s, k| fails[group[g]].set(s, k),
-        );
-    }
-    if let Some(m) = metrics {
-        m.add(Counter::ConeWalks, walks as u64);
-    }
-    (base, fails)
-}
-
-/// The population-consistent refinement kernel of the screened
-/// pipeline's stage 2: manufactures **one** virtual chip population
-/// (instances `0..n_samples` of the seed's stream) and runs every
-/// pattern against that same population, with each chip's defect size
-/// drawn once per `(chip, arc)` and held fixed across patterns —
-/// exactly how a physical defective chip behaves on a tester, where one
-/// delay realization and one defect answer every applied pattern.
-///
-/// Sharing the population saves chip-sample manufacture: one batch
-/// (from [`CircuitTiming::sample_instance_batch`]) is scanned once and
-/// each arc's delays are drawn at most once for every pattern, where
-/// the batched kernel scans one batch per pattern position and draws
-/// in each the arcs its pattern exercises. Since batches draw on demand
-/// that saving is modest; manufacture no longer dominates a cold
-/// batched build (DESIGN.md §4.4). The price is estimator
-/// coupling — `M_crt`/`E_crt` cells stay unbiased with the same
-/// per-cell variance, but columns are correlated across patterns — so
-/// the grids are **not** bit-identical to the batched kernel's
-/// (pattern-independent populations) and must never be checkpointed as
-/// batched grids. The rate-equivalence suite in
-/// `tests/screened_kernel.rs` pins that diagnosis quality is
-/// statistically unchanged.
-///
-/// Per-(pattern, chip, arc) draws stay keyed, so results are
-/// deterministic and thread-count independent like the other kernels.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_fail_masks_shared(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    defect_size: &Dist,
-    patterns: &PatternSet,
-    cones: &[DefectCone],
-    clk: f64,
-    config: DictionaryConfig,
-    batches: &DictionaryCache,
-    model_fp: u64,
-    metrics: Option<&crate::metrics::MetricsSink>,
-) -> Vec<(BitGrid, Vec<BitGrid>)> {
-    if let Some(m) = metrics {
-        m.add(
-            Counter::ConeEvals,
-            (patterns.len() * config.n_samples * cones.len()) as u64,
-        );
-    }
-    let n = config.n_samples;
-    // The shared population: instances 0..n of the seed's stream — the
-    // very chips the batched kernel manufactures for pattern position 0,
-    // so one memoized batch serves both kernels.
-    let batch = batches.batch(model_fp, timing, config.seed, 0, n);
-    // One defect size per (chip, arc), shared by every pattern.
-    let deltas_of: Vec<Vec<f64>> = cones
-        .iter()
-        .map(|cone| {
-            (0..n)
-                .map(|s| sample_delta(config.seed, s as u64, cone.edge(), defect_size))
-                .collect()
-        })
-        .collect();
-    let groups = sink_groups(circuit, cones);
-    let t_kernel = std::time::Instant::now();
-    let per_pattern = patterns
-        .patterns()
-        .par_iter()
-        .map(|p| {
-            let transitions = simulate_pair(circuit, &p.v1, &p.v2);
-            walk_sink_groups(
-                circuit,
-                &transitions,
-                &batch,
-                cones,
-                &groups,
-                clk,
-                |ci, sizes| sizes.copy_from_slice(&deltas_of[ci]),
-                metrics,
-            )
-        })
-        .collect();
-    record_kernel_nanos(metrics, t_kernel);
-    per_pattern
 }
 
 /// Phase 2 of the dictionary build: turn fail grids into `M_crt`, per
@@ -1165,11 +1043,10 @@ impl ObservedColumn {
     }
 }
 
-/// The per-bit assembly [`assemble_from_masks`] replaced: the oracle the
-/// `differential_assembly_*` tests compare it against.
-/// The original per-sample kernel: one full arrival pass plus one
-/// [`DefectCone::apply`] walk per (pattern, sample, suspect). Kept as
-/// the differential oracle for [`simulate_fail_masks_batched`].
+/// The per-sample walk of the shared chip population: for each pattern
+/// and chip `s`, one full arrival pass of instance `s` plus one
+/// [`DefectCone::apply`] walk per suspect with the defect size keyed on
+/// (seed, `s`, arc). The differential oracle of [`simulate_fail_masks`].
 #[cfg(test)]
 fn simulate_fail_masks_scalar(
     circuit: &Circuit,
@@ -1185,8 +1062,7 @@ fn simulate_fail_masks_scalar(
     patterns
         .patterns()
         .par_iter()
-        .enumerate()
-        .map(|(j, p)| {
+        .map(|p| {
             let transitions = simulate_pair(circuit, &p.v1, &p.v2);
             let mut base = BitGrid::new(config.n_samples, n_out);
             let mut fails: Vec<BitGrid> = cones
@@ -1196,8 +1072,7 @@ fn simulate_fail_masks_scalar(
             let mut scratch = vec![sdd_timing::dynamic::NO_EVENT; circuit.num_nodes()];
             let mut out_buf: Vec<f64> = Vec::new();
             for s in 0..config.n_samples {
-                let instance_index = (j * config.n_samples + s) as u64;
-                let instance = timing.sample_instance_indexed(config.seed, instance_index);
+                let instance = timing.sample_instance_indexed(config.seed, s as u64);
                 let baseline =
                     sdd_timing::dynamic::transition_arrivals(circuit, &transitions, &instance);
                 for (i, &o) in outputs.iter().enumerate() {
@@ -1206,7 +1081,7 @@ fn simulate_fail_masks_scalar(
                     }
                 }
                 for (ci, cone) in cones.iter().enumerate() {
-                    let delta = sample_delta(config.seed, instance_index, cone.edge(), defect_size);
+                    let delta = sample_delta(config.seed, s as u64, cone.edge(), defect_size);
                     cone.apply(
                         circuit,
                         &transitions,
@@ -1228,6 +1103,8 @@ fn simulate_fail_masks_scalar(
         .collect()
 }
 
+/// The per-bit assembly [`assemble_from_masks`] replaced: the oracle the
+/// `differential_assembly_*` tests compare it against.
 #[cfg(test)]
 fn assemble_from_masks_oracle(
     clk: f64,
@@ -1328,7 +1205,6 @@ mod tests {
     use super::*;
     use sdd_atpg::TestPattern;
     use sdd_netlist::{CircuitBuilder, GateKind};
-    use sdd_timing::dynamic::transition_arrivals;
     use sdd_timing::{CellLibrary, VariationModel};
 
     /// Two independent chains sharing nothing:
@@ -1506,57 +1382,51 @@ mod tests {
     #[test]
     fn kernel_oracle_grids_match_batched() {
         // Grid-level differential check: the raw fail masks — baseline
-        // and per-suspect — must be bit-identical between the batched
-        // kernel and the scalar oracle, on a generated circuit large
-        // enough to exercise multi-fanin cones.
-        let c = sdd_netlist::generator::generate(&sdd_netlist::generator::GeneratorConfig::small(
-            "kern", 17,
-        ))
-        .unwrap()
-        .to_combinational()
-        .unwrap();
-        let t = CircuitTiming::characterize(
-            &c,
-            &CellLibrary::default_025um(),
-            VariationModel::new(0.05, 0.08),
-        );
-        let ps = PatternSet::random(&c, 6, 0xA5);
-        let cones: Vec<DefectCone> = c
-            .edge_ids()
-            .step_by(3)
-            .map(|e| DefectCone::new(&c, e))
-            .collect();
-        assert!(cones.len() >= 4, "want several cones, got {}", cones.len());
-        let defect = Dist::Normal {
-            mean: 0.2,
-            std: 0.08,
-        };
-        let config = DictionaryConfig {
-            n_samples: 37, // odd, not a multiple of the word size
-            seed: 0xBEEF,
-            ..DictionaryConfig::default()
-        };
-        // A fixed clock, and one inside the tested-delay spread where
-        // the outcomes hinge on the drawn defect sizes.
-        let spread = crate::inject::tested_delay_samples(&c, &t, &ps, 100, 1).quantile(0.6);
-        for clk in [0.3, spread] {
-            let batched = simulate_fail_masks_batched(
+        // and per-suspect — must be bit-identical between the kernel and
+        // the per-sample walk of the shared population (chip `s` under
+        // every pattern, one defect size per (chip, arc)), on generated
+        // circuits large enough to exercise multi-fanin cones.
+        for (name, seed, every, n) in [("kern", 17, 3, 37), ("shared", 5, 1, 19)] {
+            let c = sdd_netlist::generator::generate(
+                &sdd_netlist::generator::GeneratorConfig::small(name, seed),
+            )
+            .unwrap()
+            .to_combinational()
+            .unwrap();
+            let t = CircuitTiming::characterize(
                 &c,
-                &t,
-                &defect,
-                &ps,
-                &cones,
-                clk,
-                config,
-                &DictionaryCache::one_shot(),
-                0,
-                None,
+                &CellLibrary::default_025um(),
+                VariationModel::new(0.05, 0.08),
             );
-            let scalar = simulate_fail_masks_scalar(&c, &t, &defect, &ps, &cones, clk, config);
-            assert_eq!(batched.len(), scalar.len());
-            for (j, ((bb, bf), (sb, sf))) in batched.iter().zip(&scalar).enumerate() {
-                assert_eq!(bb, sb, "clk {clk}: baseline grid differs at pattern {j}");
-                assert_eq!(bf, sf, "clk {clk}: suspect grids differ at pattern {j}");
+            let ps = PatternSet::random(&c, 6, 0xA5);
+            let edges: Vec<EdgeId> = c.edge_ids().step_by(every).collect();
+            let cones = defect_cones(&c, &edges);
+            assert!(cones.len() >= 4, "want several cones, got {}", cones.len());
+            let defect = Dist::Normal {
+                mean: 0.2,
+                std: 0.08,
+            };
+            // n odd, not a multiple of the word size.
+            let config = DictionaryConfig::new().with_samples(n).with_seed(0xBEEF);
+            // A fixed clock, and one inside the tested-delay spread where
+            // the outcomes hinge on the drawn defect sizes.
+            let spread = crate::inject::tested_delay_samples(&c, &t, &ps, 100, 1).quantile(0.6);
+            for clk in [0.3, spread] {
+                let cache = DictionaryCache::new();
+                let kernel =
+                    simulate_fail_masks(&c, &t, &defect, &ps, &cones, clk, config, &cache, 0, None);
+                let scalar = simulate_fail_masks_scalar(&c, &t, &defect, &ps, &cones, clk, config);
+                assert_eq!(kernel.len(), scalar.len());
+                for (j, ((kb, kf), (sb, sf))) in kernel.iter().zip(&scalar).enumerate() {
+                    assert_eq!(
+                        kb, sb,
+                        "{name} clk {clk}: baseline grid differs at pattern {j}"
+                    );
+                    assert_eq!(
+                        kf, sf,
+                        "{name} clk {clk}: suspect grids differ at pattern {j}"
+                    );
+                }
             }
         }
     }
@@ -1565,7 +1435,8 @@ mod tests {
     fn kernel_oracle_dictionaries_match_batched_build() {
         // Dictionary-level differential check on two differently shaped
         // generated circuits (a shallow wide one and a deeper one with
-        // flip-flop boundaries): a production build must equal the
+        // flip-flop boundaries): a production build — batched, and
+        // screened without a behaviour to filter on — must equal the
         // scalar oracle's grids assembled by the same counting, joint
         // consistency estimates included.
         use sdd_netlist::profiles::BenchmarkProfile;
@@ -1628,68 +1499,17 @@ mod tests {
                 );
                 assert_eq!(built, oracle, "{}: dictionaries differ", profile.name);
             }
-        }
-    }
-
-    #[test]
-    fn shared_population_grids_match_per_sample_walks() {
-        // The screened pipeline's refinement kernel runs the pruned walk
-        // on one shared chip population; every bit must equal a scalar
-        // walk of that chip with its one (chip, arc) defect size.
-        let c = sdd_netlist::generator::generate(&sdd_netlist::generator::GeneratorConfig::small(
-            "shared", 5,
-        ))
-        .unwrap()
-        .to_combinational()
-        .unwrap();
-        let t = CircuitTiming::characterize(
-            &c,
-            &CellLibrary::default_025um(),
-            VariationModel::new(0.05, 0.08),
-        );
-        let ps = PatternSet::random(&c, 5, 0x5A);
-        let cones = defect_cones(&c, &c.edge_ids().collect::<Vec<_>>());
-        let defect = Dist::Normal {
-            mean: 0.2,
-            std: 0.08,
-        };
-        let (n, seed, clk) = (19, 11, 0.3);
-        let config = DictionaryConfig {
-            n_samples: n,
-            seed,
-            kernel: SimKernel::Batched,
-            screen: ScreenConfig::default(),
-        };
-        let grids = simulate_fail_masks_shared(
-            &c,
-            &t,
-            &defect,
-            &ps,
-            &cones,
-            clk,
-            config,
-            &DictionaryCache::one_shot(),
-            0,
-            None,
-        );
-        let outputs = c.primary_outputs();
-        let (mut scratch, mut out) = (Vec::new(), Vec::new());
-        for (p, (base, fails)) in ps.patterns().iter().zip(&grids) {
-            let trans = simulate_pair(&c, &p.v1, &p.v2);
-            for s in 0..n {
-                let inst = t.sample_instance_indexed(seed, s as u64);
-                let baseline = transition_arrivals(&c, &trans, &inst);
-                for (i, o) in outputs.iter().enumerate() {
-                    assert_eq!(base.get(s, i), baseline[o.index()] > clk);
-                }
-                for (cone, grid) in cones.iter().zip(fails) {
-                    let delta = sample_delta(seed, s as u64, cone.edge(), &defect);
-                    cone.apply(&c, &trans, &inst, &baseline, delta, &mut scratch, &mut out);
-                    for (k, &arr) in out.iter().enumerate() {
-                        assert_eq!(grid.get(s, k), arr > clk, "arc {} sample {s}", cone.edge());
-                    }
-                }
-            }
+            let unscreened = ProbabilisticDictionary::build(
+                &c,
+                &t,
+                &defect,
+                &ps,
+                &suspects,
+                clk,
+                config.with_kernel(SimKernel::Screened),
+            );
+            let oracle = assemble_from_masks(clk, n_out, n, &base, &pairs, None);
+            assert_eq!(unscreened, oracle, "{}: screened build", profile.name);
         }
     }
 
@@ -1718,7 +1538,7 @@ mod tests {
             seed: 3,
             ..DictionaryConfig::default()
         };
-        simulate_fail_masks_batched(
+        simulate_fail_masks(
             &c,
             &t,
             &defect,
@@ -1726,7 +1546,7 @@ mod tests {
             &cones,
             0.3,
             config,
-            &DictionaryCache::one_shot(),
+            &DictionaryCache::new(),
             0,
             Some(&m),
         );
@@ -2021,7 +1841,7 @@ mod tests {
             mean: 0.2,
             std: 0.08,
         };
-        let per_pattern = simulate_fail_masks_batched(
+        let per_pattern = simulate_fail_masks(
             &c,
             &t,
             &defect,
@@ -2029,7 +1849,7 @@ mod tests {
             &cones,
             clk,
             config,
-            &DictionaryCache::one_shot(),
+            &DictionaryCache::new(),
             0,
             None,
         );

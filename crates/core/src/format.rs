@@ -19,9 +19,17 @@ use std::fmt;
 /// First bytes of every store file.
 pub const MAGIC: [u8; 8] = *b"SDDSTOR\0";
 
-/// Current store format version. Bump on any layout change; readers
-/// reject other versions (which degrades to recomputation).
-pub const FORMAT_VERSION: u32 = 1;
+/// Format version of dictionary bank checkpoints (`dict-*.sdds`). Bump
+/// on any change to their layout or to what their grids mean; readers
+/// reject other versions, which degrades to recomputation. Version 2
+/// holds grids of one chip population shared by every pattern (version
+/// 1 drew a separate population per pattern).
+pub const DICTIONARY_FORMAT_VERSION: u32 = 2;
+
+/// Format version of per-site pattern checkpoints (`pat-*.sdds`),
+/// versioned apart from dictionary banks so that a dictionary change
+/// does not make a store re-run ATPG.
+pub const PATTERN_FORMAT_VERSION: u32 = 1;
 
 /// Why a byte stream was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]

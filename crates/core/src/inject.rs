@@ -778,7 +778,7 @@ fn observe_behavior(
     // seed): memoize them campaign-wide so the Box-Muller sampling cost
     // — the bulk of a warm observe phase — is paid once instead of once
     // per chip. Values are bit-identical to a fresh draw.
-    let batch = cache.batch(model_fp, timing, config.seed ^ 0x7E57, 0, n);
+    let batch = cache.batch(model_fp, timing, config.seed ^ 0x7E57, n);
     let samples = tested_delay_samples_from_batch(circuit, patterns, &batch);
     // One clock-independent capture serves every clock the policy tries.
     let observed = ObservedBehavior::capture(circuit, patterns, failing_chip, config.capture);

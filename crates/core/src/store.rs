@@ -3,7 +3,7 @@
 //! [`DictionaryCache`](crate::cache::DictionaryCache).
 //!
 //! The Monte-Carlo phase of dictionary construction
-//! ([`simulate_fail_masks_batched`](crate::dictionary)) dominates campaign
+//! ([`simulate_fail_masks`](crate::dictionary)) dominates campaign
 //! wall-clock, yet its output depends only on (circuit, timing model,
 //! pattern set, `clk`, defect-size distribution, Monte-Carlo config) —
 //! nothing about the chip under diagnosis, nothing about the process
@@ -38,25 +38,27 @@
 //!
 //! Flushes happen on a background thread (serialization is done by the
 //! caller while it already holds the bank lock; only the file I/O is
-//! deferred). [`DictionaryStore::sync`] — also run on drop — joins all
+//! deferred). One long-lived writer thread serves every store of the
+//! process in submission order, so a later flush of a key always lands
+//! after an earlier one, and no short-lived thread per flush leaves its
+//! allocator arena behind for the next worker thread to grow.
+//! [`DictionaryStore::sync`] — also run on drop — waits for this store's
 //! pending flushes, so checkpoints are on disk before the process exits.
 
 use crate::dictionary::{BitGrid, DictionaryConfig, SuspectMasks};
 use crate::format::{
-    checksum, write_section, ByteReader, ByteWriter, FormatError, StableHasher, FORMAT_VERSION,
-    MAGIC,
+    checksum, write_section, ByteReader, ByteWriter, FormatError, StableHasher,
+    DICTIONARY_FORMAT_VERSION, MAGIC, PATTERN_FORMAT_VERSION,
 };
 use crate::metrics::{Counter, MetricsSink};
 use sdd_atpg::{PatternSet, TestPattern};
 use sdd_netlist::{Circuit, EdgeId};
 use sdd_timing::{CircuitTiming, Dist};
-use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Section tags of the store file layout (see DESIGN.md §4.3).
@@ -71,11 +73,10 @@ const SECTION_PATTERNS: u32 = 0x5350_5431; // "SPT1"
 /// File extension of dictionary checkpoints.
 const STORE_EXT: &str = "sdds";
 
-/// XOR'd into a [`PatternKey`] fingerprint before it enters the shared
-/// commit-sequence map, so a (vanishingly unlikely) fingerprint collision
-/// between a dictionary key and a pattern key cannot entangle their
-/// flush ordering.
-const PATTERN_COMMIT_NAMESPACE: u64 = 0x5350_4154_5345_5431; // "SPATSET1"
+/// XOR'd into a [`PatternKey`] fingerprint before it names a temp file,
+/// so a (vanishingly unlikely) fingerprint collision between a
+/// dictionary key and a pattern key cannot share a temp name.
+const PATTERN_TMP_NAMESPACE: u64 = 0x5350_4154_5345_5431; // "SPATSET1"
 
 /// Everything a cached dictionary bank depends on, reduced to stable
 /// 64-bit fingerprints. This is both the in-memory cache key of
@@ -264,12 +265,10 @@ pub(crate) struct StoredBank {
 #[derive(Debug)]
 pub struct DictionaryStore {
     dir: PathBuf,
-    pending: Mutex<Vec<JoinHandle<()>>>,
+    /// One receiver per queued write; each yields (or disconnects) once
+    /// the writer thread is done with it.
+    pending: Mutex<Vec<mpsc::Receiver<()>>>,
     tmp_counter: AtomicU64,
-    /// Highest flush sequence number committed per key fingerprint.
-    /// Background writers consult it under lock before renaming, so a
-    /// slow early flush can never overwrite a later (superset) one.
-    committed: Arc<Mutex<HashMap<u64, u64>>>,
 }
 
 impl DictionaryStore {
@@ -299,7 +298,6 @@ impl DictionaryStore {
             dir,
             pending: Mutex::new(Vec::new()),
             tmp_counter: AtomicU64::new(0),
-            committed: Arc::new(Mutex::new(HashMap::new())),
         })
     }
 
@@ -355,8 +353,8 @@ impl DictionaryStore {
     }
 
     /// Checkpoints one bank: serializes it immediately (the caller holds
-    /// the bank lock, so the bytes are a consistent snapshot) and hands
-    /// the atomic write to a background thread. Write failures are
+    /// the bank lock, so the bytes are a consistent snapshot) and queues
+    /// the atomic write on the writer thread. Write failures are
     /// swallowed — the store is an accelerator, not a system of record.
     pub(crate) fn flush(
         &self,
@@ -378,22 +376,7 @@ impl DictionaryStore {
         if let Some(m) = metrics {
             m.add(Counter::StoreFlushes, 1);
         }
-        let committed = Arc::clone(&self.committed);
-        let handle = std::thread::spawn(move || {
-            // Commit in sequence order per key: a flush enqueued earlier
-            // (a subset of the bank) must never land after — and thereby
-            // clobber — a later one. The lock is held across the rename
-            // so check-then-commit is atomic.
-            let mut committed = committed.lock().expect("store commit lock");
-            let newest = committed.get(&fingerprint).copied();
-            if newest.is_some_and(|n| n > seq) {
-                return;
-            }
-            if write_atomic(&tmp_path, &final_path, &bytes).is_ok() {
-                committed.insert(fingerprint, seq);
-            }
-        });
-        self.pending.lock().expect("store flush lock").push(handle);
+        self.write_in_background(tmp_path, final_path, bytes);
     }
 
     /// Number of pattern checkpoint files (`pat-*.sdds`) in the store.
@@ -443,10 +426,9 @@ impl DictionaryStore {
     }
 
     /// Checkpoints one per-site pattern set. Serialization is immediate;
-    /// the atomic write happens on a background thread under the same
-    /// commit-sequence discipline as dictionary banks (namespaced so the
-    /// two kinds of checkpoint never contend on a sequence slot). Write
-    /// failures are swallowed — the store is an accelerator.
+    /// the atomic write is queued on the writer thread like a dictionary
+    /// bank's. Write failures are swallowed — the store is an
+    /// accelerator.
     pub(crate) fn flush_patterns(
         &self,
         key: &PatternKey,
@@ -454,7 +436,7 @@ impl DictionaryStore {
         metrics: Option<&MetricsSink>,
     ) {
         let bytes = encode_patterns(key, patterns);
-        let fingerprint = key.fingerprint() ^ PATTERN_COMMIT_NAMESPACE;
+        let fingerprint = key.fingerprint() ^ PATTERN_TMP_NAMESPACE;
         let seq = self.tmp_counter.fetch_add(1, Ordering::Relaxed);
         let final_path = self.dir.join(key.file_name());
         let tmp_path = self.dir.join(format!(
@@ -466,28 +448,57 @@ impl DictionaryStore {
         if let Some(m) = metrics {
             m.add(Counter::PatternStoreFlushes, 1);
         }
-        let committed = Arc::clone(&self.committed);
-        let handle = std::thread::spawn(move || {
-            let mut committed = committed.lock().expect("store commit lock");
-            let newest = committed.get(&fingerprint).copied();
-            if newest.is_some_and(|n| n > seq) {
-                return;
-            }
-            if write_atomic(&tmp_path, &final_path, &bytes).is_ok() {
-                committed.insert(fingerprint, seq);
-            }
+        self.write_in_background(tmp_path, final_path, bytes);
+    }
+
+    /// Queues one atomic write on the process's checkpoint writer: a
+    /// single thread, started on first use, that runs writes in
+    /// submission order. Order is what keeps banks consistent: a bank
+    /// grows incrementally, so a key can be flushed twice before the
+    /// first write lands, and the later (superset) bytes must win.
+    fn write_in_background(&self, tmp_path: PathBuf, final_path: PathBuf, bytes: Vec<u8>) {
+        type Write = Box<dyn FnOnce() + Send>;
+        static WRITER: OnceLock<mpsc::Sender<Write>> = OnceLock::new();
+        let writer = WRITER.get_or_init(|| {
+            let (queue, writes) = mpsc::channel::<Write>();
+            std::thread::Builder::new()
+                .name("sdd-store-writer".into())
+                .spawn(move || {
+                    for write in writes {
+                        // A panicking write disconnects its own receiver
+                        // and must not stop the writes queued behind it.
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(write));
+                    }
+                })
+                .expect("store writer thread starts");
+            queue
         });
-        self.pending.lock().expect("store flush lock").push(handle);
+        let (done, written) = mpsc::channel();
+        let write: Write = Box::new(move || {
+            let _ = write_atomic(&tmp_path, &final_path, &bytes);
+            let _ = done.send(());
+        });
+        // The writer never exits, so the queue stays open.
+        let _ = writer.send(write);
+        self.pending
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(written);
     }
 
     /// Blocks until every background flush issued so far has hit disk.
     /// Called automatically on drop; call it explicitly before handing
     /// the directory to another process.
     pub fn sync(&self) {
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.pending.lock().expect("store flush lock"));
-        for h in handles {
-            let _ = h.join();
+        let pending = std::mem::take(
+            &mut *self
+                .pending
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
+        for written in pending {
+            // Err means the write panicked: it is over either way.
+            let _ = written.recv();
         }
     }
 }
@@ -550,7 +561,7 @@ pub(crate) fn encode_bank(
 ) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&DICTIONARY_FORMAT_VERSION.to_le_bytes());
 
     let mut kw = ByteWriter::new();
     for field in key.fields() {
@@ -589,7 +600,7 @@ pub(crate) fn decode_bank(bytes: &[u8], want: &StoreKey) -> Result<StoredBank, F
         return Err(FormatError::BadMagic);
     }
     let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
+    if version != DICTIONARY_FORMAT_VERSION {
         return Err(FormatError::BadVersion { found: version });
     }
 
@@ -658,7 +669,7 @@ pub(crate) fn decode_bank(bytes: &[u8], want: &StoreKey) -> Result<StoredBank, F
 pub(crate) fn encode_patterns(key: &PatternKey, patterns: &PatternSet) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&PATTERN_FORMAT_VERSION.to_le_bytes());
 
     let mut kw = ByteWriter::new();
     for field in key.fields() {
@@ -684,7 +695,7 @@ pub(crate) fn decode_patterns(bytes: &[u8], want: &PatternKey) -> Result<Pattern
         return Err(FormatError::BadMagic);
     }
     let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
+    if version != PATTERN_FORMAT_VERSION {
         return Err(FormatError::BadVersion { found: version });
     }
 
@@ -911,6 +922,36 @@ mod tests {
         let store = DictionaryStore::open(dir.path()).expect("reopens");
         assert_eq!(store.num_checkpoints(), 1);
         assert!(!dir.path().join(".orphan.tmp").exists(), "temp file swept");
+    }
+
+    #[test]
+    fn a_later_flush_of_a_key_always_lands_last() {
+        // A bank grows between flushes: the subset flushed first must
+        // never overwrite the superset flushed after it.
+        let dir = crate::testutil::TestDir::new("store-order");
+        let store = DictionaryStore::open(dir.path()).expect("opens");
+        let key = demo_key();
+        let (base, suspects) = demo_bank();
+        let refs: Vec<(EdgeId, &SuspectMasks)> = suspects.iter().map(|(e, m)| (*e, m)).collect();
+        for round in 0..20 {
+            store.flush(&key, &base, &refs[..1], None);
+            store.flush(&key, &base, &refs, None);
+            store.sync();
+            let bank = store.load(&key, 2, 3, None).expect("hit after sync");
+            assert_eq!(bank.suspects.len(), suspects.len(), "round {round}");
+            for ((e, m), (want_e, want)) in bank.suspects.iter().zip(&suspects) {
+                assert_eq!(
+                    (e, &m.reachable, &m.fails),
+                    (want_e, &want.reachable, &want.fails)
+                );
+            }
+        }
+        let leftovers = fs::read_dir(dir.path())
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+            .count();
+        assert_eq!(leftovers, 0, "every temp file renamed");
     }
 
     #[test]
