@@ -18,10 +18,9 @@ use sdd_atpg::path_atpg::generate_robust_or_nonrobust;
 use sdd_atpg::podem::generate_transition_assignments_diverse;
 use sdd_bench::flag_value;
 use sdd_core::inject::CampaignConfig;
-use sdd_core::{AtpgConfig, SingleDefectModel};
-use sdd_netlist::generator::generate;
+use sdd_core::{AtpgConfig, Design};
 use sdd_netlist::profiles;
-use sdd_timing::{path, CellLibrary, CircuitTiming};
+use sdd_timing::path;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -34,20 +33,15 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(40);
     let profile = profiles::by_name(&name).expect("known circuit name");
-    let circuit = generate(&profile.to_config(seed))
-        .expect("profile generates")
-        .to_combinational()
-        .expect("scan cut succeeds");
     let config = CampaignConfig::paper(seed);
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
+    let design = Design::generate(&profile, seed, config.variation).expect("profile generates");
+    let (circuit, timing, model) = (design.circuit(), design.timing(), design.defect_model());
     let atpg = AtpgConfig::from_campaign(&config);
-    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
 
     let mut sites = Vec::new();
     for index in 0..chips {
         let edge = model
-            .sample_defect(&circuit, seed.wrapping_add(1 + index * 131))
+            .sample_defect(circuit, seed.wrapping_add(1 + index * 131))
             .edge;
         if !sites.contains(&edge) {
             sites.push(edge);
@@ -62,7 +56,7 @@ fn main() {
             .wrapping_mul(0x94D0_49BB_1331_11EB)
             .wrapping_add(site.index() as u64);
         let t = Instant::now();
-        let paths = path::k_longest_through_edge(&circuit, &timing, site, atpg.n_paths * 2)
+        let paths = path::k_longest_through_edge(circuit, timing, site, atpg.n_paths * 2)
             .unwrap_or_default();
         k_longest += t.elapsed();
 
@@ -78,7 +72,7 @@ fn main() {
                 let fault = PathDelayFault::new(p.clone(), launch);
                 path_runs += 1;
                 path_ok += usize::from(
-                    generate_robust_or_nonrobust(&circuit, &fault, atpg.path_config, test_seed)
+                    generate_robust_or_nonrobust(circuit, &fault, atpg.path_config, test_seed)
                         .is_ok(),
                 );
             }
@@ -97,7 +91,7 @@ fn main() {
                 transition_runs += 1;
                 transition_ok += usize::from(
                     generate_transition_assignments_diverse(
-                        &circuit,
+                        circuit,
                         TransitionFault::new(site, direction),
                         atpg.podem_config,
                         Some(decision_seed),

@@ -29,27 +29,24 @@
 //! [`sdd_core::MetricsExport`] document.
 
 use sdd_bench::{flag_value, write_metrics_export};
-use sdd_core::defect::SingleDefectModel;
 use sdd_core::inject::CampaignConfig;
 use sdd_core::session::ArtifactLayer;
 use sdd_core::ErrorFunction;
-use sdd_netlist::generator::generate;
-use sdd_netlist::profiles;
-use sdd_timing::{CellLibrary, CircuitTiming};
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let seed = 11;
     let config = CampaignConfig::paper(seed);
-    let profile = profiles::by_name("s1196").expect("profile exists");
-    let circuit = generate(&profile.to_config(seed))
-        .expect("profile generates")
-        .to_combinational()
-        .expect("scan cut succeeds");
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
-    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let mut builder = ArtifactLayer::builder();
+    if let Some(dir) = flag_value(&args, "--store") {
+        builder = builder.store_dir(dir);
+    }
+    let layer = builder.build().expect("layer builds");
+    let design = layer
+        .design("s1196", seed, config.variation)
+        .expect("profile generates");
+    let circuit = design.circuit();
 
     println!("=== Figure 3: error under the equivalence-checking model ===\n");
     println!(
@@ -60,17 +57,10 @@ fn main() {
     );
 
     let start = Instant::now();
-    let mut builder = ArtifactLayer::builder();
-    if let Some(dir) = flag_value(&args, "--store") {
-        builder = builder.store_dir(dir);
-    }
-    let layer = builder.build().expect("layer builds");
     let session = layer.session("fig3");
     let mut shown = 0;
     for index in 0..20 {
-        let Some(outcome) =
-            session.diagnose_instance(&circuit, &timing, &model, None, &config, index)
-        else {
+        let Some(outcome) = session.diagnose_instance(&design, None, &config, index) else {
             continue;
         };
         if outcome.rankings.is_empty() {

@@ -1010,13 +1010,29 @@ mod tests {
     #[test]
     fn campaign_is_deterministic() {
         let session = ArtifactLayer::new().session("");
-        let a = session
-            .run_campaign(&profiles::S27, &CampaignConfig::quick(8))
-            .unwrap();
-        let b = session
-            .run_campaign(&profiles::S27, &CampaignConfig::quick(8))
-            .unwrap();
+        let cfg = CampaignConfig::quick(8);
+        let run = || session.run_campaign(&profiles::S27, &cfg).unwrap();
+        let (a, b, c) = (run(), run(), run());
         assert_eq!(a, b);
+        assert_eq!(b, c);
+        // `samples_simulated` counts walks actually run. Warm runs
+        // simulate no dictionary but repeat every chip's clock-estimate
+        // walks (only their chip draws are memoized); the cold run books
+        // the same walks plus `patterns × n_samples` per miss.
+        let (warm, again) = (&b.metrics, &c.metrics);
+        assert_eq!((warm.dict_cache_misses, again.dict_cache_misses), (0, 0));
+        assert!(warm.samples_simulated > 0, "warm run booked no walks");
+        assert_eq!(warm.samples_simulated, again.samples_simulated);
+        let miss_samples: u64 = a
+            .traces
+            .iter()
+            .map(|t| t.dict_cache_misses * t.n_patterns * cfg.dictionary.n_samples as u64)
+            .sum();
+        assert!(miss_samples > 0, "cold run never missed");
+        assert_eq!(
+            a.metrics.samples_simulated,
+            warm.samples_simulated + miss_samples
+        );
     }
 
     #[test]

@@ -87,5 +87,5 @@ pub use metrics::{
     MetricsReport, MetricsSink, Phase, PhaseLatencies, TraceOutcome, METRICS_SCHEMA_VERSION,
     TRACE_RING_CAPACITY,
 };
-pub use session::{ArtifactLayer, ArtifactLayerBuilder, DiagnosisSession};
+pub use session::{ArtifactLayer, ArtifactLayerBuilder, Design, DiagnosisSession};
 pub use store::{DictionaryStore, PatternKey, StoreKey};

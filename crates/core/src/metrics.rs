@@ -588,8 +588,12 @@ counter_table! {
         DictCacheHits dict_cache_hits [trace],
         /// Dictionary-cache requests that had to simulate at least one bank.
         DictCacheMisses dict_cache_misses [trace],
-        /// Full-circuit dynamic timing simulations, one per (pattern, chip
-        /// sample) pair, across clock estimation and dictionary builds.
+        /// Full-circuit dynamic timing walks actually run, one per
+        /// (pattern, chip sample) pair: `patterns × n_samples` per
+        /// dictionary miss, plus `min(sta_samples, 150) × patterns` per
+        /// observed chip under a tested-delay or sweep clock. Only the
+        /// clock estimate's chip draws are memoized, not its walks, so a
+        /// fully warm run still books the latter.
         SamplesSimulated samples_simulated [],
         /// Aggregate nanoseconds inside the Monte-Carlo dictionary kernel's
         /// parallel regions (wall clock on the calling thread, excluding

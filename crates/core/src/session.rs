@@ -27,6 +27,11 @@
 //! # }
 //! ```
 //!
+//! The layer also holds one [`Design`] per (profile, seed, variation):
+//! the generated, scan-cut and characterized netlist a client names, so
+//! every request against the same design reuses one netlist, one timing
+//! model and one model fingerprint ([`ArtifactLayer::design`]).
+//!
 //! A [`DiagnosisSession`] is what one client holds: a tenant id, an
 //! optional kernel / [`DictionaryConfig`] override, and a private
 //! [`MetricsSink`] whose committed traces are tagged with the tenant.
@@ -36,7 +41,7 @@
 //! section — so multi-tenant sharing never changes an answer, only its
 //! latency.
 
-use crate::cache::DictionaryCache;
+use crate::cache::{DictionaryCache, KeyedMemo};
 use crate::defect::SingleDefectModel;
 use crate::diagnoser::{Diagnoser, RankedSite};
 use crate::dictionary::{DictionaryConfig, SimKernel};
@@ -48,13 +53,13 @@ use crate::inject::{
 use crate::metrics::{
     InstanceTrace, MetricsReport, MetricsSink, Phase, TraceOutcome, METRICS_SCHEMA_VERSION,
 };
-use crate::store::DictionaryStore;
+use crate::store::{fingerprint_model, DictionaryStore};
 use crate::{BehaviorMatrix, DiagnosisError, SddError};
 use sdd_atpg::PatternSet;
 use sdd_netlist::generator::generate;
-use sdd_netlist::profiles::BenchmarkProfile;
+use sdd_netlist::profiles::{self, BenchmarkProfile};
 use sdd_netlist::Circuit;
-use sdd_timing::{CircuitTiming, Dist};
+use sdd_timing::{CellLibrary, CircuitTiming, Dist, VariationModel};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -106,14 +111,82 @@ impl ArtifactLayerBuilder {
             })
             .transpose()?;
         Ok(ArtifactLayer {
-            inner: Arc::new(LayerInner { cache, pool }),
+            inner: Arc::new(LayerInner {
+                cache,
+                designs: KeyedMemo::default(),
+                pool,
+            }),
         })
     }
 }
 
+/// A profiled benchmark generated at a seed, scan-cut to its
+/// combinational core and characterized with the default 0.25 µm
+/// library under a variation model, plus the paper's Section I defect
+/// model and the model fingerprint that keys its cache entries. Build
+/// one with [`Design::generate`], or get the layer's shared one with
+/// [`ArtifactLayer::design`].
+#[derive(Debug)]
+pub struct Design {
+    circuit: Circuit,
+    timing: CircuitTiming,
+    defect_model: SingleDefectModel,
+    model_fp: u64,
+}
+
+impl Design {
+    /// Generates, scan-cuts and characterizes `profile` at `seed` under
+    /// `variation` — the environment of a campaign with that seed and
+    /// variation.
+    ///
+    /// # Errors
+    ///
+    /// Propagates circuit-generation and scan-cut errors.
+    pub fn generate(
+        profile: &BenchmarkProfile,
+        seed: u64,
+        variation: VariationModel,
+    ) -> Result<Design, SddError> {
+        let circuit = generate(&profile.to_config(seed))?.to_combinational()?;
+        let library = CellLibrary::default_025um();
+        let timing = CircuitTiming::characterize(&circuit, &library, variation);
+        let model_fp = fingerprint_model(&circuit, &timing);
+        Ok(Design {
+            circuit,
+            timing,
+            defect_model: SingleDefectModel::paper_section_i(library.nominal_cell_delay()),
+            model_fp,
+        })
+    }
+
+    /// The combinational (scan-cut) netlist.
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
+    /// The statistical timing model.
+    pub fn timing(&self) -> &CircuitTiming {
+        &self.timing
+    }
+
+    /// The Section I single-defect model.
+    pub fn defect_model(&self) -> &SingleDefectModel {
+        &self.defect_model
+    }
+}
+
+/// Memo key of a [`Design`]: the profile name, the generator seed and
+/// the variation model's `Debug` text (exact shortest-roundtrip floats,
+/// as [`fingerprint_model`] hashes it).
+type DesignKey = (&'static str, u64, String);
+
 #[derive(Debug)]
 struct LayerInner {
     cache: DictionaryCache,
+    /// One design per [`DesignKey`], `None` until its first request
+    /// finishes. Unbounded, like the cache's sections; only known
+    /// profile names reach it.
+    designs: KeyedMemo<DesignKey, Option<Arc<Design>>>,
     pool: Option<rayon::ThreadPool>,
 }
 
@@ -167,6 +240,39 @@ impl ArtifactLayer {
         if let Some(store) = self.inner.cache.store() {
             store.sync();
         }
+    }
+
+    /// The design of the profile named `profile_name` at `seed` under
+    /// `variation` ([`Design::generate`]), built at most once per layer:
+    /// every later request for the same key gets the same `Arc`. A
+    /// name no profile carries is refused before the memo is touched.
+    ///
+    /// # Errors
+    ///
+    /// [`SddError::Config`] for an unknown profile name; generation
+    /// errors as [`Design::generate`] (the key then stays unbuilt).
+    pub fn design(
+        &self,
+        profile_name: &str,
+        seed: u64,
+        variation: VariationModel,
+    ) -> Result<Arc<Design>, SddError> {
+        let profile = profiles::by_name(profile_name)
+            .ok_or_else(|| SddError::Config(format!("unknown circuit profile {profile_name:?}")))?;
+        let key = (profile.name, seed, format!("{variation:?}"));
+        self.inner.designs.with(key, |slot| {
+            if let Some(design) = slot {
+                return Ok(Arc::clone(design));
+            }
+            let design = Arc::new(Design::generate(&profile, seed, variation)?);
+            *slot = Some(Arc::clone(&design));
+            Ok(design)
+        })
+    }
+
+    /// Number of designs held ([`ArtifactLayer::design`]).
+    pub fn num_designs(&self) -> usize {
+        self.inner.designs.len()
     }
 
     /// Opens a session for `tenant`: a lightweight per-client handle
@@ -362,9 +468,9 @@ impl DiagnosisSession {
     }
 
     /// Injects, observes and diagnoses the `index`-th chip of a
-    /// campaign, through the layer's cache and this session's metrics.
-    /// Returns `None` when no observable failing configuration could be
-    /// drawn within the redraw budget (see
+    /// campaign on `design`, through the layer's cache and this
+    /// session's metrics. Returns `None` when no observable failing
+    /// configuration could be drawn within the redraw budget (see
     /// [`CampaignConfig::max_redraws`]).
     ///
     /// `circuit_clk` is the campaign-level clock for
@@ -372,9 +478,7 @@ impl DiagnosisSession {
     /// under the tested-quantile and sweep policies.
     pub fn diagnose_instance(
         &self,
-        circuit: &Circuit,
-        timing: &CircuitTiming,
-        defect_model: &SingleDefectModel,
+        design: &Design,
         circuit_clk: Option<f64>,
         config: &CampaignConfig,
         index: usize,
@@ -383,10 +487,10 @@ impl DiagnosisSession {
         let cfg = self.effective_config(config);
         let run = || {
             diagnose_instance_impl(
-                circuit,
-                timing,
-                crate::store::fingerprint_model(circuit, timing),
-                defect_model,
+                &design.circuit,
+                &design.timing,
+                design.model_fp,
+                &design.defect_model,
                 circuit_clk,
                 &cfg,
                 index,

@@ -21,27 +21,28 @@
 //!
 //! Malformed, oversized (> [`MAX_LINE_BYTES`]) or unparseable requests
 //! yield a structured `error` response and the connection stays alive.
+//! A submit whose diagnosis panics is answered with an `error` and then
+//! `done`, and its worker goes on serving the queue.
 //! When the bounded admission queue is full, `submit` is answered with
 //! an explicit `busy` response instead of blocking — backpressure is the
 //! client's to handle.
 
-use sdd_core::defect::SingleDefectModel;
 use sdd_core::diagnoser::RankedSite;
 use sdd_core::dictionary::SimKernel;
 use sdd_core::inject::{CampaignConfig, ClockPolicy};
 use sdd_core::metrics::{MetricsExport, MetricsReport};
-use sdd_core::session::{ArtifactLayer, DiagnosisSession};
+use sdd_core::session::{ArtifactLayer, Design, DiagnosisSession};
 use sdd_core::{BehaviorMatrix, ErrorFunction};
-use sdd_netlist::profiles;
-use sdd_timing::{sta, CellLibrary, CircuitTiming};
+use sdd_timing::sta;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Wire protocol version spoken (and stamped into every response).
@@ -244,6 +245,12 @@ struct TenantSessions {
 }
 
 impl TenantSessions {
+    /// The session map. It only ever gains whole entries, so a panic
+    /// elsewhere cannot leave it inconsistent: poisoning is ignored.
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<DiagnosisSession>>> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Get-or-create the tenant's session. A tenant is pinned to the
     /// kernel (and screen top-K) named at first use; naming a different
     /// one later is a request error (open another tenant instead).
@@ -253,7 +260,7 @@ impl TenantSessions {
         kernel: Option<SimKernel>,
         top_k: Option<usize>,
     ) -> Result<Arc<DiagnosisSession>, String> {
-        let mut sessions = self.sessions.lock().expect("session map poisoned");
+        let mut sessions = self.lock();
         if let Some(existing) = sessions.get(tenant) {
             if kernel.is_some() && existing.kernel() != kernel {
                 return Err(format!(
@@ -286,7 +293,7 @@ impl TenantSessions {
     /// One report per tenant, sorted by tenant id (deterministic export
     /// order).
     fn reports(&self) -> Vec<MetricsReport> {
-        let sessions = self.sessions.lock().expect("session map poisoned");
+        let sessions = self.lock();
         let mut tenants: Vec<&String> = sessions.keys().collect();
         tenants.sort();
         tenants
@@ -315,7 +322,7 @@ type SharedWriter = Arc<Mutex<TcpStream>>;
 
 fn write_response(writer: &SharedWriter, response: &Response) {
     let line = serde_json::to_string(response).expect("response serializes");
-    let mut stream = writer.lock().expect("writer poisoned");
+    let mut stream = writer.lock().unwrap_or_else(PoisonError::into_inner);
     // A vanished client is not a server error; drop the response.
     let _ = writeln!(stream, "{line}");
     let _ = stream.flush();
@@ -333,42 +340,21 @@ fn parse_kernel(name: &str) -> Result<Option<SimKernel>, String> {
     }
 }
 
-/// The Section I campaign environment for a profile + configuration,
-/// recomputed per submit (cheap and deterministic — the expensive
-/// artifacts live in the shared layer).
-struct CampaignEnv {
-    circuit: sdd_netlist::Circuit,
-    timing: CircuitTiming,
-    model: SingleDefectModel,
-}
-
-fn campaign_env(profile_name: &str, config: &CampaignConfig) -> Result<CampaignEnv, String> {
-    let profile = profiles::by_name(profile_name)
-        .ok_or_else(|| format!("unknown circuit profile {profile_name:?}"))?;
-    let circuit = sdd_netlist::generator::generate(&profile.to_config(config.seed))
-        .map_err(|e| format!("circuit generation: {e}"))?
-        .to_combinational()
-        .map_err(|e| format!("scan cut: {e}"))?;
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
-    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
-    Ok(CampaignEnv {
-        circuit,
-        timing,
-        model,
-    })
-}
-
 /// The campaign's circuit-level clock under
 /// [`ClockPolicy::CircuitQuantile`] (a `sta_samples`-sized static
 /// Monte-Carlo run), `None` under the other policies. Only chip submits
 /// need it: a behaviour submit carries its own `clk`.
-fn circuit_clk(env: &CampaignEnv, config: &CampaignConfig) -> Result<Option<f64>, String> {
+fn circuit_clk(design: &Design, config: &CampaignConfig) -> Result<Option<f64>, String> {
     match config.clock {
         ClockPolicy::CircuitQuantile(q) => Ok(Some(
-            sta::static_mc(&env.circuit, &env.timing, config.sta_samples, config.seed)
-                .map_err(|e| format!("static timing: {e}"))?
-                .clock_at_quantile(q),
+            sta::static_mc(
+                design.circuit(),
+                design.timing(),
+                config.sta_samples,
+                config.seed,
+            )
+            .map_err(|e| format!("static timing: {e}"))?
+            .clock_at_quantile(q),
         )),
         ClockPolicy::TestedQuantile(_) | ClockPolicy::Sweep => Ok(None),
     }
@@ -403,13 +389,22 @@ fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
         .config
         .clone()
         .unwrap_or_else(|| CampaignConfig::quick(1));
-    // The session's overrides decide what actually runs; derive the
-    // campaign environment from the same effective configuration so the
-    // served outcomes are bit-identical to an in-process run.
+    // The session's overrides decide what actually runs; take the
+    // design from the same effective configuration so the served
+    // outcomes are bit-identical to an in-process run.
     let config = session.effective_config(&config);
+    // Built once per (profile, seed, variation) by the shared layer.
+    let design = || {
+        state
+            .tenants
+            .layer
+            .design(&request.circuit, config.seed, config.variation)
+            .map_err(|e| e.to_string())
+    };
 
     if let Some(behavior) = &request.behavior {
-        let outcome = diagnose_wire_behavior(&session, &request.circuit, &config, behavior);
+        let outcome =
+            design().and_then(|design| diagnose_wire_behavior(&session, &design, behavior));
         let mut r = match outcome {
             Ok(rankings) => {
                 let mut r = Response::kind("outcome");
@@ -423,9 +418,8 @@ fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
         r.tenant = tenant.clone();
         write_response(writer, &r);
     } else if !request.chips.is_empty() {
-        let env = campaign_env(&request.circuit, &config)
-            .and_then(|env| Ok((circuit_clk(&env, &config)?, env)));
-        let (clk, env) = match env {
+        let env = design().and_then(|design| Ok((circuit_clk(&design, &config)?, design)));
+        let (clk, design) = match env {
             Ok(pair) => pair,
             Err(e) => {
                 let mut r = Response::error(e);
@@ -434,14 +428,7 @@ fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
             }
         };
         for &chip in &request.chips {
-            let outcome = session.diagnose_instance(
-                &env.circuit,
-                &env.timing,
-                &env.model,
-                clk,
-                &config,
-                chip as usize,
-            );
+            let outcome = session.diagnose_instance(&design, clk, &config, chip as usize);
             let mut r = Response::kind("outcome");
             r.tenant = tenant.clone();
             r.chip = chip;
@@ -465,13 +452,11 @@ fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
 
 fn diagnose_wire_behavior(
     session: &DiagnosisSession,
-    circuit_name: &str,
-    config: &CampaignConfig,
+    design: &Design,
     wire: &WireBehavior,
 ) -> Result<Vec<Vec<RankedSite>>, String> {
-    let env = campaign_env(circuit_name, config)?;
-    let n_in = env.circuit.primary_inputs().len();
-    let n_out = env.circuit.primary_outputs().len();
+    let n_in = design.circuit().primary_inputs().len();
+    let n_out = design.circuit().primary_outputs().len();
     if wire.patterns.is_empty() {
         return Err("behavior carries no patterns".into());
     }
@@ -512,10 +497,10 @@ fn diagnose_wire_behavior(
     }
     let behavior = BehaviorMatrix::from_bits(bits, wire.clk);
     match session.diagnose_behavior(
-        &env.circuit,
-        &env.timing,
+        design.circuit(),
+        design.timing(),
         &patterns,
-        &env.model.size_dist(),
+        &design.defect_model().size_dist(),
         &behavior,
     ) {
         Ok(rankings) => Ok(rankings),
@@ -657,7 +642,7 @@ fn handle_connection(state: Arc<ServerState>, stream: TcpStream) {
                 write_response(&writer, &r);
             }
             "metrics" => {
-                let sessions = state.tenants.sessions.lock().expect("session map poisoned");
+                let sessions = state.tenants.lock();
                 let mut r = match sessions.get(&request.tenant) {
                     Some(session) => {
                         let mut r = Response::kind("metrics");
@@ -828,7 +813,27 @@ fn worker_loop(state: Arc<ServerState>, rx: Arc<Mutex<Receiver<Job>>>) {
             rx.recv()
         };
         match job {
-            Ok(Job::Submit { request, writer }) => handle_submit(&state, *request, &writer),
+            Ok(Job::Submit { request, writer }) => {
+                let tenant = request.tenant.clone();
+                // A request that panics (a client-supplied config can
+                // reach an assertion) costs that request, not the worker.
+                let served = catch_unwind(AssertUnwindSafe(|| {
+                    handle_submit(&state, *request, &writer)
+                }));
+                if let Err(panic) = served {
+                    let what = panic
+                        .downcast_ref::<&str>()
+                        .copied()
+                        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                        .unwrap_or("unknown panic");
+                    let mut r = Response::error(format!("request failed: {what}"));
+                    r.tenant = tenant.clone();
+                    write_response(&writer, &r);
+                    let mut done = Response::kind("done");
+                    done.tenant = tenant;
+                    write_response(&writer, &done);
+                }
+            }
             Ok(Job::Poison) | Err(_) => return,
         }
     }

@@ -7,15 +7,14 @@
 //! screened session, and behaviour submits under a circuit-quantile
 //! clock policy answer exactly like the in-process `diagnose_behavior`.
 
-use sdd_core::defect::SingleDefectModel;
 use sdd_core::dictionary::SimKernel;
 use sdd_core::inject::{tested_delay_samples, CampaignConfig, ClockPolicy};
-use sdd_core::session::ArtifactLayer;
+use sdd_core::session::{ArtifactLayer, Design};
 use sdd_core::BehaviorMatrix;
+use sdd_netlist::profiles;
 use sdd_server::{
     Client, Request, Response, Server, ServerConfig, WireBehavior, WirePattern, MAX_LINE_BYTES,
 };
-use sdd_timing::{CellLibrary, CircuitTiming};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -53,14 +52,7 @@ fn screened_submit_is_bit_identical_to_in_process_screened_session() {
 
     // The in-process twin: same layer shape (cold, store-less), same
     // kernel + top_k pinned on the session.
-    let profile = sdd_netlist::profiles::by_name("s27").unwrap();
-    let circuit = sdd_netlist::generator::generate(&profile.to_config(config.seed))
-        .unwrap()
-        .to_combinational()
-        .unwrap();
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
-    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let design = Design::generate(&profiles::S27, config.seed, config.variation).unwrap();
     let session = ArtifactLayer::new()
         .session("local")
         .with_kernel(SimKernel::Screened)
@@ -69,7 +61,7 @@ fn screened_submit_is_bit_identical_to_in_process_screened_session() {
     let mut compared = 0;
     for (chip, response) in responses.iter().enumerate() {
         assert_eq!(response.op, "outcome", "{response:?}");
-        let local = session.diagnose_instance(&circuit, &timing, &model, None, &config, chip);
+        let local = session.diagnose_instance(&design, None, &config, chip);
         match local {
             Some(local) => {
                 assert_eq!(response.injected, Some(local.injected.index() as u64));
@@ -110,16 +102,10 @@ fn behavior_submit_under_circuit_quantile_matches_in_process_diagnose_behavior()
     // The circuit-level clock is a chip-submit concern: a behaviour
     // carries its own clk, so the policy must not change the answer.
     let config = CampaignConfig::quick(3).with_clock(ClockPolicy::CircuitQuantile(0.95));
-    let profile = sdd_netlist::profiles::by_name("s27").unwrap();
-    let circuit = sdd_netlist::generator::generate(&profile.to_config(config.seed))
-        .unwrap()
-        .to_combinational()
-        .unwrap();
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
-    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
-    let patterns = sdd_atpg::PatternSet::random(&circuit, 6, 11);
-    let clk = tested_delay_samples(&circuit, &timing, &patterns, 100, 2).quantile(0.5);
+    let design = Design::generate(&profiles::S27, config.seed, config.variation).unwrap();
+    let (circuit, timing) = (design.circuit(), design.timing());
+    let patterns = sdd_atpg::PatternSet::random(circuit, 6, 11);
+    let clk = tested_delay_samples(circuit, timing, &patterns, 100, 2).quantile(0.5);
     // The first arc whose injected defect makes some output fail.
     let behavior = circuit
         .edge_ids()
@@ -127,7 +113,7 @@ fn behavior_submit_under_circuit_quantile_matches_in_process_diagnose_behavior()
             let chip = timing
                 .sample_instance_indexed(4, 0)
                 .with_extra_delay(site, 0.5);
-            BehaviorMatrix::observe(&circuit, &patterns, &chip, clk)
+            BehaviorMatrix::observe(circuit, &patterns, &chip, clk)
         })
         .find(|b| (0..b.num_patterns()).any(|j| !b.failing_outputs(j).is_empty()))
         .expect("some arc's defect is observable");
@@ -162,7 +148,13 @@ fn behavior_submit_under_circuit_quantile_matches_in_process_diagnose_behavior()
 
     let local = ArtifactLayer::new()
         .session("local")
-        .diagnose_behavior(&circuit, &timing, &patterns, &model.size_dist(), &behavior)
+        .diagnose_behavior(
+            circuit,
+            timing,
+            &patterns,
+            &design.defect_model().size_dist(),
+            &behavior,
+        )
         .expect("local diagnosis");
     assert_eq!(
         served.rankings, local,
@@ -290,4 +282,102 @@ fn garbage_lines_always_get_one_structured_response() {
         );
     }
     assert_alive(&mut client);
+}
+
+/// Runs `exchange` on its own thread and fails the test if it has not
+/// finished within `limit`: a server whose only worker died admits
+/// submits but never answers them, and a client would block forever.
+fn within<T: Send + 'static>(limit: Duration, exchange: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(exchange());
+    });
+    rx.recv_timeout(limit)
+        .expect("the server did not answer in time")
+}
+
+/// Every response of one submit, up to and including its `done`.
+fn responses_until_done(client: &mut Client, request: &Request) -> Vec<Response> {
+    client.send(request).expect("send");
+    let mut out = Vec::new();
+    loop {
+        let response = client
+            .recv()
+            .expect("recv")
+            .expect("server closed mid-stream");
+        let done = response.op == "done";
+        out.push(response);
+        if done {
+            return out;
+        }
+    }
+}
+
+#[test]
+fn panicking_submit_costs_one_error_and_keeps_the_only_worker() {
+    let server = Server::bind(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.addr();
+    std::thread::spawn(move || server.run());
+    let config = CampaignConfig::quick(5);
+    // Client configs that reach an assertion inside diagnosis: no
+    // clock-estimate samples, and no dictionary samples.
+    let mut no_sta = config.clone();
+    no_sta.sta_samples = 0;
+    let mut no_mc = config.clone();
+    no_mc.dictionary.n_samples = 0;
+    let submit = |tenant: &str, config: &CampaignConfig| {
+        let mut r = Request::new("submit");
+        r.tenant = tenant.into();
+        r.circuit = "s27".into();
+        r.chips = vec![0, 1, 2];
+        r.config = Some(config.clone());
+        r
+    };
+    let bad = [submit("bad", &no_sta), submit("bad", &no_mc)];
+    let good = submit("good", &config);
+    let (bad_answers, served) = within(Duration::from_secs(120), move || {
+        let mut client = connect(addr);
+        let bad_answers: Vec<Vec<Response>> = bad
+            .iter()
+            .map(|r| responses_until_done(&mut client, r))
+            .collect();
+        assert_alive(&mut client);
+        let served = connect(addr).submit(&good).expect("good submit");
+        (bad_answers, served)
+    });
+    for answers in &bad_answers {
+        let ops: Vec<&str> = answers.iter().map(|r| r.op.as_str()).collect();
+        assert_eq!(&ops[ops.len() - 2..], ["error", "done"], "{answers:?}");
+        assert!(
+            ops[..ops.len() - 2].iter().all(|&op| op == "outcome"),
+            "{answers:?}"
+        );
+        let error = &answers[answers.len() - 2];
+        assert_eq!(error.tenant, "bad");
+        assert!(error.error.contains("sample count"), "{error:?}");
+    }
+
+    // The worker lived on: the other tenant is answered exactly like
+    // its in-process twin.
+    assert_eq!(served.len(), 3, "one outcome per chip: {served:?}");
+    let design = Design::generate(&profiles::S27, config.seed, config.variation).unwrap();
+    let session = ArtifactLayer::new().session("local");
+    let mut compared = 0;
+    for (chip, response) in served.iter().enumerate() {
+        assert_eq!(response.op, "outcome", "{response:?}");
+        let local = session.diagnose_instance(&design, None, &config, chip);
+        assert_eq!(
+            response.injected,
+            local.as_ref().map(|l| l.injected.index() as u64)
+        );
+        if let Some(local) = local {
+            assert_eq!(response.rankings, local.rankings, "chip {chip}");
+            compared += usize::from(!local.rankings.is_empty());
+        }
+    }
+    assert!(compared > 0, "at least one chip must produce a ranking");
 }

@@ -4,14 +4,12 @@
 //! `busy`, and graceful shutdown writes a validating per-tenant
 //! metrics export.
 
-use sdd_core::defect::SingleDefectModel;
 use sdd_core::inject::CampaignConfig;
 use sdd_core::metrics::MetricsExport;
-use sdd_core::session::ArtifactLayer;
+use sdd_core::session::{ArtifactLayer, Design};
 use sdd_core::testutil::TestDir;
 use sdd_netlist::profiles;
 use sdd_server::{Client, Request, Server, ServerConfig};
-use sdd_timing::{CellLibrary, CircuitTiming};
 use std::net::SocketAddr;
 use std::time::Duration;
 
@@ -57,22 +55,15 @@ fn served_rankings_match_an_in_process_session_bit_for_bit() {
         .expect("submit");
     assert_eq!(responses.len(), 3, "one outcome per chip: {responses:?}");
 
-    // Replicate the campaign environment the server derives per submit.
-    let profile = profiles::by_name("s27").unwrap();
-    let circuit = sdd_netlist::generator::generate(&profile.to_config(config.seed))
-        .unwrap()
-        .to_combinational()
-        .unwrap();
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
-    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    // Replicate the design the server serves, freshly generated.
+    let design = Design::generate(&profiles::S27, config.seed, config.variation).unwrap();
     let session = ArtifactLayer::new().session("local");
 
     let mut compared = 0;
     for (chip, response) in responses.iter().enumerate() {
         assert_eq!(response.op, "outcome");
         assert_eq!(response.chip, chip as u64);
-        let local = session.diagnose_instance(&circuit, &timing, &model, None, &config, chip);
+        let local = session.diagnose_instance(&design, None, &config, chip);
         match local {
             Some(local) => {
                 assert_eq!(response.injected, Some(local.injected.index() as u64));
@@ -87,6 +78,73 @@ fn served_rankings_match_an_in_process_session_bit_for_bit() {
                 "chip {chip} undetectable both ways"
             ),
         }
+    }
+    assert!(compared > 0, "at least one chip must produce a ranking");
+    client.request(&Request::new("shutdown")).expect("shutdown");
+    handle.join().unwrap().expect("clean shutdown");
+}
+
+#[test]
+fn repeated_submits_share_one_design_and_match_a_fresh_design() {
+    let config = CampaignConfig::quick(6);
+    let server = Server::bind(ServerConfig::default()).expect("bind");
+    let layer = server.layer().clone();
+    let addr = server.addr();
+    let handle = std::thread::spawn(move || server.run());
+    let mut client = connect(addr);
+
+    // An unknown profile is refused before the memo is touched.
+    let mut unknown = submit_request("alpha", vec![0], &config);
+    unknown.circuit = "no-such-profile".into();
+    let refused = client.submit(&unknown).expect("submit");
+    assert_eq!(refused.len(), 1, "{refused:?}");
+    assert_eq!(refused[0].op, "error");
+    assert!(
+        refused[0].error.contains("unknown circuit profile"),
+        "{refused:?}"
+    );
+    assert_eq!(layer.num_designs(), 0, "an unknown name inserted a key");
+
+    // Two submits of one design, from two tenants: one design is built,
+    // and the second submit reads the same `Arc`.
+    let chips = vec![0, 1, 2];
+    let first = client
+        .submit(&submit_request("alpha", chips.clone(), &config))
+        .expect("first submit");
+    assert_eq!(layer.num_designs(), 1);
+    let held = layer
+        .design("s27", config.seed, config.variation)
+        .expect("design");
+    let second = client
+        .submit(&submit_request("beta", chips.clone(), &config))
+        .expect("second submit");
+    let again = layer
+        .design("s27", config.seed, config.variation)
+        .expect("design");
+    assert!(
+        std::sync::Arc::ptr_eq(&held, &again),
+        "the design was rebuilt"
+    );
+    assert_eq!(layer.num_designs(), 1);
+
+    // Both answers equal an in-process session's on a freshly generated
+    // design.
+    let fresh = Design::generate(&profiles::S27, config.seed, config.variation).unwrap();
+    let session = ArtifactLayer::new().session("local");
+    let mut compared = 0;
+    for chip in 0..chips.len() {
+        let local = session.diagnose_instance(&fresh, None, &config, chip);
+        for served in [&first[chip], &second[chip]] {
+            assert_eq!(served.op, "outcome", "{served:?}");
+            let injected = local.as_ref().map(|l| l.injected.index() as u64);
+            assert_eq!(served.injected, injected, "chip {chip}");
+            let rankings = local
+                .as_ref()
+                .map(|l| l.rankings.clone())
+                .unwrap_or_default();
+            assert_eq!(served.rankings, rankings, "chip {chip}");
+        }
+        compared += usize::from(local.is_some_and(|l| !l.rankings.is_empty()));
     }
     assert!(compared > 0, "at least one chip must produce a ranking");
     client.request(&Request::new("shutdown")).expect("shutdown");
