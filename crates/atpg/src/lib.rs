@@ -30,9 +30,9 @@
 pub mod collapse;
 pub mod dictionary;
 mod error;
-mod event;
 pub mod fault;
 pub mod fault_sim;
+mod imply;
 pub mod path_atpg;
 pub mod path_sens;
 pub mod pattern;

@@ -7,12 +7,11 @@
 //! is a PODEM-style search over the two input frames with three-valued
 //! implication.
 
-use crate::event::EventQueue;
 use crate::fault::PathDelayFault;
+use crate::imply::{good, Implication, Net, X};
 use crate::path_sens::{path_constraints, Constraints, SensitizationMode};
 use crate::pattern::TestPattern;
 use crate::podem::PodemConfig;
-use crate::value::V3;
 use crate::AtpgError;
 use rayon::prelude::*;
 use sdd_netlist::{Circuit, GateKind, NodeId};
@@ -117,6 +116,11 @@ pub fn verify_path_test(
 }
 
 /// PODEM-style justification of two-frame constraints.
+///
+/// Each frame is a fault-free [`Implication`] (three-valued logic: both
+/// machines agree). A decision records a trail mark per frame, so a
+/// backtrack restores both frames to the state before the decision it
+/// flips and implies only the flipped input.
 fn justify_two_frames(
     circuit: &Circuit,
     constraints: &Constraints,
@@ -124,11 +128,8 @@ fn justify_two_frames(
     seed: u64,
 ) -> Result<TestPattern, AtpgError> {
     const WHAT: &str = "path test justification";
-    let pi_position = pi_positions(circuit);
-    let mut frames = [
-        FrameSim::new(circuit, &pi_position),
-        FrameSim::new(circuit, &pi_position),
-    ];
+    let net = Net::new(circuit);
+    let mut frames = [Implication::new(&net), Implication::new(&net)];
     let requirements = constraints.requirements();
 
     struct Decision {
@@ -136,6 +137,8 @@ fn justify_two_frames(
         pi: NodeId,
         value: bool,
         flipped: bool,
+        /// Both frames' trail positions before this decision.
+        marks: [usize; 2],
     }
     let mut stack: Vec<Decision> = Vec::new();
     let mut backtracks = 0usize;
@@ -151,13 +154,13 @@ fn justify_two_frames(
         }
         // Imply both frames.
         for frame in &mut frames {
-            frame.imply();
+            frame.propagate();
         }
         // Check constraints.
         let mut conflict = false;
         let mut open: Option<(usize, usize, bool)> = None;
         for &(ix, frame, value) in &requirements {
-            match frames[frame].values[ix].to_bool() {
+            match good(frames[frame].value(ix)) {
                 Some(v) if v != value => {
                     conflict = true;
                     break;
@@ -175,27 +178,25 @@ fn justify_two_frames(
                 None => {
                     // All requirements implied: quiet-fill the free
                     // inputs (don't-cares do not switch).
+                    let inputs = circuit.primary_inputs();
                     return Ok(crate::podem::fill_pattern_quiet(
-                        &frames[0].assignment,
-                        &frames[1].assignment,
+                        &frames[0].assignment(inputs),
+                        &frames[1].assignment(inputs),
                         seed,
                     ));
                 }
                 Some((ix, frame, value)) => {
                     // Backtrace through X-valued nodes to a free PI.
-                    match backtrace_v3(
-                        circuit,
-                        &frames[frame].values,
-                        NodeId::from_index(ix),
-                        value,
-                    ) {
+                    match backtrace_v3(&frames[frame], ix, value) {
                         Some((pi, v)) => {
-                            frames[frame].assign(pi, Some(v));
+                            let marks = [frames[0].mark(), frames[1].mark()];
+                            frames[frame].set_input(pi, Some(v));
                             stack.push(Decision {
                                 frame,
                                 pi,
                                 value: v,
                                 flipped: false,
+                                marks,
                             });
                             continue;
                         }
@@ -211,16 +212,16 @@ fn justify_two_frames(
                         what: WHAT.to_owned(),
                     });
                 };
-                let (frame, pi) = (top.frame, top.pi);
                 if top.flipped {
                     stack.pop();
-                    frames[frame].assign(pi, None);
                     continue;
                 }
                 top.flipped = true;
                 top.value = !top.value;
-                let value = top.value;
-                frames[frame].assign(pi, Some(value));
+                for (frame, &mark) in frames.iter_mut().zip(&top.marks) {
+                    frame.restore(mark);
+                }
+                frames[top.frame].set_input(top.pi, Some(top.value));
                 break;
             }
             backtracks += 1;
@@ -234,110 +235,22 @@ fn justify_two_frames(
     }
 }
 
-/// Input position of every primary input node (`None` elsewhere).
-fn pi_positions(circuit: &Circuit) -> Vec<Option<usize>> {
-    let mut pi_position = vec![None; circuit.num_nodes()];
-    for (k, &pi) in circuit.primary_inputs().iter().enumerate() {
-        pi_position[pi.index()] = Some(k);
-    }
-    pi_position
-}
-
-/// One frame of [`justify_two_frames`]: a partial input assignment and
-/// its three-valued implication, kept current by event-driven passes.
-#[derive(Debug)]
-struct FrameSim<'a> {
-    circuit: &'a Circuit,
-    /// Input position of every primary input node.
-    pi_position: &'a [Option<usize>],
-    /// `assignment[k]` is the value of the `k`-th primary input.
-    assignment: Vec<Option<bool>>,
-    /// Three-valued node values implied by `assignment`.
-    values: Vec<V3>,
-    /// Inputs changed since the last pass.
-    events: EventQueue,
-}
-
-impl<'a> FrameSim<'a> {
-    /// The empty assignment, whose implication is all-X (every gate has
-    /// a fanin, and a gate over all-X fanins evaluates to X).
-    fn new(circuit: &'a Circuit, pi_position: &'a [Option<usize>]) -> FrameSim<'a> {
-        FrameSim {
-            circuit,
-            pi_position,
-            assignment: vec![None; circuit.primary_inputs().len()],
-            values: vec![V3::X; circuit.num_nodes()],
-            events: EventQueue::new(circuit),
-        }
-    }
-
-    /// Assigns (or, with `None`, frees) a primary input and schedules it
-    /// for the next pass.
-    fn assign(&mut self, pi: NodeId, value: Option<bool>) {
-        let k = self.pi_position[pi.index()].expect("decisions are made on inputs");
-        self.assignment[k] = value;
-        self.events.schedule(self.circuit, pi);
-    }
-
-    /// Re-evaluates `id` from the assignment or its fanins; returns
-    /// whether its value changed.
-    fn update(&mut self, id: NodeId) -> bool {
-        let node = self.circuit.node(id);
-        let v = if node.kind() == GateKind::Input {
-            let k = self.pi_position[id.index()].expect("input has a position");
-            match self.assignment[k] {
-                Some(true) => V3::One,
-                Some(false) => V3::Zero,
-                None => V3::X,
-            }
-        } else {
-            let values = &self.values;
-            V3::eval_iter(node.kind(), node.fanins().iter().map(|f| values[f.index()]))
-        };
-        let changed = self.values[id.index()] != v;
-        self.values[id.index()] = v;
-        changed
-    }
-
-    /// Event-driven implication of the inputs changed since the last
-    /// pass: equal to a full re-simulation of the assignment.
-    fn imply(&mut self) {
-        let mut events = std::mem::take(&mut self.events);
-        events.propagate(self.circuit, |id| self.update(id));
-        self.events = events;
-    }
-
-    /// Full three-valued simulation of the assignment: the oracle the
-    /// differential tests compare [`FrameSim::imply`] against.
-    #[cfg(test)]
-    fn imply_full(&mut self) {
-        for &id in self.circuit.topo_order() {
-            self.update(id);
-        }
-    }
-}
-
-/// Walks a requirement back through X-valued nodes to a primary input,
-/// returning the input and the value to try on it.
+/// Walks a requirement on `node` back through X-valued nodes of `frame`
+/// to a primary input, returning the input and the value to try on it.
 fn backtrace_v3(
-    circuit: &Circuit,
-    values: &[V3],
-    mut node: NodeId,
+    frame: &Implication<'_>,
+    mut node: usize,
     mut value: bool,
 ) -> Option<(NodeId, bool)> {
     loop {
-        let n = circuit.node(node);
-        if n.kind() == GateKind::Input {
-            return Some((node, value));
+        let kind = frame.net().kind(node);
+        if kind == GateKind::Input {
+            return Some((NodeId::from_index(node), value));
         }
-        if n.kind().inverts() {
+        if kind.inverts() {
             value = !value;
         }
-        node = n
-            .fanins()
-            .iter()
-            .copied()
-            .find(|f| values[f.index()] == V3::X)?;
+        node = frame.fanins(node).find(|&f| frame.value(f) == X)?;
     }
 }
 
@@ -476,13 +389,14 @@ mod tests {
             .expect("scan cut")
     }
 
-    /// Drives both frames of an event-driven two-frame state and of a
-    /// full-sweep one through the same random decision/flip/undo
-    /// sequence, comparing every value after each implication pass.
+    /// Drives both frames of a trail-backtracked two-frame state and two
+    /// full-sweep oracles through the same random search-shaped step
+    /// sequence (decisions in either frame, and backtracks that pop
+    /// flipped decisions before their flip, restoring both frames),
+    /// comparing every value after each pass.
     #[test]
     fn differential_incremental_frames_match_full_sweep() {
-        use rand::prelude::*;
-        use rand_chacha::ChaCha8Rng;
+        use crate::imply::testing::{Oracle, Steps};
         for (ci, c) in [
             c17_like(),
             profile_circuit("s1196"),
@@ -491,39 +405,24 @@ mod tests {
         .iter()
         .enumerate()
         {
-            let mut rng = ChaCha8Rng::seed_from_u64(ci as u64);
-            let pi_position = pi_positions(c);
-            let mut fast = [
-                FrameSim::new(c, &pi_position),
-                FrameSim::new(c, &pi_position),
-            ];
-            let mut oracle = [
-                FrameSim::new(c, &pi_position),
-                FrameSim::new(c, &pi_position),
-            ];
-            let pis = c.primary_inputs();
-            for step in 0..200 {
-                for _ in 0..rng.gen_range(1..4) {
-                    let frame = rng.gen_range(0..2usize);
-                    let pi = pis[rng.gen_range(0..pis.len())];
-                    let k = pi_position[pi.index()].unwrap();
-                    let value = match (fast[frame].assignment[k], rng.gen_range(0..3)) {
-                        (Some(v), 0) => Some(!v),
-                        (Some(_), 1) => None,
-                        _ => Some(rng.gen()),
-                    };
-                    fast[frame].assign(pi, value);
-                    oracle[frame].assign(pi, value);
-                }
-                for frame in 0..2 {
-                    fast[frame].imply();
-                    oracle[frame].imply_full();
-                    assert_eq!(
-                        fast[frame].values, oracle[frame].values,
-                        "circuit {ci}, step {step}, frame {frame}"
+            let net = Net::new(c);
+            let mut frames = [Implication::new(&net), Implication::new(&net)];
+            let mut oracles = [Oracle::new(c, None, None), Oracle::new(c, None, None)];
+            let mut driver = Steps::new(ci as u64);
+            for step in 0..300 {
+                let [f0, f1] = &mut frames;
+                driver.step(c, &mut [f0, f1], &mut oracles);
+                for (frame, (state, oracle)) in frames.iter().zip(&oracles).enumerate() {
+                    oracle.assert_matches(
+                        state,
+                        &format!("circuit {ci}, step {step}, frame {frame}"),
                     );
                 }
             }
+            assert!(
+                driver.deep_pops > 0,
+                "circuit {ci}: no backtrack popped several flipped decisions"
+            );
         }
     }
 }

@@ -4,15 +4,16 @@
 //! The implementation is a textbook PODEM: decisions are made only on
 //! primary inputs, objectives are derived from fault activation and the
 //! D-frontier, and a backtrace walks each objective to an unassigned
-//! input. Event-driven five-valued implication ([`crate::value::V5`])
-//! re-evaluates the fanout of the inputs each step changed, giving the
-//! same values as a full simulation of the assignment.
+//! input. Five-valued implication ([`crate::value::V5`]) runs on the
+//! crate's flat implication kernel: a decision re-evaluates only the
+//! fanout of the input it assigned, and a backtrack restores the trail to
+//! the state before the decision it flips and implies only the flipped
+//! input, giving the same values as a full simulation of the assignment.
 
-use crate::event::EventQueue;
 use crate::fault::{StuckAtFault, StuckValue, TransitionDirection, TransitionFault};
 use crate::fault_sim::stuck_at_detects_words;
+use crate::imply::{good, is_fault_effect, Implication, Net, X};
 use crate::pattern::{PatternSet, TestPattern};
-use crate::value::{V3, V5};
 use crate::AtpgError;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -25,9 +26,12 @@ pub struct PodemConfig {
     /// Maximum number of backtracks before aborting.
     pub max_backtracks: usize,
     /// Maximum number of implication passes. The search runs one pass
-    /// per step (a decision, or a backtrack's undos and flip), which
-    /// re-evaluates the fanout of the inputs that step changed; this is
-    /// the knob that actually bounds wall-clock time on large circuits.
+    /// per step: a decision, or a backtrack's flip. With the campaign's
+    /// budgets (500 backtracks, 2,000 passes) the backtrack budget binds
+    /// first: `atpg_split --seed 2` counts 150 (s1196) and 176 (s1423)
+    /// aborted transition searches, all at the backtrack budget and none
+    /// at this one. This budget bounds searches that decide many inputs
+    /// between backtracks.
     pub max_implications: usize,
 }
 
@@ -148,8 +152,8 @@ pub fn generate(
     if fault.node.index() >= circuit.num_nodes() {
         return Err(AtpgError::NoSuchElement(format!("node {}", fault.node)));
     }
-    let mut engine = Engine::new(circuit, fault);
-    engine.run(config)
+    let net = Net::new(circuit);
+    Engine::new(circuit, &net, fault, None).run(config)
 }
 
 /// Finds a vector that justifies `value` on `node` (used to build the
@@ -180,9 +184,8 @@ pub fn justify(
             StuckValue::One
         },
     );
-    let mut engine = Engine::new(circuit, fault);
-    engine.justify_only = true;
-    engine.run(config)
+    let net = Net::new(circuit);
+    Engine::justify(circuit, &net, fault).run(config)
 }
 
 /// Generates a two-pattern transition-fault test: `v1` sets the fault
@@ -245,14 +248,20 @@ pub fn generate_transition_assignments_diverse(
         TransitionDirection::Rise => StuckValue::Zero,
         TransitionDirection::Fall => StuckValue::One,
     };
+    let net = Net::new(circuit);
     // Branch fault at the arc: the test must propagate the fault effect
     // through this specific segment, not just some fanout of the driver.
-    let mut engine = Engine::new(circuit, StuckAtFault::new(driver, stuck));
-    engine.set_fault_edge(fault.edge);
-    engine.decision_rng = decision_seed.map(ChaCha8Rng::seed_from_u64);
-    let v2 = engine.run(config)?;
     let mut engine = Engine::new(
         circuit,
+        &net,
+        StuckAtFault::new(driver, stuck),
+        Some(fault.edge),
+    );
+    engine.decision_rng = decision_seed.map(ChaCha8Rng::seed_from_u64);
+    let v2 = engine.run(config)?;
+    let mut engine = Engine::justify(
+        circuit,
+        &net,
         StuckAtFault::new(
             driver,
             if fault.direction.initial() {
@@ -262,7 +271,6 @@ pub fn generate_transition_assignments_diverse(
             },
         ),
     );
-    engine.justify_only = true;
     engine.decision_rng = decision_seed.map(|s| ChaCha8Rng::seed_from_u64(s ^ 0xF00D));
     let v1 = engine.run(config)?;
     Ok((v1, v2))
@@ -406,23 +414,21 @@ struct Engine<'a> {
     /// Seeded randomization of backtrace choices; `None` picks the first
     /// unassigned fanin deterministically.
     decision_rng: Option<ChaCha8Rng>,
-    /// When set, the stuck value applies only to this arc (a *branch*
-    /// fault): the faulty machine sees it at the arc's sink pin, while
-    /// the driver's other fanouts see the good value. `fault.node` is the
-    /// arc's driver. Set through [`Engine::set_fault_edge`].
-    fault_edge: Option<sdd_netlist::EdgeId>,
-    /// The driver of `fault_edge`.
-    branch_driver: Option<NodeId>,
-    values: Vec<V5>,
-    pi_assignment: Vec<Option<bool>>,
-    pi_position: Vec<Option<usize>>,
-    /// Inputs changed since the last implication pass wait here.
-    events: EventQueue,
+    /// Node values implied by the decisions, with the fault model
+    /// folded in: the stuck value pinned at `fault.node` (unless
+    /// justifying) and, for a branch fault, the driver's other fanout
+    /// arcs good-only.
+    imply: Implication<'a>,
     /// The transitive fanout cone of the fault site, ascending by id:
     /// the only nodes that can carry a fault effect, and hence the only
-    /// D-frontier candidates.
+    /// D-frontier candidates. Empty when justifying.
     cone: Vec<NodeId>,
     justify_only: bool,
+    /// Backtracks re-imply every input they undo instead of restoring
+    /// the trail: the oracle the search-level differential compares the
+    /// trail against.
+    #[cfg(test)]
+    reimply_backtracks: bool,
 }
 
 /// The transitive fanout cone of `seed` (inclusive), ascending by id.
@@ -436,109 +442,46 @@ struct Decision {
     pi: NodeId,
     value: bool,
     flipped: bool,
+    /// The trail position before this decision was implied.
+    mark: usize,
 }
 
 impl<'a> Engine<'a> {
-    fn new(circuit: &'a Circuit, fault: StuckAtFault) -> Self {
-        let mut pi_position = vec![None; circuit.num_nodes()];
-        for (k, &pi) in circuit.primary_inputs().iter().enumerate() {
-            pi_position[pi.index()] = Some(k);
-        }
-        // All-X values are the implication of the empty assignment: every
-        // gate has a fanin, and a gate over all-X fanins evaluates to X
-        // (at the fault site, X in the good machine recombines to X).
+    /// A test-generation search for `fault`; with `branch`, an arc
+    /// driven by the fault site, the fault sits on that arc only (a
+    /// *branch* fault): the faulty machine sees it at the arc's sink
+    /// pin, while the driver's other fanouts see the good value.
+    fn new(
+        circuit: &'a Circuit,
+        net: &'a Net,
+        fault: StuckAtFault,
+        branch: Option<sdd_netlist::EdgeId>,
+    ) -> Self {
         Engine {
             circuit,
             fault,
             decision_rng: None,
-            fault_edge: None,
-            branch_driver: None,
-            values: vec![V5::X; circuit.num_nodes()],
-            pi_assignment: vec![None; circuit.primary_inputs().len()],
-            pi_position,
-            events: EventQueue::new(circuit),
+            imply: Implication::with_fault(net, fault.node, fault.value.as_bool(), branch),
             cone: sorted_fanout_cone(circuit, fault.node),
             justify_only: false,
+            #[cfg(test)]
+            reimply_backtracks: false,
         }
     }
 
-    /// Turns the fault into a branch fault on `edge` (whose driver must
-    /// be the fault site).
-    fn set_fault_edge(&mut self, edge: sdd_netlist::EdgeId) {
-        self.fault_edge = Some(edge);
-        self.branch_driver = Some(self.circuit.edge(edge).from());
-    }
-
-    /// Assigns (or, with `None`, frees) a primary input and schedules it
-    /// for the next implication pass.
-    fn assign(&mut self, pi: NodeId, value: Option<bool>) {
-        let k = self.pi_position[pi.index()].expect("decisions are made on inputs");
-        self.pi_assignment[k] = value;
-        self.events.schedule(self.circuit, pi);
-    }
-
-    /// The five-valued value of `id` implied by the current assignment
-    /// and the current values of its fanins.
-    fn node_value(&self, id: NodeId) -> V5 {
-        let node = self.circuit.node(id);
-        let v = if node.kind() == GateKind::Input {
-            let k = self.pi_position[id.index()].expect("input has a position");
-            match self.pi_assignment[k] {
-                Some(true) => V5::One,
-                Some(false) => V5::Zero,
-                None => V5::X,
-            }
-        } else {
-            let fanins = node
-                .fanins()
-                .iter()
-                .zip(node.fanin_edges())
-                .map(|(&from, &e)| {
-                    let fv = self.values[from.index()];
-                    // Branch fault: the fault effect exists only on the
-                    // faulted arc; every other fanout of the driver sees the
-                    // good value.
-                    if Some(from) == self.branch_driver && Some(e) != self.fault_edge {
-                        V5::from_parts(fv.good(), fv.good())
-                    } else {
-                        fv
-                    }
-                });
-            V5::eval_iter(node.kind(), fanins)
-        };
-        if id == self.fault.node && !self.justify_only {
-            // Fault site (the arc's driver for branch faults): the faulty
-            // machine is pinned to the stuck value; activation shows as D
-            // or D'.
-            let faulty = V3::from_bool(self.fault.value.as_bool());
-            V5::from_parts(v.good(), faulty)
-        } else {
-            v
-        }
-    }
-
-    /// Re-evaluates `id`; returns whether its value changed.
-    fn update(&mut self, id: NodeId) -> bool {
-        let v = self.node_value(id);
-        let changed = self.values[id.index()] != v;
-        self.values[id.index()] = v;
-        changed
-    }
-
-    /// Event-driven five-valued implication of the inputs changed since
-    /// the last pass: equal to a full re-simulation of the assignment.
-    fn imply(&mut self) {
-        let mut events = std::mem::take(&mut self.events);
-        events.propagate(self.circuit, |id| self.update(id));
-        self.events = events;
-    }
-
-    /// Full five-valued simulation of the assignment: the oracle the
-    /// differential tests compare [`Engine::imply`] against.
-    #[cfg(test)]
-    fn imply_full(&mut self) {
-        for &id in self.circuit.topo_order() {
-            self.update(id);
+    /// A justification search: PODEM with a pseudo-fault that is
+    /// "activated" when `fault.node` reaches the opposite of the stuck
+    /// value and needs no propagation. Nothing is pinned.
+    fn justify(circuit: &'a Circuit, net: &'a Net, fault: StuckAtFault) -> Self {
+        Engine {
+            circuit,
+            fault,
+            decision_rng: None,
+            imply: Implication::new(net),
+            cone: Vec::new(),
+            justify_only: true,
+            #[cfg(test)]
+            reimply_backtracks: false,
         }
     }
 
@@ -548,18 +491,18 @@ impl<'a> Engine<'a> {
     }
 
     fn activated(&self) -> bool {
-        self.values[self.fault.node.index()].good() == V3::from_bool(self.activation_target())
+        good(self.imply.value(self.fault.node.index())) == Some(self.activation_target())
     }
 
     fn activation_conflicted(&self) -> bool {
-        self.values[self.fault.node.index()].good() == V3::from_bool(!self.activation_target())
+        good(self.imply.value(self.fault.node.index())) == Some(!self.activation_target())
     }
 
     fn detected(&self) -> bool {
         self.circuit
             .primary_outputs()
             .iter()
-            .any(|o| self.values[o.index()].is_fault_effect())
+            .any(|o| is_fault_effect(self.imply.value(o.index())))
     }
 
     /// The first D-frontier gate in node-id order, with the objective of
@@ -576,56 +519,48 @@ impl<'a> Engine<'a> {
     /// behaviour: changing it would change search decisions, and with
     /// them the campaign's pattern sets and Table-I numbers.
     fn d_frontier_objective(&self) -> Option<(NodeId, bool)> {
-        self.d_frontier_among(self.cone.iter().copied())
-    }
-
-    /// [`Engine::d_frontier_objective`] over explicit candidates, scanned
-    /// in the order given.
-    fn d_frontier_among(&self, candidates: impl Iterator<Item = NodeId>) -> Option<(NodeId, bool)> {
-        for id in candidates {
-            let node = self.circuit.node(id);
-            if node.kind() == GateKind::Input || self.values[id.index()] != V5::X {
+        let imply = &self.imply;
+        for &id in &self.cone {
+            let n = id.index();
+            if imply.value(n) != X {
                 continue;
             }
-            let has_effect = node
-                .fanins()
-                .iter()
-                .any(|f| self.values[f.index()].is_fault_effect());
-            if !has_effect {
+            let kind = imply.net().kind(n);
+            if kind == GateKind::Input {
+                continue;
+            }
+            if !imply.fanins(n).any(|f| is_fault_effect(imply.value(f))) {
                 continue;
             }
             // Objective: set an X side input to the non-controlling value.
-            if let Some(&x_input) = node
-                .fanins()
-                .iter()
-                .find(|f| self.values[f.index()] == V5::X)
-            {
-                let target = match node.kind().controlling_value() {
+            if let Some(x_input) = imply.fanins(n).find(|&f| imply.value(f) == X) {
+                let target = match kind.controlling_value() {
                     Some(c) => !c,
                     None => false, // XOR/XNOR: any fixed value propagates
                 };
-                return Some((x_input, target));
+                return Some((NodeId::from_index(x_input), target));
             }
         }
         None
     }
 
     /// Walks an objective back to an unassigned primary input.
-    fn backtrace(&mut self, mut node: NodeId, mut value: bool) -> Option<(NodeId, bool)> {
+    fn backtrace(&mut self, node: NodeId, mut value: bool) -> Option<(NodeId, bool)> {
+        let imply = &self.imply;
+        let mut node = node.index();
         loop {
-            let n = self.circuit.node(node);
-            if n.kind() == GateKind::Input {
-                return Some((node, value));
+            let kind = imply.net().kind(node);
+            if kind == GateKind::Input {
+                return Some((NodeId::from_index(node), value));
             }
-            if n.kind().inverts() {
+            if kind.inverts() {
                 value = !value;
             }
             // Follow an X-valued fanin: the first one deterministically,
             // or a random one when diversified test generation is
             // requested (different choices sensitize different paths).
-            let values = &self.values;
-            let is_x = |f: &&NodeId| values[f.index()] == V5::X;
-            let n_x = n.fanins().iter().filter(is_x).count();
+            let is_x = |&f: &usize| imply.value(f) == X;
+            let n_x = imply.fanins(node).filter(is_x).count();
             if n_x == 0 {
                 return None;
             }
@@ -633,9 +568,8 @@ impl<'a> Engine<'a> {
                 Some(rng) => rng.gen_range(0..n_x),
                 None => 0,
             };
-            node = *n
-                .fanins()
-                .iter()
+            node = imply
+                .fanins(node)
                 .filter(is_x)
                 .nth(pick)
                 .expect("pick is below the X-fanin count");
@@ -651,6 +585,38 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Backtracks: drops the flipped decisions on top of the stack and
+    /// flips the next one, restoring the trail to the state before it
+    /// so the next pass implies only the flipped input. Returns `false`
+    /// when every decision is flipped (the search space is exhausted).
+    fn backtrack(&mut self, stack: &mut Vec<Decision>) -> bool {
+        loop {
+            let Some(top) = stack.last_mut() else {
+                return false;
+            };
+            if top.flipped {
+                let _undone = stack.pop();
+                #[cfg(test)]
+                if self.reimply_backtracks {
+                    let undone = _undone.expect("the stack was not empty");
+                    self.imply.set_input(undone.pi, None);
+                }
+                continue;
+            }
+            top.flipped = true;
+            top.value = !top.value;
+            #[cfg(test)]
+            let restore = !self.reimply_backtracks;
+            #[cfg(not(test))]
+            let restore = true;
+            if restore {
+                self.imply.restore(top.mark);
+            }
+            self.imply.set_input(top.pi, Some(top.value));
+            return true;
+        }
+    }
+
     fn run(&mut self, config: PodemConfig) -> Result<PiAssignment, AtpgError> {
         let mut stack: Vec<Decision> = Vec::new();
         let mut backtracks = 0usize;
@@ -663,14 +629,14 @@ impl<'a> Engine<'a> {
                     backtracks,
                 });
             }
-            self.imply();
+            self.imply.propagate();
             let success = if self.justify_only {
                 self.activated()
             } else {
                 self.detected()
             };
             if success {
-                return Ok(self.pi_assignment.clone());
+                return Ok(self.imply.assignment(self.circuit.primary_inputs()));
             }
             // Determine the next objective, or detect a dead end.
             let objective = if self.activation_conflicted() {
@@ -687,31 +653,19 @@ impl<'a> Engine<'a> {
             match choice {
                 Some((pi, value)) => {
                     // Backtrace stops only at X-valued, i.e. free, inputs.
-                    debug_assert_eq!(self.values[pi.index()], V5::X);
-                    self.assign(pi, Some(value));
+                    debug_assert_eq!(self.imply.value(pi.index()), X);
                     stack.push(Decision {
                         pi,
                         value,
                         flipped: false,
+                        mark: self.imply.mark(),
                     });
+                    self.imply.set_input(pi, Some(value));
                 }
                 None => {
                     // Dead end: backtrack.
-                    loop {
-                        let Some(top) = stack.last_mut() else {
-                            return Err(AtpgError::Untestable { what: self.what() });
-                        };
-                        let pi = top.pi;
-                        if top.flipped {
-                            stack.pop();
-                            self.assign(pi, None);
-                            continue;
-                        }
-                        top.flipped = true;
-                        top.value = !top.value;
-                        let value = top.value;
-                        self.assign(pi, Some(value));
-                        break;
+                    if !self.backtrack(&mut stack) {
+                        return Err(AtpgError::Untestable { what: self.what() });
                     }
                     backtracks += 1;
                     if backtracks > config.max_backtracks {
@@ -729,6 +683,8 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::imply::testing::{Oracle, Steps};
+    use crate::value::V5;
     use sdd_netlist::logic;
     use sdd_netlist::CircuitBuilder;
 
@@ -995,48 +951,72 @@ mod tests {
             .expect("scan cut")
     }
 
-    /// One step of a search on `pi`: a decision, a flip or an undo.
-    fn random_step(rng: &mut ChaCha8Rng, current: Option<bool>) -> Option<bool> {
-        match (current, rng.gen_range(0..3)) {
-            (Some(v), 0) => Some(!v),
-            (Some(_), 1) => None,
-            _ => Some(rng.gen()),
-        }
+    /// The oracle of a test-generation engine's fault model.
+    fn fault_oracle(
+        c: &Circuit,
+        fault: StuckAtFault,
+        branch: Option<sdd_netlist::EdgeId>,
+    ) -> Oracle<'_> {
+        Oracle::new(c, Some((fault.node, fault.value.as_bool())), branch)
     }
 
-    /// Drives an event-driven engine and a full-sweep engine through the
-    /// same random decision/flip/undo sequence and compares every value
-    /// (and the D-frontier objective against an all-node scan) after
-    /// each implication pass.
-    fn differential<'c>(
-        circuit: &'c Circuit,
-        make: impl Fn() -> Engine<'c>,
+    /// The first D-frontier gate over every node in id order, read from
+    /// five-valued oracle values (the scan the cone-restricted one
+    /// replaced).
+    fn frontier_scan(circuit: &Circuit, values: &[V5]) -> Option<(NodeId, bool)> {
+        for id in circuit.node_ids() {
+            let node = circuit.node(id);
+            if node.kind() == GateKind::Input || values[id.index()] != V5::X {
+                continue;
+            }
+            if !node
+                .fanins()
+                .iter()
+                .any(|f| values[f.index()].is_fault_effect())
+            {
+                continue;
+            }
+            if let Some(&x_input) = node.fanins().iter().find(|f| values[f.index()] == V5::X) {
+                let target = match node.kind().controlling_value() {
+                    Some(c) => !c,
+                    None => false,
+                };
+                return Some((x_input, target));
+            }
+        }
+        None
+    }
+
+    /// Drives an engine's trail-backtracked implication and a full-sweep
+    /// oracle through the same random search-shaped step sequence
+    /// (decisions, and backtracks that pop flipped decisions before
+    /// their flip), comparing every value, and the D-frontier objective
+    /// against an all-node scan, after each pass. Returns how many
+    /// backtracks popped two or more flipped decisions.
+    fn differential(
+        circuit: &Circuit,
+        mut engine: Engine<'_>,
+        mut oracle: Oracle<'_>,
         steps: usize,
         seed: u64,
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let (mut fast, mut oracle) = (make(), make());
-        let pis = circuit.primary_inputs();
+    ) -> usize {
+        let mut driver = Steps::new(seed);
         for step in 0..steps {
-            // A backtrack may undo several decisions before its flip.
-            for _ in 0..rng.gen_range(1..4) {
-                let pi = pis[rng.gen_range(0..pis.len())];
-                let k = fast.pi_position[pi.index()].unwrap();
-                let value = random_step(&mut rng, fast.pi_assignment[k]);
-                fast.assign(pi, value);
-                oracle.assign(pi, value);
-            }
-            fast.imply();
-            oracle.imply_full();
-            assert_eq!(fast.values, oracle.values, "step {step}");
-            if !fast.justify_only {
+            driver.step(
+                circuit,
+                &mut [&mut engine.imply],
+                std::slice::from_mut(&mut oracle),
+            );
+            oracle.assert_matches(&engine.imply, &format!("step {step}"));
+            if !engine.justify_only {
                 assert_eq!(
-                    fast.d_frontier_objective(),
-                    oracle.d_frontier_among(circuit.node_ids()),
+                    engine.d_frontier_objective(),
+                    frontier_scan(circuit, &oracle.values),
                     "step {step}"
                 );
             }
         }
+        driver.deep_pops
     }
 
     #[test]
@@ -1047,7 +1027,9 @@ mod tests {
             profile_circuit("s1423"),
         ];
         for (ci, c) in circuits.iter().enumerate() {
+            let net = Net::new(c);
             let mut rng = ChaCha8Rng::seed_from_u64(ci as u64);
+            let mut deep_pops = [0usize; 3];
             for round in 0..4u64 {
                 let seed = ci as u64 * 100 + round;
                 let node = NodeId::from_index(rng.gen_range(0..c.num_nodes()));
@@ -1057,27 +1039,136 @@ mod tests {
                     StuckValue::Zero
                 };
                 let fault = StuckAtFault::new(node, value);
-                let steps = 60;
+                let steps = 120;
                 // Stuck-at test generation.
-                differential(c, || Engine::new(c, fault), steps, seed);
+                deep_pops[0] += differential(
+                    c,
+                    Engine::new(c, &net, fault, None),
+                    fault_oracle(c, fault, None),
+                    steps,
+                    seed,
+                );
                 // Justification (no fault pinned).
-                let justify = || {
-                    let mut e = Engine::new(c, fault);
-                    e.justify_only = true;
-                    e
-                };
-                differential(c, justify, steps, seed);
+                deep_pops[1] += differential(
+                    c,
+                    Engine::justify(c, &net, fault),
+                    Oracle::new(c, None, None),
+                    steps,
+                    seed,
+                );
                 // Branch fault on an arc (the transition-test engine).
                 let edge = sdd_netlist::EdgeId::from_index(rng.gen_range(0..c.num_edges()));
-                let driver = c.edge(edge).from();
-                let branch = || {
-                    let mut e = Engine::new(c, StuckAtFault::new(driver, value));
-                    e.set_fault_edge(edge);
-                    e
+                let branch = StuckAtFault::new(c.edge(edge).from(), value);
+                deep_pops[2] += differential(
+                    c,
+                    Engine::new(c, &net, branch, Some(edge)),
+                    fault_oracle(c, branch, Some(edge)),
+                    steps,
+                    seed,
+                );
+            }
+            assert!(
+                deep_pops.iter().all(|&d| d > 0),
+                "circuit {ci}: backtracks popping several flipped decisions {deep_pops:?}"
+            );
+        }
+    }
+
+    /// `engine` with backtrace choices randomized by `seed`.
+    fn seeded(mut engine: Engine<'_>, seed: usize) -> Engine<'_> {
+        engine.decision_rng = Some(ChaCha8Rng::seed_from_u64(seed as u64));
+        engine
+    }
+
+    /// Runs the search `make` builds with trail backtracking and with
+    /// re-implying backtracks.
+    fn both_backtracks<'c>(
+        make: &dyn Fn() -> Engine<'c>,
+        config: PodemConfig,
+    ) -> (
+        Result<PiAssignment, AtpgError>,
+        Result<PiAssignment, AtpgError>,
+    ) {
+        let trail = make().run(config);
+        let mut reimply = make();
+        reimply.reimply_backtracks = true;
+        (trail, reimply.run(config))
+    }
+
+    /// Runs [`both_backtracks`], asserts equal outcomes and classifies
+    /// them: 0 ok, 1 untestable, 2 aborted at the backtrack budget, 3
+    /// aborted at the implication budget.
+    fn outcome_class<'c>(
+        what: String,
+        make: &dyn Fn() -> Engine<'c>,
+        config: PodemConfig,
+    ) -> usize {
+        let (a, b) = both_backtracks(make, config);
+        assert_eq!(a, b, "{what}");
+        match a {
+            Ok(_) => 0,
+            Err(AtpgError::Untestable { .. }) => 1,
+            Err(AtpgError::Aborted { backtracks, .. }) if backtracks > config.max_backtracks => 2,
+            Err(_) => 3,
+        }
+    }
+
+    /// Trail backtracking against re-implying every undone input: equal
+    /// outcomes (assignments, `Untestable`, `Aborted { backtracks }`)
+    /// for the stuck-at, justification and branch-fault engines, on
+    /// every fault of c17 and sampled s1196/s1423 faults.
+    #[test]
+    fn differential_trail_search_matches_reimplying_backtrack() {
+        // The campaign's transition budget (searches that backtrack deep
+        // and abort at 500 backtracks), and a budget where the
+        // implication count binds first.
+        let configs = [
+            PodemConfig {
+                max_backtracks: 500,
+                max_implications: 2000,
+            },
+            PodemConfig {
+                max_backtracks: 400,
+                max_implications: 300,
+            },
+        ];
+        // (ok, untestable, aborted at backtracks, aborted at implications)
+        let mut tally = [0usize; 4];
+        let c17 = c17_like();
+        let s1196 = profile_circuit("s1196");
+        let s1423 = profile_circuit("s1423");
+        for config in configs {
+            for (ci, c) in [&c17, &s1196, &s1423].into_iter().enumerate() {
+                let net = Net::new(c);
+                let all = StuckAtFault::all(c);
+                let mut rng = ChaCha8Rng::seed_from_u64(40 + ci as u64);
+                let faults: Vec<StuckAtFault> = if ci == 0 {
+                    all
+                } else {
+                    (0..110).map(|_| all[rng.gen_range(0..all.len())]).collect()
                 };
-                differential(c, branch, steps, seed);
+                for (fi, &fault) in faults.iter().enumerate() {
+                    let what = format!("circuit {ci}: test for {fault}");
+                    let make = || Engine::new(c, &net, fault, None);
+                    tally[outcome_class(what, &make, config)] += 1;
+                    let what = format!("circuit {ci}: justification of {fault}");
+                    let make = || seeded(Engine::justify(c, &net, fault), fi);
+                    tally[outcome_class(what, &make, config)] += 1;
+                    // A branch fault on one of the node's fanout arcs.
+                    let arcs = c.fanout_edges(fault.node);
+                    if !arcs.is_empty() {
+                        let edge = arcs[fi % arcs.len()];
+                        let what = format!("circuit {ci}: branch test for {fault} on {edge}");
+                        let make = || seeded(Engine::new(c, &net, fault, Some(edge)), fi);
+                        tally[outcome_class(what, &make, config)] += 1;
+                    }
+                }
             }
         }
+        assert!(
+            tally.iter().all(|&t| t > 0),
+            "outcomes (ok, untestable, backtrack aborts, implication aborts) {tally:?}"
+        );
     }
 
     /// The branch-fault D-frontier quirk, pinned: the driver's raw D
@@ -1097,19 +1188,25 @@ mod tests {
         let edge = c.node(faulted).fanin_edges()[0];
         assert_eq!(c.edge(edge).from(), a);
 
-        let mut engine = Engine::new(&c, StuckAtFault::new(a, StuckValue::Zero));
-        engine.set_fault_edge(edge);
-        engine.assign(a, Some(true));
-        engine.imply();
-        assert_eq!(engine.values[a.index()], V5::D);
+        let net = Net::new(&c);
+        let mut engine = Engine::new(&c, &net, StuckAtFault::new(a, StuckValue::Zero), Some(edge));
+        engine.imply.set_input(a, Some(true));
+        engine.imply.propagate();
+        assert_eq!(
+            V5::from_component_bits(engine.imply.value(a.index())),
+            V5::D
+        );
         // `side` (lower id) is chosen over `faulted`, the gate the effect
         // actually reaches.
         assert!(side.index() < faulted.index());
         assert_eq!(engine.d_frontier_objective(), Some((x, true)));
         // Meeting that objective propagates nothing: `side` sees a = 1.
-        engine.assign(x, Some(true));
-        engine.imply();
-        assert_eq!(engine.values[side.index()], V5::One);
+        engine.imply.set_input(x, Some(true));
+        engine.imply.propagate();
+        assert_eq!(
+            V5::from_component_bits(engine.imply.value(side.index())),
+            V5::One
+        );
         assert_eq!(engine.d_frontier_objective(), Some((y, true)));
         // The search still finds the test through the faulted arc.
         let fault = TransitionFault::new(edge, TransitionDirection::Rise);

@@ -5,6 +5,7 @@
 //! * [`V5`] — the five-valued Roth D-algebra `{0, 1, X, D, D̄}` used by
 //!   PODEM (`D` = 1 in the good machine, 0 in the faulty machine).
 
+use crate::imply::{eval_bits, op_of};
 use sdd_netlist::GateKind;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -213,7 +214,7 @@ impl V5 {
 
     /// The value's machine components as bits: [`GOOD_0`], [`GOOD_1`],
     /// [`FAULTY_0`] and [`FAULTY_1`] (none for X).
-    fn component_bits(self) -> u8 {
+    pub(crate) fn component_bits(self) -> u8 {
         match self {
             V5::Zero => GOOD_0 | FAULTY_0,
             V5::One => GOOD_1 | FAULTY_1,
@@ -223,84 +224,49 @@ impl V5 {
         }
     }
 
+    /// The value with the given [`V5::component_bits`]; X unless both
+    /// machines are known.
+    pub(crate) fn from_component_bits(bits: u8) -> V5 {
+        let machine = |zero: u8, one: u8| match (bits & zero != 0, bits & one != 0) {
+            (true, false) => V3::Zero,
+            (false, true) => V3::One,
+            _ => V3::X,
+        };
+        V5::from_parts(machine(GOOD_0, GOOD_1), machine(FAULTY_0, FAULTY_1))
+    }
+
     /// [`V5::eval_gate`] over fanin values supplied by an iterator,
     /// evaluating both machines in one branch-light, allocation-free
-    /// pass. Equal to evaluating the good and faulty components
-    /// separately with [`V3::eval_gate`] and recombining them with
-    /// [`V5::from_parts`].
+    /// pass of the ATPG implication kernel. Equal to evaluating the good
+    /// and faulty components separately with [`V3::eval_gate`] and
+    /// recombining them with [`V5::from_parts`].
     ///
     /// # Panics
     ///
     /// Panics if `inputs` is empty for kinds requiring fanins.
-    pub(crate) fn eval_iter(kind: GateKind, mut inputs: impl Iterator<Item = V5>) -> V5 {
-        // `any`: some input has the component; `all`: every input has it.
-        let (mut any, mut all) = (0u8, 0xFu8);
-        let (good, faulty) = match kind {
+    pub(crate) fn eval_iter(kind: GateKind, inputs: impl Iterator<Item = V5>) -> V5 {
+        let mut bits = inputs.map(V5::component_bits);
+        let out = match kind {
             GateKind::Input => panic!("primary input has no logic function"),
-            GateKind::Dff | GateKind::Buf => return inputs.next().expect("gate has a fanin"),
-            GateKind::Not => {
-                let v = inputs.next().expect("gate has a fanin");
-                (v.good().not(), v.faulty().not())
+            // One-fanin kinds read their first input only.
+            GateKind::Dff | GateKind::Buf | GateKind::Not => {
+                let first = bits.next().expect("gate has a fanin");
+                eval_bits(op_of(kind), std::iter::once(first))
             }
-            GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-                for v in inputs {
-                    let m = v.component_bits();
-                    any |= m;
-                    all &= m;
-                }
-                // A controlling input decides the machine; otherwise it
-                // is known only if every input is non-controlling.
-                let (ctl, nc, ctl_value) = match kind.controlling_value() {
-                    Some(false) => (GOOD_0, GOOD_1, V3::Zero),
-                    _ => (GOOD_1, GOOD_0, V3::One),
-                };
-                let settle = |shift: u8| {
-                    let out = if any & (ctl << shift) != 0 {
-                        ctl_value
-                    } else if all & (nc << shift) != 0 {
-                        ctl_value.not()
-                    } else {
-                        V3::X
-                    };
-                    if kind.inverts() {
-                        out.not()
-                    } else {
-                        out
-                    }
-                };
-                (settle(0), settle(2))
-            }
-            GateKind::Xor | GateKind::Xnor => {
-                // `any` accumulates the parity of the 1-components; `all`
-                // keeps a machine's 0-bit while every input is known in it.
-                for v in inputs {
-                    let m = v.component_bits();
-                    any ^= m;
-                    all &= m | (m >> 1);
-                }
-                let invert = kind == GateKind::Xnor;
-                let settle = |shift: u8| {
-                    if all & (GOOD_0 << shift) == 0 {
-                        V3::X
-                    } else {
-                        V3::from_bool((any & (GOOD_1 << shift) != 0) != invert)
-                    }
-                };
-                (settle(0), settle(2))
-            }
+            _ => eval_bits(op_of(kind), bits),
         };
-        V5::from_parts(good, faulty)
+        V5::from_component_bits(out)
     }
 }
 
 /// [`V5::component_bits`]: the good machine is 0.
-const GOOD_0: u8 = 1;
+pub(crate) const GOOD_0: u8 = 1;
 /// [`V5::component_bits`]: the good machine is 1.
-const GOOD_1: u8 = 2;
+pub(crate) const GOOD_1: u8 = 2;
 /// [`V5::component_bits`]: the faulty machine is 0.
-const FAULTY_0: u8 = 4;
+pub(crate) const FAULTY_0: u8 = 4;
 /// [`V5::component_bits`]: the faulty machine is 1.
-const FAULTY_1: u8 = 8;
+pub(crate) const FAULTY_1: u8 = 8;
 
 impl fmt::Display for V5 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

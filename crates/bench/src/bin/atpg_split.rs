@@ -6,7 +6,12 @@
 //! Sites are the distinct first defect draws of the campaign's chips
 //! (`--sites` chips, default 40) at `CampaignConfig::paper` budgets, and
 //! every search runs serially on the calling thread, so the split is
-//! CPU time. Prints one line per part and the search outcome tallies.
+//! CPU time. Prints one line per part and why its searches stopped:
+//! succeeded, aborted at the backtrack budget (`Aborted { backtracks }`
+//! above the config's `max_backtracks`), aborted at the implication
+//! budget, or proven untestable. A path candidate counts once, with the
+//! outcome of its last mode tried (non-robust after a failed robust
+//! test).
 //!
 //! ```text
 //! cargo run -p sdd-bench --release --bin atpg_split \
@@ -15,13 +20,52 @@
 
 use sdd_atpg::fault::{PathDelayFault, TransitionDirection, TransitionFault};
 use sdd_atpg::path_atpg::generate_robust_or_nonrobust;
-use sdd_atpg::podem::generate_transition_assignments_diverse;
+use sdd_atpg::podem::{generate_transition_assignments_diverse, PodemConfig};
+use sdd_atpg::AtpgError;
 use sdd_bench::flag_value;
 use sdd_core::inject::CampaignConfig;
 use sdd_core::{AtpgConfig, Design};
 use sdd_netlist::profiles;
 use sdd_timing::path;
+use std::fmt;
 use std::time::{Duration, Instant};
+
+/// Why one part's searches stopped.
+#[derive(Default)]
+struct Outcomes {
+    succeeded: usize,
+    backtrack_budget: usize,
+    implication_budget: usize,
+    untestable: usize,
+}
+
+impl Outcomes {
+    fn record<T>(&mut self, result: &Result<T, AtpgError>, config: PodemConfig) {
+        match result {
+            Ok(_) => self.succeeded += 1,
+            Err(AtpgError::Aborted { backtracks, .. }) if *backtracks > config.max_backtracks => {
+                self.backtrack_budget += 1
+            }
+            Err(AtpgError::Aborted { .. }) => self.implication_budget += 1,
+            Err(AtpgError::Untestable { .. }) => self.untestable += 1,
+            Err(e) => panic!("unexpected search error: {e}"),
+        }
+    }
+
+    fn total(&self) -> usize {
+        self.succeeded + self.backtrack_budget + self.implication_budget + self.untestable
+    }
+}
+
+impl fmt::Display for Outcomes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} succeeded, {} at the backtrack budget, {} at the implication budget, {} untestable",
+            self.succeeded, self.backtrack_budget, self.implication_budget, self.untestable
+        )
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -50,7 +94,7 @@ fn main() {
 
     let (mut k_longest, mut path_tests, mut transition) =
         (Duration::ZERO, Duration::ZERO, Duration::ZERO);
-    let (mut path_runs, mut path_ok, mut transition_runs, mut transition_ok) = (0, 0, 0, 0);
+    let (mut path_outcomes, mut transition_outcomes) = (Outcomes::default(), Outcomes::default());
     for &site in &sites {
         let site_seed = seed
             .wrapping_mul(0x94D0_49BB_1331_11EB)
@@ -70,10 +114,9 @@ fn main() {
                     .wrapping_mul(0x5851_F42D_4C95_7F2D)
                     .wrapping_add((pix * 2 + dix) as u64);
                 let fault = PathDelayFault::new(p.clone(), launch);
-                path_runs += 1;
-                path_ok += usize::from(
-                    generate_robust_or_nonrobust(circuit, &fault, atpg.path_config, test_seed)
-                        .is_ok(),
+                path_outcomes.record(
+                    &generate_robust_or_nonrobust(circuit, &fault, atpg.path_config, test_seed),
+                    atpg.path_config,
                 );
             }
         }
@@ -88,15 +131,14 @@ fn main() {
                 let decision_seed = site_seed
                     .wrapping_mul(0xD6E8_FEB8_6659_FD93)
                     .wrapping_add((dix * 4 + si) as u64);
-                transition_runs += 1;
-                transition_ok += usize::from(
-                    generate_transition_assignments_diverse(
+                transition_outcomes.record(
+                    &generate_transition_assignments_diverse(
                         circuit,
                         TransitionFault::new(site, direction),
                         atpg.podem_config,
                         Some(decision_seed),
-                    )
-                    .is_ok(),
+                    ),
+                    atpg.podem_config,
                 );
             }
         }
@@ -112,11 +154,17 @@ fn main() {
     );
     println!("k_longest_through_edge  {:>8.3} s", k_longest.as_secs_f64());
     println!(
-        "path tests              {:>8.3} s  ({path_ok}/{path_runs} candidates tested)",
-        path_tests.as_secs_f64()
+        "path tests              {:>8.3} s  ({}/{} candidates tested)",
+        path_tests.as_secs_f64(),
+        path_outcomes.succeeded,
+        path_outcomes.total()
     );
+    println!("  stopped: {path_outcomes}");
     println!(
-        "transition PODEM        {:>8.3} s  ({transition_ok}/{transition_runs} searches succeeded)",
-        transition.as_secs_f64()
+        "transition PODEM        {:>8.3} s  ({}/{} searches succeeded)",
+        transition.as_secs_f64(),
+        transition_outcomes.succeeded,
+        transition_outcomes.total()
     );
+    println!("  stopped: {transition_outcomes}");
 }
