@@ -2,7 +2,7 @@
 //! static analysis, dynamic (per-pattern) simulation, cone-incremental
 //! defect re-analysis and exact waveform simulation — plus the netlist
 //! bring-up they all start from (generation + scan cut of the 100k-gate
-//! synthetic profile).
+//! synthetic profile) and the per-suspect cone extraction that follows.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sdd_atpg::PatternSet;
@@ -123,6 +123,31 @@ fn bench_waveform(c: &mut Criterion) {
     });
 }
 
+/// [`DefectCone`] extraction (one `ConeView` each) for 401
+/// stride-sampled arcs of the 100k-gate profile, whose cones hold up to
+/// ~87k of its ~102k nodes, and for every arc sink of s1423.
+fn bench_cone_views(c: &mut Criterion) {
+    let synth = generate_combinational(&SYNTH100K, 2).expect("synth100k builds");
+    let stride = synth.num_edges() / 400;
+    let sampled: Vec<EdgeId> = synth.edge_ids().step_by(stride).collect();
+    c.bench_function("cone_views_synth100k_401_arcs", |b| {
+        b.iter(|| {
+            for &e in &sampled {
+                black_box(DefectCone::new(&synth, e));
+            }
+        })
+    });
+    let s1423 = generate_combinational(&sdd_netlist::profiles::by_name("s1423").unwrap(), 2)
+        .expect("s1423 builds");
+    c.bench_function("cone_views_s1423_every_arc", |b| {
+        b.iter(|| {
+            for e in s1423.edge_ids() {
+                black_box(DefectCone::new(&s1423, e));
+            }
+        })
+    });
+}
+
 fn bench_netlist_build(c: &mut Criterion) {
     c.bench_function("netlist_build_synth100k", |b| {
         b.iter(|| black_box(generate_combinational(&SYNTH100K, 1).expect("synth100k builds")))
@@ -145,4 +170,9 @@ criterion_group!(
     config = Criterion::default().sample_size(5).measurement_time(Duration::from_secs(3)).warm_up_time(Duration::from_secs(1));
     targets = bench_netlist_build
 );
-criterion_main!(benches, netlist_build);
+criterion_group!(
+    name = cone_views;
+    config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(5)).warm_up_time(Duration::from_secs(1));
+    targets = bench_cone_views
+);
+criterion_main!(benches, netlist_build, cone_views);

@@ -13,8 +13,9 @@
 //! * `characterize` — per-arc statistical timing model,
 //! * `clk` — clock selection by static Monte-Carlo STA,
 //! * `patterns` — the seeded pattern set,
-//! * `cones` — [`DefectCone`] extraction for every suspect
-//!   (cone-proportional since the CSR/`ConeView` rework),
+//! * `cones` — [`DefectCone`] extraction for every suspect: one scan of
+//!   each cone's topological span (seed to last member), which on the
+//!   generated circuits is most of the order after the seed,
 //! * `dictionary` — the Monte-Carlo dictionary build itself,
 //! * `observe` — one batched pattern-lane behaviour capture
 //!   ([`ObservedBehavior`]) of a sampled chip instance, thresholded at

@@ -579,6 +579,11 @@ counter_table! {
         /// Aggregate nanoseconds choosing clocks and observing `B`.
         ObserveNanos observe_nanos [trace],
         /// Aggregate nanoseconds pruning suspects and building dictionaries.
+        /// This includes time blocked on the dictionary cache: a build
+        /// that finds another session building the same bank waits in
+        /// `KeyedMemo::with` for that key's lock, and the wait is booked
+        /// here too, so concurrent tenants of one bank can read more
+        /// dictionary time than kernel plus screen plus their own work.
         DictionaryNanos dictionary_nanos [trace],
         /// Aggregate nanoseconds ranking suspects.
         RankNanos rank_nanos [trace],

@@ -348,7 +348,7 @@ pub fn output_arrivals(circuit: &Circuit, arrivals: &[f64]) -> Vec<f64> {
 ///
 /// Construction extracts the [`ConeView`] of the arc's sink — the
 /// topologically ordered induced fanout cone with cone-local arc
-/// renumbering — in time proportional to the cone, not the circuit.
+/// renumbering — in one scan of the cone's topological span.
 /// Given baseline (defect-free) arrivals for a pattern and instance,
 /// [`DefectCone::apply`] recomputes only cone nodes with the defect's
 /// extra delay applied, writing into a cone-sized scratch buffer.
@@ -360,7 +360,8 @@ pub struct DefectCone {
 }
 
 impl DefectCone {
-    /// Builds the cone for a defect on `edge` in `O(cone · log cone)`.
+    /// Builds the cone for a defect on `edge` (see
+    /// [`Circuit::cone_view`] for the cost).
     pub fn new(circuit: &Circuit, edge: EdgeId) -> DefectCone {
         let sink = circuit.edge(edge).to();
         let view = circuit.cone_view(sink);
@@ -1032,6 +1033,38 @@ mod tests {
         assert_eq!(cone.reachable_outputs(), &[0]);
         assert_eq!(cone.len(), 2); // g1, y
         assert!(!cone.is_empty());
+    }
+
+    /// Every arc of s1423 and two small generated circuits: a cone's
+    /// reachable outputs are exactly the positions of
+    /// `Circuit::reachable_outputs` from its sink, in output order.
+    #[test]
+    fn cone_scan_differential_defect_cone_reachable_outputs() {
+        let s1423 = sdd_netlist::profiles::by_name("s1423").unwrap();
+        let mut circuits = vec![sdd_netlist::generator::generate_combinational(&s1423, 1).unwrap()];
+        for seed in 0..2 {
+            circuits.push(
+                generate(&GeneratorConfig::small("ro", seed))
+                    .unwrap()
+                    .to_combinational()
+                    .unwrap(),
+            );
+        }
+        for c in &circuits {
+            for e in c.edge_ids() {
+                let expected: Vec<usize> = c
+                    .reachable_outputs(c.edge(e).to())
+                    .iter()
+                    .map(|&o| c.output_position(o).unwrap())
+                    .collect();
+                assert_eq!(
+                    DefectCone::new(c, e).reachable_outputs(),
+                    &expected[..],
+                    "{} arc {e}",
+                    c.name()
+                );
+            }
+        }
     }
 
     #[test]
