@@ -27,6 +27,12 @@ pub enum DiagnosisError {
     },
     /// No test patterns could be generated for the target.
     NoPatterns,
+    /// A configuration asks for zero Monte-Carlo samples.
+    ZeroSamples {
+        /// The field, as a path in the configuration (`sta_samples`,
+        /// `dictionary.n_samples`).
+        field: &'static str,
+    },
     /// An underlying netlist error.
     Netlist(sdd_netlist::NetlistError),
     /// An underlying timing error.
@@ -43,6 +49,10 @@ impl fmt::Display for DiagnosisError {
             }
             DiagnosisError::ShapeMismatch { what } => write!(f, "shape mismatch: {what}"),
             DiagnosisError::NoPatterns => write!(f, "no test patterns could be generated"),
+            DiagnosisError::ZeroSamples { field } => write!(
+                f,
+                "invalid config `{field}`: monte-carlo sample count must be positive"
+            ),
             DiagnosisError::Netlist(e) => write!(f, "netlist error: {e}"),
             DiagnosisError::Timing(e) => write!(f, "timing error: {e}"),
             DiagnosisError::Atpg(e) => write!(f, "atpg error: {e}"),

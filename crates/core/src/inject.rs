@@ -142,6 +142,24 @@ impl CampaignConfig {
         self.clock = clock;
         self
     }
+
+    /// Refuses a configuration that diagnosis cannot run, before any
+    /// work starts: a zero Monte-Carlo sample count for the clock
+    /// estimate or the dictionary.
+    ///
+    /// # Errors
+    ///
+    /// [`DiagnosisError::ZeroSamples`] naming the first such field.
+    pub fn validate(&self) -> Result<(), DiagnosisError> {
+        let counts = [
+            ("sta_samples", self.sta_samples),
+            ("dictionary.n_samples", self.dictionary.n_samples),
+        ];
+        match counts.into_iter().find(|&(_, n)| n == 0) {
+            Some((field, _)) => Err(DiagnosisError::ZeroSamples { field }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The knobs pattern generation actually depends on, split out of
@@ -986,6 +1004,26 @@ mod tests {
             assert!(ps.len() <= 8);
         }
         assert!(produced > 0, "no pattern generated through any site");
+    }
+
+    #[test]
+    fn zero_sample_configs_are_refused_naming_the_field() {
+        assert!(CampaignConfig::quick(1).validate().is_ok());
+        let field = |config: CampaignConfig| match config.validate() {
+            Err(DiagnosisError::ZeroSamples { field }) => field,
+            other => panic!("expected a zero-samples error, got {other:?}"),
+        };
+        let mut no_sta = CampaignConfig::paper(1);
+        no_sta.sta_samples = 0;
+        assert_eq!(field(no_sta.clone()), "sta_samples");
+        let mut no_mc = CampaignConfig::quick(1);
+        no_mc.dictionary.n_samples = 0;
+        assert_eq!(field(no_mc), "dictionary.n_samples");
+        // Both zero: the first field in declaration order is named.
+        no_sta.dictionary.n_samples = 0;
+        assert_eq!(field(no_sta.clone()), "sta_samples");
+        let message = no_sta.validate().unwrap_err().to_string();
+        assert!(message.contains("`sta_samples`") && message.contains("sample count"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Validated construction of [`Circuit`]s.
 
-use crate::circuit::BuildNode;
 use crate::{Circuit, GateKind, NetlistError, NodeId};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Incremental, validated builder for a [`Circuit`].
@@ -35,15 +35,18 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct CircuitBuilder {
     name: String,
-    nodes: Vec<BuildNode>,
+    /// The only owner of each signal name; [`CircuitBuilder::finish`]
+    /// moves them into id order.
     names: HashMap<String, NodeId>,
+    kinds: Vec<GateKind>,
+    /// Per node, its fanin row `(start, len)` in `fanins`. Rows are
+    /// appended as they are connected (a reconnection appends a new
+    /// row), and `finish` copies them into node order. Every kind but
+    /// [`GateKind::Input`] takes at least one fanin, so a gate whose row
+    /// is still empty was declared and never connected.
+    rows: Vec<(u32, u32)>,
+    fanins: Vec<NodeId>,
     outputs: Vec<NodeId>,
-    /// One flag per node: already marked as an output.
-    is_output: Vec<bool>,
-    /// One flag per node: declared but not yet connected. A flag (not a
-    /// list of ids) keeps `set_fanins` O(1), so forward-referencing
-    /// constructions such as the scan cut stay linear in circuit size.
-    pending: Vec<bool>,
 }
 
 impl CircuitBuilder {
@@ -51,32 +54,36 @@ impl CircuitBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         CircuitBuilder {
             name: name.into(),
-            nodes: Vec::new(),
             names: HashMap::new(),
+            kinds: Vec::new(),
+            rows: Vec::new(),
+            fanins: Vec::new(),
             outputs: Vec::new(),
-            is_output: Vec::new(),
-            pending: Vec::new(),
         }
     }
 
     fn add_node(&mut self, name: &str, kind: GateKind) -> Result<NodeId, NetlistError> {
-        if self.names.contains_key(name) {
-            return Err(NetlistError::DuplicateName(name.to_owned()));
-        }
         // Reject id overflow at the insertion boundary rather than in
         // `finish`, so huge streaming constructions fail fast with the
         // typed capacity error.
-        Circuit::validate_capacity(self.nodes.len() + 1, 0)?;
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(BuildNode {
-            name: name.to_owned(),
-            kind,
-            fanins: Vec::new(),
-        });
-        self.is_output.push(false);
-        self.pending.push(false);
-        self.names.insert(name.to_owned(), id);
+        Circuit::validate_capacity(self.kinds.len() + 1, 0)?;
+        let id = NodeId::from_index(self.kinds.len());
+        match self.names.entry(name.to_owned()) {
+            Entry::Occupied(_) => return Err(NetlistError::DuplicateName(name.to_owned())),
+            Entry::Vacant(slot) => slot.insert(id),
+        };
+        self.kinds.push(kind);
+        self.rows.push((0, 0));
         Ok(id)
+    }
+
+    /// The name of node `id`: a scan of the name map, for error paths.
+    fn name_of(&self, id: NodeId) -> String {
+        let named = |(name, &n): (&String, &NodeId)| (n == id).then(|| name.clone());
+        self.names
+            .iter()
+            .find_map(named)
+            .expect("every node is named")
     }
 
     /// Adds a primary input.
@@ -115,9 +122,7 @@ impl CircuitBuilder {
     ///
     /// Returns [`NetlistError::DuplicateName`] if `name` exists.
     pub fn declare_gate(&mut self, name: &str, kind: GateKind) -> Result<NodeId, NetlistError> {
-        let id = self.add_node(name, kind)?;
-        self.pending[id.index()] = true;
-        Ok(id)
+        self.add_node(name, kind)
     }
 
     /// Connects the fanins of a previously declared gate.
@@ -127,7 +132,7 @@ impl CircuitBuilder {
     /// Returns [`NetlistError::BadArity`] if the count is invalid for the
     /// gate's kind, or [`NetlistError::NoSuchNode`] for a bad id.
     pub fn set_fanins(&mut self, id: NodeId, fanins: &[NodeId]) -> Result<(), NetlistError> {
-        let n = self.nodes.len();
+        let n = self.kinds.len();
         if id.index() >= n {
             return Err(NetlistError::NoSuchNode(id.index()));
         }
@@ -136,17 +141,18 @@ impl CircuitBuilder {
                 return Err(NetlistError::NoSuchNode(f.index()));
             }
         }
-        let kind = self.nodes[id.index()].kind;
+        let kind = self.kinds[id.index()];
         let (lo, hi) = kind.arity();
         if fanins.len() < lo || fanins.len() > hi {
             return Err(NetlistError::BadArity {
-                node: self.nodes[id.index()].name.clone(),
+                node: self.name_of(id),
                 kind: kind.to_string(),
                 got: fanins.len(),
             });
         }
-        self.nodes[id.index()].fanins = fanins.to_vec();
-        self.pending[id.index()] = false;
+        Circuit::validate_capacity(n, self.fanins.len() + fanins.len())?;
+        self.rows[id.index()] = (self.fanins.len() as u32, fanins.len() as u32);
+        self.fanins.extend_from_slice(fanins);
         Ok(())
     }
 
@@ -158,11 +164,8 @@ impl CircuitBuilder {
     ///
     /// Panics if `name` is already defined.
     pub fn dff_placeholder(&mut self, name: &str) -> NodeId {
-        let id = self
-            .add_node(name, GateKind::Dff)
-            .expect("duplicate dff name");
-        self.pending[id.index()] = true;
-        id
+        self.add_node(name, GateKind::Dff)
+            .expect("duplicate dff name")
     }
 
     /// Connects the data input of a flip-flop declared with
@@ -181,9 +184,8 @@ impl CircuitBuilder {
     ///
     /// Panics if `id` was not created by this builder.
     pub fn output(&mut self, id: NodeId) {
-        if !std::mem::replace(&mut self.is_output[id.index()], true) {
-            self.outputs.push(id);
-        }
+        assert!(id.index() < self.kinds.len(), "output id out of range");
+        self.outputs.push(id);
     }
 
     /// Looks up a previously created signal by name.
@@ -193,12 +195,12 @@ impl CircuitBuilder {
 
     /// Number of nodes added so far.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.kinds.len()
     }
 
     /// Returns `true` if no nodes have been added.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.kinds.is_empty()
     }
 
     /// Validates and produces the immutable [`Circuit`].
@@ -210,15 +212,34 @@ impl CircuitBuilder {
     /// * [`NetlistError::Cyclic`] if the combinational graph has a cycle.
     /// * [`NetlistError::NoOutputs`] if no output was marked.
     pub fn finish(self) -> Result<Circuit, NetlistError> {
-        if let Some(i) = self.pending.iter().position(|&p| p) {
-            let node = &self.nodes[i];
+        let unconnected = |i: &usize| (self.rows[*i].1 as usize) < self.kinds[*i].arity().0;
+        if let Some(i) = (0..self.kinds.len()).find(unconnected) {
             return Err(NetlistError::BadArity {
-                node: node.name.clone(),
-                kind: node.kind.to_string(),
+                node: self.name_of(NodeId::from_index(i)),
+                kind: self.kinds[i].to_string(),
                 got: 0,
             });
         }
-        Circuit::from_parts(self.name, self.nodes, self.outputs, self.names)
+        // Every count fits in u32: `set_fanins` checked the capacity.
+        let mut fanin_offsets = Vec::with_capacity(self.kinds.len() + 1);
+        let mut fanin_nodes = Vec::with_capacity(self.fanins.len());
+        fanin_offsets.push(0u32);
+        for &(start, len) in &self.rows {
+            fanin_nodes.extend_from_slice(&self.fanins[start as usize..][..len as usize]);
+            fanin_offsets.push(fanin_nodes.len() as u32);
+        }
+        let mut names = vec![String::new(); self.kinds.len()];
+        for (name, id) in self.names {
+            names[id.index()] = name;
+        }
+        Circuit::from_parts(
+            self.name,
+            names,
+            self.kinds,
+            fanin_offsets,
+            fanin_nodes,
+            self.outputs,
+        )
     }
 }
 

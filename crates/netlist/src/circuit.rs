@@ -4,7 +4,8 @@
 //! sparse row form) rather than per-node heap allocations:
 //!
 //! * node attributes (`names`, `kinds`, `levels`, `topo_pos`) are plain
-//!   arena vectors indexed by [`NodeId`];
+//!   arena vectors indexed by [`NodeId`]; each name is stored once, with
+//!   no index by name ([`Circuit::find`] scans);
 //! * fanin arcs are the CSR pair `fanin_offsets` / `fanin_nodes` —
 //!   node `i`'s fanin arcs are exactly the edge ids
 //!   `fanin_offsets[i] .. fanin_offsets[i+1]`, in pin order, so an
@@ -15,18 +16,13 @@
 //!   permutation (`topo_pos`) and a per-level grouping
 //!   (`level_starts` / `by_level`).
 //!
-//! The layout is an internal representation change only: the accessor
-//! API ([`Circuit::node`] returning a [`NodeRef`] view, [`Circuit::edge`]
-//! returning an [`Edge`] by value) keeps every call site of the old
-//! pointer-chasing `Vec<Node>` layout compiling unchanged, and edge ids,
-//! node ids and the topological order are assigned by exactly the same
-//! rules as before — which is what keeps the Monte-Carlo diagnosis paths
-//! (whose RNG draws are keyed on those ids) bit-identical across the
-//! refactor.
+//! The accessors ([`Circuit::node`] returning a [`NodeRef`] view,
+//! [`Circuit::edge`] returning an [`Edge`] by value) hide the layout.
+//! Node ids, edge ids and the topological order are load-bearing: the
+//! Monte-Carlo diagnosis paths key their random draws on them.
 
-use crate::{CircuitBuilder, ConeView, EdgeId, GateKind, NetlistError, NodeId};
+use crate::{ConeView, EdgeId, GateKind, NetlistError, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Maximum number of nodes a [`Circuit`] may hold.
 ///
@@ -124,19 +120,11 @@ impl Edge {
     }
 }
 
-/// Raw node data staged by [`CircuitBuilder`] before validation.
-#[derive(Debug, Clone)]
-pub(crate) struct BuildNode {
-    pub(crate) name: String,
-    pub(crate) kind: GateKind,
-    pub(crate) fanins: Vec<NodeId>,
-}
-
 /// An immutable cell-level netlist: the `(V, E, I, O)` part of the paper's
 /// circuit model (Definition D.1); the delay function `f` lives in
 /// `sdd-timing`.
 ///
-/// Constructed through [`CircuitBuilder`] (or the `.bench` parser /
+/// Constructed through [`crate::CircuitBuilder`] (or the `.bench` parser /
 /// synthetic generator), after which the graph is validated, topologically
 /// ordered and levelized. See the module docs for the CSR storage layout.
 ///
@@ -175,7 +163,6 @@ pub struct Circuit {
     pub(crate) by_level: Vec<NodeId>,
     /// Position of each node in `outputs`, [`NONE_U32`] if not an output.
     pub(crate) output_pos: Vec<u32>,
-    pub(crate) name_map: HashMap<String, NodeId>,
 }
 
 impl Circuit {
@@ -294,9 +281,13 @@ impl Circuit {
         &self.fanout_edge_ids[r]
     }
 
-    /// Looks a node up by signal name.
+    /// Looks a node up by signal name. O(nodes): it scans the names,
+    /// which the circuit keeps no index of.
     pub fn find(&self, name: &str) -> Option<NodeId> {
-        self.name_map.get(name).copied()
+        self.names
+            .iter()
+            .position(|n| n == name)
+            .map(NodeId::from_index)
     }
 
     /// Returns `true` if the circuit contains no flip-flops.
@@ -323,8 +314,12 @@ impl Circuit {
     /// pseudo primary output.
     ///
     /// The result is a purely combinational circuit on which logic
-    /// simulation, timing analysis, ATPG and diagnosis operate. A circuit
-    /// that is already combinational is returned unchanged (cheap clone).
+    /// simulation, timing analysis, ATPG and diagnosis operate. It is
+    /// derived from this circuit's CSR arrays: node ids stay, the
+    /// flip-flops' data arcs are dropped (later edge ids close up), and the
+    /// outputs are the primary outputs followed by the flip-flops' data
+    /// inputs in id order, each node once. A circuit that is already
+    /// combinational is returned unchanged (cheap clone).
     ///
     /// # Errors
     ///
@@ -334,40 +329,30 @@ impl Circuit {
         if self.is_combinational() {
             return Ok(self.clone());
         }
-        let mut b = CircuitBuilder::new(&self.name);
-        let mut map: Vec<Option<NodeId>> = vec![None; self.num_nodes()];
-        // Pass 1: declare every node; DFFs become inputs.
-        for id in self.node_ids() {
-            let node = self.node(id);
-            let new_id = match node.kind() {
-                GateKind::Input | GateKind::Dff => b.input(node.name()),
-                kind => b.declare_gate(node.name(), kind)?,
-            };
-            map[id.index()] = Some(new_id);
-        }
-        // Pass 2: connect logic gates.
-        for id in self.node_ids() {
-            let node = self.node(id);
-            if node.kind().is_logic() {
-                let fanins: Vec<NodeId> = node
-                    .fanins()
-                    .iter()
-                    .map(|f| map[f.index()].unwrap())
-                    .collect();
-                b.set_fanins(map[id.index()].unwrap(), &fanins)?;
+        let mut kinds = self.kinds.clone();
+        let mut outputs = self.outputs.clone();
+        let mut fanin_offsets = Vec::with_capacity(self.num_nodes() + 1);
+        let mut fanin_nodes = Vec::with_capacity(self.num_edges());
+        fanin_offsets.push(0u32);
+        for (i, kind) in kinds.iter_mut().enumerate() {
+            let row = &self.fanin_nodes[self.fanin_range(NodeId::from_index(i))];
+            if *kind == GateKind::Dff {
+                *kind = GateKind::Input;
+                outputs.push(row[0]);
+            } else {
+                fanin_nodes.extend_from_slice(row);
             }
+            // Fits in u32: at most this circuit's validated edge count.
+            fanin_offsets.push(fanin_nodes.len() as u32);
         }
-        // Outputs: original POs plus each DFF's data input as pseudo-PO.
-        for &o in &self.outputs {
-            b.output(map[o.index()].unwrap());
-        }
-        for id in self.node_ids() {
-            let node = self.node(id);
-            if node.kind() == GateKind::Dff {
-                b.output(map[node.fanins()[0].index()].unwrap());
-            }
-        }
-        b.finish()
+        Circuit::from_parts(
+            self.name.clone(),
+            self.names.clone(),
+            kinds,
+            fanin_offsets,
+            fanin_nodes,
+            outputs,
+        )
     }
 
     /// Collects every node in the transitive fanin cone of `seed`
@@ -465,41 +450,46 @@ impl Circuit {
         Ok(())
     }
 
-    /// Builds the validated circuit from raw parts. Used by the builder.
+    /// Builds the validated circuit from flat CSR parts: node `i` is
+    /// called `names[i]`, has kind `kinds[i]` and the drivers
+    /// `fanin_nodes[fanin_offsets[i] .. fanin_offsets[i+1]]` in pin order.
+    /// `outputs` lists the marked outputs; a repeated mark is dropped
+    /// (first mark wins). Used by the builder and the scan cut.
     ///
-    /// Edge ids are assigned consecutively per sink node in pin order
-    /// (the CSR fanin rows), node ids are creation order, and the
-    /// topological order comes from the same Kahn traversal as always —
-    /// all three are load-bearing: Monte-Carlo defect draws and pattern
-    /// seeds downstream are keyed on these ids, so any renumbering would
+    /// Edge ids are the CSR positions (consecutive per sink node in pin
+    /// order), node ids are creation order, and the topological order
+    /// comes from the same Kahn traversal as always — all three are
+    /// load-bearing: Monte-Carlo defect draws and pattern seeds
+    /// downstream are keyed on these ids, so any renumbering would
     /// silently change every sampled campaign.
     pub(crate) fn from_parts(
         name: String,
-        nodes: Vec<BuildNode>,
-        outputs: Vec<NodeId>,
-        name_map: HashMap<String, NodeId>,
+        names: Vec<String>,
+        kinds: Vec<GateKind>,
+        fanin_offsets: Vec<u32>,
+        fanin_nodes: Vec<NodeId>,
+        mut outputs: Vec<NodeId>,
     ) -> Result<Circuit, NetlistError> {
+        let n = kinds.len();
+        let n_edges = fanin_nodes.len();
+        Self::validate_capacity(n, n_edges)?;
+        let mut output_pos = vec![NONE_U32; n];
+        let mut n_outputs = 0u32;
+        outputs.retain(|o| {
+            let fresh = output_pos[o.index()] == NONE_U32;
+            if fresh {
+                output_pos[o.index()] = n_outputs;
+                n_outputs += 1;
+            }
+            fresh
+        });
         if outputs.is_empty() {
             return Err(NetlistError::NoOutputs);
         }
-        let n = nodes.len();
-        let n_edges: usize = nodes.iter().map(|node| node.fanins.len()).sum();
-        Self::validate_capacity(n, n_edges)?;
-
-        // CSR fanin arrays. The offset arithmetic below is safe after
-        // validate_capacity: every count fits in u32 with the sentinel
-        // value to spare.
-        let mut fanin_offsets = Vec::with_capacity(n + 1);
-        let mut fanin_nodes = Vec::with_capacity(n_edges);
+        let row = |i: usize| fanin_offsets[i] as usize..fanin_offsets[i + 1] as usize;
         let mut edge_to = Vec::with_capacity(n_edges);
-        fanin_offsets.push(0u32);
-        for (ix, node) in nodes.iter().enumerate() {
-            for &from in &node.fanins {
-                fanin_nodes.push(from);
-                edge_to.push(NodeId::from_index(ix));
-            }
-            let end = u32::try_from(fanin_nodes.len()).expect("edge count validated");
-            fanin_offsets.push(end);
+        for i in 0..n {
+            edge_to.resize(fanin_offsets[i + 1] as usize, NodeId::from_index(i));
         }
         let edge_list: Vec<EdgeId> = (0..n_edges).map(EdgeId::from_index).collect();
 
@@ -524,10 +514,10 @@ impl Circuit {
         // Kahn topological sort. Flip-flop fanin arcs do not create
         // ordering dependencies (a DFF's output is a source).
         let dep_count = |ix: usize| -> usize {
-            if nodes[ix].kind == GateKind::Dff {
+            if kinds[ix] == GateKind::Dff {
                 0
             } else {
-                nodes[ix].fanins.len()
+                row(ix).len()
             }
         };
         let mut indeg: Vec<usize> = (0..n).map(dep_count).collect();
@@ -541,10 +531,11 @@ impl Circuit {
             let id = queue[head];
             head += 1;
             topo.push(id);
-            let row = fanout_offsets[id.index()] as usize..fanout_offsets[id.index() + 1] as usize;
-            for &e in &fanout_edge_ids[row] {
+            let fanouts =
+                fanout_offsets[id.index()] as usize..fanout_offsets[id.index() + 1] as usize;
+            for &e in &fanout_edge_ids[fanouts] {
                 let to = edge_to[e.index()];
-                if nodes[to.index()].kind == GateKind::Dff {
+                if kinds[to.index()] == GateKind::Dff {
                     continue;
                 }
                 indeg[to.index()] -= 1;
@@ -556,7 +547,7 @@ impl Circuit {
         if topo.len() != n {
             let stuck = (0..n)
                 .find(|&i| indeg[i] > 0)
-                .map(|i| nodes[i].name.clone())
+                .map(|i| names[i].clone())
                 .unwrap_or_default();
             return Err(NetlistError::Cyclic { node: stuck });
         }
@@ -569,12 +560,9 @@ impl Circuit {
         // id order).
         let mut levels = vec![0u32; n];
         for &id in &topo {
-            let node = &nodes[id.index()];
-            if node.kind == GateKind::Dff || node.kind == GateKind::Input {
-                levels[id.index()] = 0;
-            } else {
-                levels[id.index()] = node
-                    .fanins
+            let i = id.index();
+            if kinds[i] != GateKind::Dff && kinds[i] != GateKind::Input {
+                levels[i] = fanin_nodes[row(i)]
                     .iter()
                     .map(|f| levels[f.index()] + 1)
                     .max()
@@ -598,23 +586,9 @@ impl Circuit {
         }
 
         let inputs = (0..n)
+            .filter(|&i| kinds[i] == GateKind::Input)
             .map(NodeId::from_index)
-            .filter(|id| nodes[id.index()].kind == GateKind::Input)
             .collect();
-        let mut output_pos = vec![NONE_U32; n];
-        for (p, &o) in outputs.iter().enumerate() {
-            // The builder deduplicates output marks; first mark wins.
-            if output_pos[o.index()] == NONE_U32 {
-                output_pos[o.index()] = u32::try_from(p).expect("output count bounded by nodes");
-            }
-        }
-
-        let mut names = Vec::with_capacity(n);
-        let mut kinds = Vec::with_capacity(n);
-        for node in nodes {
-            names.push(node.name);
-            kinds.push(node.kind);
-        }
         Ok(Circuit {
             name,
             names,
@@ -633,7 +607,6 @@ impl Circuit {
             level_starts,
             by_level,
             output_pos,
-            name_map,
         })
     }
 }
@@ -769,6 +742,44 @@ mod tests {
         assert_eq!(comb.primary_inputs().len(), 2);
         assert_eq!(comb.primary_outputs().len(), 1);
         assert_eq!(comb.num_dffs(), 0);
+    }
+
+    #[test]
+    fn scan_cut_keeps_node_ids_and_closes_up_edge_ids() {
+        // a; q, r flip-flops; g1 = AND(a, q); g2 = OR(g1, r);
+        // q <- g2, r <- g1; output g2.
+        let mut b = CircuitBuilder::new("seq2");
+        let a = b.input("a");
+        let q = b.dff_placeholder("q");
+        let g1 = b.gate("g1", GateKind::And, &[a, q]).unwrap();
+        let r = b.dff_placeholder("r");
+        let g2 = b.gate("g2", GateKind::Or, &[g1, r]).unwrap();
+        b.set_dff_input(q, g2).unwrap();
+        b.set_dff_input(r, g1).unwrap();
+        b.output(g2);
+        let c = b.finish().unwrap();
+        let comb = c.to_combinational().unwrap();
+
+        assert_eq!(comb.num_nodes(), c.num_nodes());
+        assert_eq!(comb.num_edges(), c.num_edges() - 2);
+        for id in c.node_ids() {
+            assert_eq!(comb.node(id).name(), c.node(id).name());
+        }
+        assert_eq!(comb.primary_inputs(), &[a, q, r]);
+        assert_eq!(comb.node(q).kind(), GateKind::Input);
+        assert!(comb.node(q).fanins().is_empty());
+        let ids = |node: NodeRef| -> Vec<usize> {
+            node.fanin_edges().iter().map(|e| e.index()).collect()
+        };
+        assert_eq!(ids(comb.node(g1)), [0, 1]);
+        assert_eq!(comb.node(g2).fanins(), &[g1, r]);
+        assert_eq!(ids(comb.node(g2)), [2, 3]);
+        // Primary outputs, then the data inputs of q and r in id order;
+        // g2 already is an output, so only g1 is added.
+        assert_eq!(comb.primary_outputs(), &[g2, g1]);
+        assert_eq!(comb.output_position(g1), Some(1));
+        assert_eq!(comb.topo_order(), c.topo_order());
+        assert_eq!(comb.find("r"), Some(r));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use crate::{Circuit, CircuitBuilder, GateKind, NetlistError, NodeId};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::fmt::Write;
 
 /// Parameters of a synthetic circuit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,6 +114,8 @@ pub fn generate(config: &GeneratorConfig) -> Result<Circuit, NetlistError> {
     // Signals that do not yet drive anything, per level.
     let mut dangling: Vec<Vec<NodeId>> = vec![levels[0].clone()];
     let mut gate_ix = 0usize;
+    // Reused per gate: the builder copies what it keeps.
+    let (mut fanins, mut name) = (Vec::with_capacity(4), String::new());
     for (l, &count) in per_level.iter().enumerate() {
         let level = l + 1;
         let mut this_level = Vec::with_capacity(count);
@@ -120,7 +123,7 @@ pub fn generate(config: &GeneratorConfig) -> Result<Circuit, NetlistError> {
         for _ in 0..count {
             let fanin_count = sample_fanin_count(&mut rng);
             let kind = sample_kind(&mut rng, fanin_count);
-            let mut fanins = Vec::with_capacity(fanin_count);
+            fanins.clear();
             // First fanin comes from the previous level, preferring a
             // dangling signal so that almost every gate gets fanout.
             let first = take_fanin(&mut rng, &mut dangling[level - 1], &levels[level - 1]);
@@ -133,7 +136,9 @@ pub fn generate(config: &GeneratorConfig) -> Result<Circuit, NetlistError> {
                     fanins.push(pick);
                 }
             }
-            let id = b.gate(&format!("g{gate_ix}"), kind, &fanins)?;
+            name.clear();
+            write!(name, "g{gate_ix}").expect("writing to a String cannot fail");
+            let id = b.gate(&name, kind, &fanins)?;
             gate_ix += 1;
             this_level.push(id);
             this_dangling.push(id);

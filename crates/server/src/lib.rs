@@ -21,8 +21,11 @@
 //!
 //! Malformed, oversized (> [`MAX_LINE_BYTES`]) or unparseable requests
 //! yield a structured `error` response and the connection stays alive.
-//! A submit whose diagnosis panics is answered with an `error` and then
-//! `done`, and its worker goes on serving the queue.
+//! A submit whose config diagnosis cannot run (a zero Monte-Carlo sample
+//! count) is answered with an `error` naming the field and then `done`,
+//! before any work starts. A submit whose diagnosis panics is answered
+//! with an `error` and then `done`, and its worker goes on serving the
+//! queue.
 //! When the bounded admission queue is full, `submit` is answered with
 //! an explicit `busy` response instead of blocking — backpressure is the
 //! client's to handle.
@@ -402,7 +405,13 @@ fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
             .map_err(|e| e.to_string())
     };
 
-    if let Some(behavior) = &request.behavior {
+    if let Err(e) = config.validate() {
+        // Refused before any work starts: no design is built and no
+        // chip batch is drawn.
+        let mut r = Response::error(e.to_string());
+        r.tenant = tenant.clone();
+        write_response(writer, &r);
+    } else if let Some(behavior) = &request.behavior {
         let outcome =
             design().and_then(|design| diagnose_wire_behavior(&session, &design, behavior));
         let mut r = match outcome {

@@ -323,12 +323,16 @@ fn panicking_submit_costs_one_error_and_keeps_the_only_worker() {
     let addr = server.addr();
     std::thread::spawn(move || server.run());
     let config = CampaignConfig::quick(5);
-    // Client configs that reach an assertion inside diagnosis: no
-    // clock-estimate samples, and no dictionary samples.
+    // Client configs diagnosis cannot run. No clock-estimate samples and
+    // no dictionary samples are refused before any work starts, naming
+    // the field. A clock quantile outside [0, 1] still reaches an
+    // assertion inside diagnosis: the caught panic costs that request,
+    // not the worker.
     let mut no_sta = config.clone();
     no_sta.sta_samples = 0;
     let mut no_mc = config.clone();
     no_mc.dictionary.n_samples = 0;
+    let bad_quantile = config.clone().with_clock(ClockPolicy::CircuitQuantile(1.5));
     let submit = |tenant: &str, config: &CampaignConfig| {
         let mut r = Request::new("submit");
         r.tenant = tenant.into();
@@ -337,7 +341,16 @@ fn panicking_submit_costs_one_error_and_keeps_the_only_worker() {
         r.config = Some(config.clone());
         r
     };
-    let bad = [submit("bad", &no_sta), submit("bad", &no_mc)];
+    let bad = [
+        submit("bad", &no_sta),
+        submit("bad", &no_mc),
+        submit("bad", &bad_quantile),
+    ];
+    let wanted = [
+        ["sample count", "`sta_samples`"],
+        ["sample count", "`dictionary.n_samples`"],
+        ["request failed", "quantile order 1.5"],
+    ];
     let good = submit("good", &config);
     let (bad_answers, served) = within(Duration::from_secs(120), move || {
         let mut client = connect(addr);
@@ -349,7 +362,7 @@ fn panicking_submit_costs_one_error_and_keeps_the_only_worker() {
         let served = connect(addr).submit(&good).expect("good submit");
         (bad_answers, served)
     });
-    for answers in &bad_answers {
+    for (answers, wanted) in bad_answers.iter().zip(wanted) {
         let ops: Vec<&str> = answers.iter().map(|r| r.op.as_str()).collect();
         assert_eq!(&ops[ops.len() - 2..], ["error", "done"], "{answers:?}");
         assert!(
@@ -358,7 +371,9 @@ fn panicking_submit_costs_one_error_and_keeps_the_only_worker() {
         );
         let error = &answers[answers.len() - 2];
         assert_eq!(error.tenant, "bad");
-        assert!(error.error.contains("sample count"), "{error:?}");
+        for part in wanted {
+            assert!(error.error.contains(part), "{part:?} in {error:?}");
+        }
     }
 
     // The worker lived on: the other tenant is answered exactly like
