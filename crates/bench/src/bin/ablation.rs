@@ -12,15 +12,12 @@
 //! ```text
 //! cargo run -p sdd-bench --release --bin ablation \
 //!     [-- --seed 2] [--circuit s1196] \
-//!     [--kernel batched|analytic|screened] [--metrics-json PATH]
+//!     [--kernel batched|screened] [--metrics-json PATH]
 //! ```
 //!
 //! `--kernel` swaps the dictionary simulation kernel under *every*
 //! variant (default: batched Monte-Carlo), so the whole ablation can be
-//! re-read under the analytic moment-propagation dictionary. The two
-//! Monte-Carlo budget variants are only meaningful for the MC kernels —
-//! the analytic kernel ignores `n_samples` — and will simply repeat the
-//! baseline numbers under `--kernel analytic`.
+//! re-read under the screened dictionary.
 //!
 //! With `--metrics-json <path>`, one [`sdd_core::MetricsReport`] per
 //! completed variant (its `circuit` field tagged `circuit / label`) is
@@ -41,9 +38,8 @@ fn main() {
     let circuit = flag_value(&args, "--circuit").unwrap_or_else(|| "s1196".to_owned());
     let kernel = match flag_value(&args, "--kernel").as_deref() {
         None | Some("batched") => SimKernel::Batched,
-        Some("analytic") => SimKernel::Analytic,
         Some("screened") => SimKernel::Screened,
-        Some(other) => panic!("unknown --kernel `{other}` (batched|analytic|screened)"),
+        Some(other) => panic!("unknown --kernel `{other}` (batched|screened)"),
     };
     let profile = profiles::by_name(&circuit).expect("known circuit name");
 

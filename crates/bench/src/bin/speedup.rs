@@ -28,17 +28,13 @@
 //!
 //! `--quick` swaps the paper-scale workload for the reduced test
 //! configuration — the CI sanity mode.
-//! `--kernel batched|analytic|screened` runs a single dictionary kernel
-//! (default: batched); `--kernel all` runs the analytic and screened
-//! legs ahead of the batched leg. The analytic kernel is *not*
-//! bit-identical to MC (it is sampling-free moment propagation), so its
-//! leg is checked structurally instead — zero MC cone evals, zero
-//! samples simulated, analytic counters populated — and compared on
-//! wall-clock; the screened kernel prunes the suspect set, so its leg
-//! is likewise checked structurally (screen counters populated, pruning
+//! `--kernel batched|screened` runs a single dictionary kernel
+//! (default: batched); `--kernel all` runs the screened leg ahead of
+//! the batched leg. The screened kernel prunes the suspect set, so its
+//! leg is checked structurally (screen counters populated, pruning
 //! non-vacuous, fewer cone evals than batched); bit-identity with the
-//! serial oracle is asserted for the batched leg (and for the
-//! analytic/screened leg when it is the only kernel).
+//! serial oracle is asserted for the batched leg (and for the screened
+//! leg when it is the only kernel).
 //! `--metrics-json <path>` additionally writes the primary and warm
 //! legs' counters, per-phase latency histograms and per-instance traces
 //! as a [`sdd_core::MetricsExport`] document (see `metrics_check`); with
@@ -50,7 +46,7 @@
 //! ```text
 //! cargo run -p sdd-bench --release --bin speedup \
 //!     [-- --circuit s1196] [--seed 2] [--store DIR] [--quick] \
-//!     [--kernel batched|analytic|screened|all] [--metrics-json PATH]
+//!     [--kernel batched|screened|all] [--metrics-json PATH]
 //! ```
 
 use sdd_bench::{flag_value, write_metrics_export};
@@ -73,15 +69,14 @@ fn main() {
     let store_dir = flag_value(&args, "--store");
     let quick = args.iter().any(|a| a == "--quick");
     let kernel_flag = flag_value(&args, "--kernel");
-    // The analytic leg always runs first: the *last* leg is the serial
+    // The screened leg runs first: the *last* leg is the serial
     // oracle's kernel and may be store-backed, both of which must stay
-    // with the production MC kernel whenever one is requested.
+    // with the batched kernel whenever it is requested.
     let kernels: Vec<SimKernel> = match kernel_flag.as_deref() {
         Some("batched") | None => vec![SimKernel::Batched],
-        Some("analytic") => vec![SimKernel::Analytic],
         Some("screened") => vec![SimKernel::Screened],
-        Some("all") => vec![SimKernel::Analytic, SimKernel::Screened, SimKernel::Batched],
-        Some(other) => panic!("unknown --kernel `{other}` (batched|analytic|screened|all)"),
+        Some("all") => vec![SimKernel::Screened, SimKernel::Batched],
+        Some(other) => panic!("unknown --kernel `{other}` (batched|screened|all)"),
     };
     // Only the default kernel selection may refresh the committed CI
     // artifact at the repo root.
@@ -154,34 +149,11 @@ fn main() {
 
     // The leg running the serial oracle's kernel (the last one: batched
     // whenever it is requested) must agree bit-for-bit with it. The
-    // analytic and screened legs are otherwise checked structurally: a
-    // genuinely sampling-free dictionary phase with the analytic
-    // counters carrying the work, or a screen that really pruned.
+    // screened leg is otherwise checked structurally: a screen that
+    // really pruned.
     let serial_kernel = *kernels.last().expect("at least one kernel");
     let mut identical_legs = 1; // the serial leg itself
     for (kernel, report, _) in &reports {
-        if *kernel == SimKernel::Analytic {
-            // The clock-sweep STA phase still draws tested-delay
-            // samples, so `samples_simulated` stays nonzero; the
-            // dictionary-phase draws are exactly what `cone_evals` /
-            // `kernel_nanos` count, and those must read zero.
-            assert_eq!(
-                report.metrics.cone_evals, 0,
-                "analytic kernel booked MC cone evaluations"
-            );
-            assert_eq!(
-                report.metrics.kernel_nanos, 0,
-                "analytic kernel booked MC kernel time"
-            );
-            assert_eq!(
-                report.metrics.cone_walks, 0,
-                "analytic kernel booked MC cone walks"
-            );
-            assert!(
-                report.metrics.analytic_evals > 0,
-                "analytic kernel booked no cone propagations"
-            );
-        }
         if *kernel == SimKernel::Screened {
             // The screened leg is checked structurally: the analytic
             // screen must have run over every candidate and genuinely
@@ -222,21 +194,6 @@ fn main() {
     }
 
     let leg = |k: SimKernel| reports.iter().find(|(kernel, _, _)| *kernel == k);
-    if let Some((_, analytic, _)) = leg(SimKernel::Analytic) {
-        println!(
-            "analytic dictionary phase  : {:.2?} ({} cone propagations in {:.2?}, 0 samples drawn)",
-            std::time::Duration::from_nanos(analytic.metrics.dictionary_nanos),
-            analytic.metrics.analytic_evals,
-            std::time::Duration::from_nanos(analytic.metrics.analytic_nanos),
-        );
-        if let Some((_, batched, _)) = leg(SimKernel::Batched) {
-            let ratio = batched.metrics.dictionary_nanos as f64
-                / analytic.metrics.dictionary_nanos.max(1) as f64;
-            println!("analytic vs batched (cold) : {ratio:>7.2}x dictionary-phase speedup\n");
-        } else {
-            println!();
-        }
-    }
     if let Some((_, screened, _)) = leg(SimKernel::Screened) {
         let m = &screened.metrics;
         println!(

@@ -8,7 +8,7 @@
 //! ```text
 //! cargo run -p sdd-bench --release --bin table1 \
 //!     [-- --quick] [--circuit s1196] [--seed 2 | --seeds 1..10] \
-//!     [--store DIR] [--kernel batched|analytic|screened] [--metrics-json PATH]
+//!     [--store DIR] [--kernel batched|screened] [--metrics-json PATH]
 //! ```
 //!
 //! `--seeds A..B` runs every seed from `A` to `B` inclusive (so `1..10`
@@ -18,10 +18,7 @@
 //! function pooled over all cells.
 //!
 //! `--kernel` selects the dictionary simulation kernel (default:
-//! batched Monte-Carlo). `analytic` replaces the Monte-Carlo dictionary
-//! with sampling-free moment propagation — success rates then reflect
-//! the analytic error model rather than the paper's MC dictionaries, so
-//! compare, don't substitute. `screened` keeps the MC dictionaries but
+//! batched Monte-Carlo). `screened` keeps the MC dictionaries but
 //! builds them only for the top-K survivors of an analytic pre-screen.
 //!
 //! With `--store <dir>`, dictionary Monte-Carlo banks and per-site ATPG
@@ -64,9 +61,8 @@ fn main() {
     };
     let kernel = match flag_value(&args, "--kernel").as_deref() {
         None | Some("batched") => SimKernel::Batched,
-        Some("analytic") => SimKernel::Analytic,
         Some("screened") => SimKernel::Screened,
-        Some(other) => panic!("unknown --kernel `{other}` (batched|analytic|screened)"),
+        Some(other) => panic!("unknown --kernel `{other}` (batched|screened)"),
     };
     let store_dir = flag_value(&args, "--store");
 

@@ -57,7 +57,7 @@
 //! checkpointed in the background whenever simulation extends them.
 
 use crate::dictionary::{
-    assemble_from_masks, assemble_from_probs, defect_cones, screen_survivors, simulate_fail_masks,
+    assemble_from_masks, defect_cones, screen_survivors, simulate_fail_masks,
     simulate_fail_probs_analytic, AnalyticSuspect, BitGrid, DictionaryConfig,
     ProbabilisticDictionary, SimKernel, SuspectMasks,
 };
@@ -212,11 +212,12 @@ impl Bank {
     }
 }
 
-/// The cached *analytic* results for one key: probability matrices, not
-/// bit grids. Kept in a separate section from the Monte-Carlo [`Bank`]s
-/// because [`StoreKey`] is deliberately kernel-blind — analytic matrices
-/// are not bit-identical to MC grids and must never satisfy (or pollute)
-/// an MC lookup, nor be checkpointed to the on-disk `.sdds` store.
+/// The screen's cached *analytic* results for one key: probability
+/// matrices, not bit grids. Kept in a separate section from the
+/// Monte-Carlo [`Bank`]s because [`StoreKey`] is deliberately
+/// kernel-blind — analytic matrices are not bit-identical to MC grids
+/// and must never satisfy (or pollute) an MC lookup, nor be
+/// checkpointed to the on-disk `.sdds` store.
 #[derive(Debug, Default)]
 struct AnalyticBank {
     /// `M_crt`; `None` until the first build against this key.
@@ -234,14 +235,9 @@ pub struct DictionaryCache {
     /// generation reads ([`PatternKey`]); `None` until the first request
     /// for its key finishes a store load or an ATPG run.
     patterns: KeyedMemo<PatternKey, Option<Arc<PatternSet>>>,
-    /// Analytic-kernel results, in their own section (memory-only, never
-    /// store-backed; see [`AnalyticBank`]). Keyed additionally by the
-    /// Gauss–Hermite order of the die-level integral: the screened
-    /// kernel's coarse stage-1 matrices
-    /// ([`SCREEN_QUADRATURE_POINTS`](crate::SCREEN_QUADRATURE_POINTS))
-    /// are not interchangeable with the analytic kernel's default-order
-    /// ones and must never satisfy each other's lookups.
-    analytic: KeyedMemo<(StoreKey, usize), AnalyticBank>,
+    /// The screen's stage-1 matrices, in their own section (memory-only,
+    /// never store-backed; see [`AnalyticBank`]).
+    analytic: KeyedMemo<StoreKey, AnalyticBank>,
     /// Manufactured chip batches, keyed `(model_fp, seed, n)`:
     /// everything the draw reads, so a memoized batch holds exactly what
     /// resampling would produce. `None` until the first request for its
@@ -423,33 +419,6 @@ impl DictionaryCache {
         // One O(edges) model hash per build keys every section and chip
         // batch the build touches.
         let model_fp = fingerprint_model(circuit, timing);
-        if config.kernel == SimKernel::Analytic {
-            // Deterministic matrices from the memory-only analytic
-            // section, repackaged as they are. The behaviour plays no
-            // role: the joint estimate needs per-sample outcomes, which
-            // the analytic kernel does not produce.
-            let (m_crt, ordered, computed) = self.analytic_matrices(
-                model_fp,
-                circuit,
-                timing,
-                defect_size,
-                patterns,
-                suspect_edges,
-                clk,
-                config,
-                None,
-                metrics,
-            );
-            if let Some(m) = metrics {
-                let lookup = if computed {
-                    Counter::DictCacheMisses
-                } else {
-                    Counter::DictCacheHits
-                };
-                m.add(lookup, 1);
-            }
-            return assemble_from_probs(clk, m_crt, ordered);
-        }
         let requested = suspect_edges.len() as u64;
         let survivors: Vec<EdgeId>;
         let suspect_edges = match (config.kernel, behavior) {
@@ -524,17 +493,12 @@ impl DictionaryCache {
         })
     }
 
-    /// Fetches (or incrementally computes) the analytic probability
-    /// matrices for the requested suspects from the memory-only analytic
-    /// section (no `.sdds` store traffic, no MC counters): `M_crt` plus
-    /// one [`AnalyticSuspect`] per edge, in request order, and whether
-    /// anything was computed. Shared by the analytic build path and the
-    /// screened kernel's stage 1, but *not* across quadrature orders: the
-    /// bank is keyed on `(StoreKey, effective order)`, so screened builds
-    /// reuse each other's coarse matrices while a plain analytic run
-    /// keeps its own default-order bank. Books no cache hit or miss: the
-    /// analytic build books its lookup, and a screened build books only
-    /// its Monte-Carlo bank's, so each build books one.
+    /// Fetches (or incrementally computes) the screen's analytic
+    /// probability matrices for the requested suspects from the
+    /// memory-only analytic section (no `.sdds` store traffic, no MC
+    /// counters): `M_crt` plus one [`AnalyticSuspect`] per edge, in
+    /// request order. Books no cache hit or miss: a screened build books
+    /// only its Monte-Carlo bank's lookup, so each build books one.
     #[allow(clippy::too_many_arguments)]
     fn analytic_matrices(
         &self,
@@ -546,23 +510,16 @@ impl DictionaryCache {
         suspect_edges: &[EdgeId],
         clk: f64,
         config: DictionaryConfig,
-        quad_points: Option<usize>,
         metrics: Option<&MetricsSink>,
-    ) -> (
-        sdd_timing::crit::ProbMatrix,
-        Vec<(EdgeId, AnalyticSuspect)>,
-        bool,
-    ) {
+    ) -> (sdd_timing::crit::ProbMatrix, Vec<(EdgeId, AnalyticSuspect)>) {
         let key = StoreKey::for_model(model_fp, defect_size, patterns, clk, config);
-        let order = quad_points.unwrap_or(sdd_timing::analytic::DEFAULT_QUADRATURE_POINTS);
-        self.analytic.with((key, order), |bank| {
+        self.analytic.with(key, |bank| {
             let missing: Vec<EdgeId> = suspect_edges
                 .iter()
                 .copied()
                 .filter(|e| !bank.suspects.contains_key(e))
                 .collect();
-            let computed = bank.base.is_none() || !missing.is_empty();
-            if computed {
+            if bank.base.is_none() || !missing.is_empty() {
                 let cones = defect_cones(circuit, &missing);
                 let (m_crt, suspects) = simulate_fail_probs_analytic(
                     circuit,
@@ -571,7 +528,6 @@ impl DictionaryCache {
                     patterns,
                     &cones,
                     clk,
-                    quad_points,
                     metrics,
                 );
                 bank.base.get_or_insert(m_crt);
@@ -582,12 +538,12 @@ impl DictionaryCache {
                 .iter()
                 .map(|&e| (e, bank.suspects[&e].clone()))
                 .collect();
-            (m_crt, ordered, computed)
+            (m_crt, ordered)
         })
     }
 
     /// The suspect filter of [`SimKernel::Screened`]: scores **all**
-    /// requested suspects with the analytic kernel at the coarse
+    /// requested suspects by analytic moment propagation at the coarse
     /// screening quadrature
     /// ([`SCREEN_QUADRATURE_POINTS`](crate::SCREEN_QUADRATURE_POINTS))
     /// on the failing-richest behaviour columns (the
@@ -618,7 +574,7 @@ impl DictionaryCache {
             .iter()
             .map(|&j| patterns.patterns()[j].clone())
             .collect();
-        let (m_a, analytic, _) = self.analytic_matrices(
+        let (m_a, analytic) = self.analytic_matrices(
             model_fp,
             circuit,
             timing,
@@ -627,7 +583,6 @@ impl DictionaryCache {
             suspect_edges,
             clk,
             config,
-            Some(crate::dictionary::SCREEN_QUADRATURE_POINTS),
             metrics,
         );
         let pairs: Vec<(EdgeId, &AnalyticSuspect)> =
@@ -706,7 +661,7 @@ mod tests {
         let suspects: Vec<EdgeId> = c.edge_ids().collect();
         let size = Dist::defect_size(0.4);
         let clk = behavior.clk();
-        for kernel in [SimKernel::Batched, SimKernel::Analytic, SimKernel::Screened] {
+        for kernel in [SimKernel::Batched, SimKernel::Screened] {
             let config = config().with_kernel(kernel);
             let fresh = ProbabilisticDictionary::build_with_behavior(
                 &c,
@@ -745,8 +700,7 @@ mod tests {
             assert_eq!(cold.dict_cache_hits, 0, "{kernel:?}");
             assert_eq!(warm.dict_cache_misses, cold.dict_cache_misses, "{kernel:?}");
             assert_eq!(warm.dict_cache_hits, cold.dict_cache_misses, "{kernel:?}");
-            let mc_banks = kernel != SimKernel::Analytic;
-            assert_eq!(cache.num_keys(), usize::from(mc_banks), "{kernel:?}");
+            assert_eq!(cache.num_keys(), 1, "{kernel:?}");
         }
     }
 
@@ -884,7 +838,8 @@ mod tests {
         // A miss books patterns × n_samples simulated samples whichever
         // kernel asked: a screened build and a batched build of its
         // survivors do the same Monte-Carlo work, and each books one
-        // miss (the screen's analytic lookup books none).
+        // miss (the screen's analytic lookup books none). Only the
+        // screen's stage 1 books the analytic counters.
         let (c, t) = two_chains();
         let ps = two_patterns();
         let (behavior, clk) = failing_behavior(&c, &t, &ps);
@@ -918,6 +873,8 @@ mod tests {
         };
         assert_eq!(booked(&s), (120, 1, 240));
         assert_eq!(booked(&s), booked(&b));
+        assert!(s.analytic_evals > 0 && s.analytic_nanos > 0, "{s:?}");
+        assert_eq!((b.analytic_evals, b.analytic_nanos), (0, 0), "{b:?}");
     }
 
     #[test]

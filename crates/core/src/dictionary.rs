@@ -59,18 +59,10 @@ use std::collections::HashMap;
 /// survivors. The kernel is pinned to a test-only per-sample walk of
 /// the same population (`kernel_oracle_*`).
 ///
-/// The `Analytic` kernel draws **no** instances at all: it propagates
-/// `(mean, variance)` moments through each defect cone
-/// ([`sdd_timing::analytic`]) and fills the probability matrices from
-/// normal-CDF tails. Its grids are *not* bit-identical to MC — they
-/// agree within a bounded divergence (the `analytic_kernel` differential
-/// suite, DESIGN.md §4.7) — so analytic results never touch the on-disk
-/// `.sdds` store and are cached in a separate in-memory section.
-///
 /// The kernel choice deliberately does **not** enter
 /// [`StoreKey`](crate::store::StoreKey): batched and screened builds
-/// share Monte-Carlo grids, and keeping the key kernel-blind is exactly
-/// why the analytic kernel must bypass the store.
+/// share Monte-Carlo grids, so either may read the other's cached bank
+/// or `.sdds` checkpoint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SimKernel {
     /// Shared-population Monte-Carlo over every suspect: one pruned pass
@@ -79,10 +71,6 @@ pub enum SimKernel {
     /// from one [`sdd_timing::InstanceBatch`] for all patterns.
     #[default]
     Batched,
-    /// Sampling-free moment propagation: Gauss–Hermite quadrature over
-    /// the die-level factor, Clark max per merge, normal-CDF tails
-    /// ([`sdd_timing::analytic::pattern_fail_probs`]).
-    Analytic,
     /// The batched kernel behind a suspect filter: an analytic screen
     /// scores every suspect against the observed behaviour and keeps
     /// the top-K survivors (see [`ScreenConfig`]); only they get
@@ -94,11 +82,9 @@ pub enum SimKernel {
 /// Gauss–Hermite order of the die-level integral used by the screened
 /// kernel's stage 1. The screen *ranks* suspects rather than estimating
 /// probabilities, and the rank ordering is already stable at a coarse
-/// rule — so stage 1 runs at 5 points instead of the analytic kernel's
-/// default 16, cutting the fixed screening overhead to roughly a third.
-/// Coarse and default-order results are not interchangeable; the cache
-/// layer keys its analytic banks by the effective order so a screened
-/// build never pollutes (or reads) a plain analytic run's bank.
+/// rule — so stage 1 runs at 5 points rather than the 16 a probability
+/// estimate would take, cutting the fixed screening overhead to roughly
+/// a third.
 pub const SCREEN_QUADRATURE_POINTS: usize = 5;
 
 /// Pruning budget of the suspect filter of [`SimKernel::Screened`].
@@ -126,10 +112,11 @@ pub struct ScreenConfig {
     /// Safety margin on the K-th best score as a fraction of the
     /// observed score spread (worst − best): suspects within
     /// `margin × spread` of the K-th survivor survive too. The default
-    /// 0.15 is the asserted per-cell divergence bound of the analytic
-    /// kernel at paper-scale MC budgets (the `analytic_kernel`
-    /// differential suite); normalizing by the spread keeps that bound
-    /// meaningful when the workload saturates and all scores compress.
+    /// 0.15 is the asserted per-cell analytic-vs-MC divergence bound at
+    /// paper-scale MC budgets (`screened_kernel.rs`,
+    /// `analytic_dictionary_tracks_scalar_mc_within_epsilon`);
+    /// normalizing by the spread keeps that bound meaningful when the
+    /// workload saturates and all scores compress.
     pub margin: f64,
     /// Screening pattern budget: when `Some(s)` with `s` below the
     /// pattern count, stage 1 scores suspects on only the `s` behaviour
@@ -192,18 +179,16 @@ impl ScreenConfig {
 /// let cfg = DictionaryConfig::new()
 ///     .with_samples(60)
 ///     .with_seed(7)
-///     .with_kernel(SimKernel::Analytic);
+///     .with_kernel(SimKernel::Screened);
 /// assert_eq!(cfg.n_samples, 60);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct DictionaryConfig {
     /// Chip samples: the size of the one chip population that answers
-    /// every pattern (ignored by [`SimKernel::Analytic`], which draws no
-    /// samples).
+    /// every pattern.
     pub n_samples: usize,
-    /// Base seed; the full build is deterministic given the seed (the
-    /// analytic kernel is deterministic regardless).
+    /// Base seed; the full build is deterministic given the seed.
     pub seed: u64,
     /// The fail-probability kernel (see [`SimKernel`]).
     #[serde(default)]
@@ -358,11 +343,6 @@ impl ProbabilisticDictionary {
     /// per suspect and pattern, the *joint* consistency probability
     /// against an observed behaviour matrix (see
     /// [`SuspectSignature::joint_phi`]).
-    ///
-    /// The joint estimate is a per-sample frequency, so it only exists
-    /// for the Monte-Carlo kernels; under [`SimKernel::Analytic`] every
-    /// `joint_phi` stays `None` and the diagnoser falls back to the
-    /// independent-output product.
     ///
     /// Under [`SimKernel::Screened`] the behaviour is also what the
     /// suspect filter scores against: the analytic screen ranks all
@@ -661,9 +641,9 @@ pub(crate) fn screen_survivors(
         .collect()
 }
 
-/// The per-suspect output of the analytic kernel: the suspect's `E_crt`
-/// restricted to its reachable outputs, as probabilities (no per-sample
-/// grids exist).
+/// The per-suspect output of the screen's analytic stage: the suspect's
+/// `E_crt` restricted to its reachable outputs, as probabilities (no
+/// per-sample grids exist).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AnalyticSuspect {
     /// Positions (into the circuit's primary outputs) of the outputs the
@@ -674,24 +654,17 @@ pub(crate) struct AnalyticSuspect {
     pub(crate) err: ProbMatrix,
 }
 
-/// The analytic counterpart of [`simulate_fail_masks`]: fills
-/// `M_crt` and the per-suspect `E_crt` probability matrices directly by
-/// moment propagation ([`sdd_timing::analytic::pattern_fail_probs`]) — zero
-/// instance draws, parallelized over patterns. Deterministic: the result
-/// depends only on (circuit, timing, defect-size moments, patterns,
-/// `clk`), never on `n_samples` or `seed`.
-///
-/// `quad_points` overrides the Gauss–Hermite order of the die-level
-/// integral (`None` = the default 16-point rule): the screened kernel's
-/// stage 1 passes [`SCREEN_QUADRATURE_POINTS`] because it ranks rather
-/// than estimates. Results at different orders are *not* comparable, so
-/// the cache layer keys its analytic banks by the effective order.
+/// Stage 1 of the screened kernel: fills `M_crt` and the per-suspect
+/// `E_crt` probability matrices directly by moment propagation
+/// ([`sdd_timing::analytic::pattern_fail_probs`]) at the
+/// [`SCREEN_QUADRATURE_POINTS`] rule — zero instance draws,
+/// parallelized over patterns. Deterministic: the result depends only
+/// on (circuit, timing, defect-size moments, patterns, `clk`), never on
+/// `n_samples` or `seed`.
 ///
 /// `metrics`, when given, accumulates the wall clock of the analytic
-/// parallel region and the number of cone propagations — the
-/// analytic counters, *not* the MC `cone_evals`/`kernel_nanos`, which
-/// must stay at zero under this kernel.
-#[allow(clippy::too_many_arguments)]
+/// parallel region and the number of cone propagations — the screen's
+/// `analytic_*` counters, *not* the MC `cone_evals`/`kernel_nanos`.
 pub(crate) fn simulate_fail_probs_analytic(
     circuit: &Circuit,
     timing: &CircuitTiming,
@@ -699,7 +672,6 @@ pub(crate) fn simulate_fail_probs_analytic(
     patterns: &PatternSet,
     cones: &[DefectCone],
     clk: f64,
-    quad_points: Option<usize>,
     metrics: Option<&crate::metrics::MetricsSink>,
 ) -> (ProbMatrix, Vec<AnalyticSuspect>) {
     use sdd_timing::analytic::{pattern_fail_probs, GaussHermite};
@@ -707,10 +679,7 @@ pub(crate) fn simulate_fail_probs_analytic(
 
     let n_out = circuit.primary_outputs().len();
     let n_patterns = patterns.len();
-    let quad = match quad_points {
-        Some(n) => GaussHermite::for_variation_with(&timing.variation(), n),
-        None => GaussHermite::for_variation(&timing.variation()),
-    };
+    let quad = GaussHermite::for_variation_with(&timing.variation(), SCREEN_QUADRATURE_POINTS);
     // Censoring-aware defect moments: what the MC kernel's sample_delta
     // actually draws, not the nominal parameters.
     let (delta_mean, delta_var) = defect_size.moments();
@@ -754,31 +723,6 @@ pub(crate) fn simulate_fail_probs_analytic(
         }
     }
     (m_crt, suspects)
-}
-
-/// Phase 2 of the analytic build: wrap the probability matrices into a
-/// [`ProbabilisticDictionary`]. Pure repackaging — a dictionary
-/// assembled from cached analytic matrices is bit-identical to a fresh
-/// build. `joint_phi` is always `None` (no per-sample outcomes exist to
-/// count).
-pub(crate) fn assemble_from_probs(
-    clk: f64,
-    m_crt: ProbMatrix,
-    suspects: Vec<(EdgeId, AnalyticSuspect)>,
-) -> ProbabilisticDictionary {
-    ProbabilisticDictionary {
-        clk,
-        m_crt,
-        suspects: suspects
-            .into_iter()
-            .map(|(edge, s)| SuspectSignature {
-                edge,
-                reachable: s.reachable,
-                err: s.err,
-                joint: None,
-            })
-            .collect(),
-    }
 }
 
 /// Books a Monte-Carlo kernel's parallel region, started at `start`,
@@ -1573,10 +1517,10 @@ mod tests {
         assert_eq!(cfg.kernel, SimKernel::Batched);
         assert_eq!(cfg.screen, ScreenConfig::default());
         // And the full roundtrip preserves a non-default kernel.
-        let analytic = DictionaryConfig::default().with_kernel(SimKernel::Analytic);
+        let screened = DictionaryConfig::default().with_kernel(SimKernel::Screened);
         let back: DictionaryConfig =
-            serde_json::from_str(&serde_json::to_string(&analytic).unwrap()).unwrap();
-        assert_eq!(back, analytic);
+            serde_json::from_str(&serde_json::to_string(&screened).unwrap()).unwrap();
+        assert_eq!(back, screened);
     }
 
     #[test]
@@ -1613,16 +1557,8 @@ mod tests {
         let behavior = crate::BehaviorMatrix::observe(&c, &ps, &defect.apply(&chip), 0.3);
         let edges: Vec<EdgeId> = c.edge_ids().collect();
         let cones: Vec<DefectCone> = edges.iter().map(|&e| DefectCone::new(&c, e)).collect();
-        let (m_a, analytic) = simulate_fail_probs_analytic(
-            &c,
-            &t,
-            &Dist::Deterministic(0.8),
-            &ps,
-            &cones,
-            0.3,
-            Some(SCREEN_QUADRATURE_POINTS),
-            None,
-        );
+        let (m_a, analytic) =
+            simulate_fail_probs_analytic(&c, &t, &Dist::Deterministic(0.8), &ps, &cones, 0.3, None);
         let pairs: Vec<(EdgeId, &AnalyticSuspect)> =
             edges.iter().copied().zip(analytic.iter()).collect();
         // top_k=1 with zero margin keeps exactly the best scorer(s) at

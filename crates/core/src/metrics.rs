@@ -615,14 +615,15 @@ counter_table! {
         /// from the defect-free baseline. Never exceeds `cone_evals`.
         #[serde(default)]
         ConeWalks cone_walks [trace_last],
-        /// Aggregate nanoseconds inside the analytic dictionary kernel's
-        /// parallel regions (wall clock on the calling thread); a subset of
-        /// `dictionary_nanos`, disjoint from `kernel_nanos`.
+        /// Aggregate nanoseconds inside the screen's stage-1 moment
+        /// propagation (wall clock on the calling thread); a subset of
+        /// `screen_nanos` and so of `dictionary_nanos`, disjoint from
+        /// `kernel_nanos`.
         #[serde(default)]
         AnalyticNanos analytic_nanos [],
-        /// Analytic cone propagations, one per (pattern, suspect, quadrature
-        /// point) triple, across all analytic dictionary builds. Zero unless
-        /// `SimKernel::Analytic` ran.
+        /// Cone propagations of the screen's stage 1, one per (pattern,
+        /// suspect, quadrature point) triple computed, across all screened
+        /// dictionary builds.
         #[serde(default)]
         AnalyticEvals analytic_evals [],
         /// Aggregate nanoseconds in the analytic screening stage of the
@@ -1376,7 +1377,7 @@ mod tests {
         let snap = sink.snapshot(Duration::ZERO);
         assert_eq!(snap.analytic_nanos, 4_000_000);
         assert_eq!(snap.analytic_evals, 96);
-        // The MC counters stay untouched: the analytic kernel must not
+        // The MC counters stay untouched: the screen's stage 1 must not
         // masquerade as Monte-Carlo work.
         assert_eq!(snap.kernel_nanos, 0);
         assert_eq!(snap.cone_evals, 0);
@@ -1441,11 +1442,11 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("cone_walks 641 exceeds cone_evals 640"));
-        // A kernel that books no MC lanes (the analytic one) walks none.
-        let mut analytic = good.clone();
-        analytic.counters.cone_walks = 1;
-        analytic.traces[0].cone_walks = 1;
-        assert!(analytic.validate().unwrap_err().contains("cone_walks"));
+        // A report that books no MC lanes walks none.
+        let mut no_lanes = good.clone();
+        no_lanes.counters.cone_walks = 1;
+        no_lanes.traces[0].cone_walks = 1;
+        assert!(no_lanes.validate().unwrap_err().contains("cone_walks"));
         let mut untraced = evals;
         untraced.traces[0].cone_walks -= 1;
         assert!(untraced

@@ -37,9 +37,9 @@
 //! [`MetricsSink`] whose committed traces are tagged with the tenant.
 //! Everything a session computes through the shared layer is
 //! bit-identical to a solo run — caches only memoize pure functions of
-//! the request, and the analytic kernel's grids live in their own cache
-//! section — so multi-tenant sharing never changes an answer, only its
-//! latency.
+//! the request, and the screen's analytic matrices live in their own
+//! cache section — so multi-tenant sharing never changes an answer, only
+//! its latency.
 
 use crate::cache::{DictionaryCache, KeyedMemo};
 use crate::defect::SingleDefectModel;
@@ -623,10 +623,10 @@ mod tests {
         let mut cfg = CampaignConfig::quick(5);
         let via_override = layer
             .session("o")
-            .with_kernel(SimKernel::Analytic)
+            .with_kernel(SimKernel::Screened)
             .run_campaign(&profiles::S27, &cfg)
             .unwrap();
-        cfg.dictionary.kernel = SimKernel::Analytic;
+        cfg.dictionary.kernel = SimKernel::Screened;
         let via_config = layer
             .session("c")
             .run_campaign(&profiles::S27, &cfg)

@@ -21,7 +21,7 @@ use sdd_timing::{sta, CellLibrary, CircuitTiming, Dist, VariationModel};
 fn racing_sessions_with_different_kernels_match_their_solo_runs() {
     let config = CampaignConfig::quick(3);
     let shared = ArtifactLayer::new();
-    let kernels = [SimKernel::Batched, SimKernel::Analytic];
+    let kernels = [SimKernel::Batched, SimKernel::Screened];
 
     // Solo baselines: each kernel alone on a private layer.
     let solo: Vec<_> = kernels
@@ -154,7 +154,7 @@ fn idle_pool_diagnosis_report_validates() {
     );
     let defect = Dist::defect_size(library.nominal_cell_delay());
 
-    for kernel in [SimKernel::Batched, SimKernel::Analytic, SimKernel::Screened] {
+    for kernel in [SimKernel::Batched, SimKernel::Screened] {
         // A fresh layer per kernel, so every request simulates.
         let layer = ArtifactLayer::builder()
             .num_threads(2)

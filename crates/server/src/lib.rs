@@ -81,7 +81,7 @@ pub struct Request {
     #[serde(default)]
     pub config: Option<CampaignConfig>,
     /// Kernel the tenant's session is pinned to: `""` (request/config
-    /// choice), `batched`, `analytic` or `screened`.
+    /// choice), `batched` or `screened`.
     #[serde(default)]
     pub kernel: String,
     /// Survivor budget of the analytic screen (screened kernel only);
@@ -335,10 +335,9 @@ fn parse_kernel(name: &str) -> Result<Option<SimKernel>, String> {
     match name.to_ascii_lowercase().as_str() {
         "" => Ok(None),
         "batched" => Ok(Some(SimKernel::Batched)),
-        "analytic" => Ok(Some(SimKernel::Analytic)),
         "screened" => Ok(Some(SimKernel::Screened)),
         other => Err(format!(
-            "unknown kernel {other:?} (expected batched, analytic or screened)"
+            "unknown kernel {other:?} (expected batched or screened)"
         )),
     }
 }

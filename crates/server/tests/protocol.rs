@@ -165,26 +165,40 @@ fn behavior_submit_under_circuit_quantile_matches_in_process_diagnose_behavior()
 
 #[test]
 fn retired_scalar_kernel_name_yields_error_and_connection_survives() {
-    // The scalar reference kernel is test code, not a wire name: a
-    // submit naming it gets one structured error listing the kernels a
-    // tenant can pin, and the connection keeps serving — including a
-    // valid submit under the same tenant, which was never pinned.
+    // The scalar reference kernel is test code and the analytic kernel
+    // is retired, so neither is a wire name: a submit naming one gets
+    // one structured error listing the kernels a tenant can pin, and the
+    // connection keeps serving — including a valid submit under the
+    // same tenant, which was never pinned.
     let mut client = connect(start_server());
     let mut request = Request::new("submit");
     request.tenant = "retired-t".into();
     request.circuit = "s27".into();
     request.chips = vec![0];
     request.config = Some(CampaignConfig::quick(2));
-    for name in ["scalar", "Scalar"] {
+    for name in ["scalar", "Scalar", "analytic", "Analytic"] {
         request.kernel = name.into();
         client.send(&request).expect("send");
         let response = client.recv().expect("recv").expect("response");
         assert_eq!(response.op, "error", "{response:?}");
         assert_eq!(response.tenant, "retired-t", "{response:?}");
-        for kernel in ["batched", "analytic", "screened"] {
-            assert!(response.error.contains(kernel), "{response:?}");
-        }
+        assert!(
+            response.error.ends_with("(expected batched or screened)"),
+            "{response:?}"
+        );
     }
+    assert_alive(&mut client);
+    // A config naming the retired kernel fails to parse: one error, no
+    // stream, and the connection survives.
+    request.kernel = String::new();
+    let line = serde_json::to_string(&request).expect("request serializes");
+    assert_eq!(line.matches(r#""kernel":"Batched""#).count(), 1, "{line}");
+    client
+        .send_raw(&line.replace(r#""kernel":"Batched""#, r#""kernel":"Analytic""#))
+        .expect("send");
+    let response = client.recv().expect("recv").expect("response");
+    assert_eq!(response.op, "error", "{response:?}");
+    assert!(response.error.contains("Analytic"), "{response:?}");
     assert_alive(&mut client);
     request.kernel = "batched".into();
     let responses = client.submit(&request).expect("batched submit");

@@ -1,9 +1,11 @@
-//! Analytic moment-propagation kernel for the probabilistic dictionary.
+//! Analytic moment propagation: the scoring model of the screened
+//! dictionary kernel's suspect filter.
 //!
-//! The Monte-Carlo dictionary kernels estimate `Err_M(v, t, clk)` by
+//! The Monte-Carlo dictionary kernel estimates `Err_M(v, t, clk)` by
 //! drawing `n_samples` chip instances and counting threshold crossings.
 //! This module computes the same per-(pattern, suspect, output) tail
-//! probabilities *analytically*, with zero instance draws:
+//! probabilities *analytically*, with zero instance draws, so the screen
+//! can rank every suspect before Monte-Carlo refines the survivors:
 //!
 //! 1. **Condition on the die-level factor `g`.** The timing model makes
 //!    every arc delay `mean_e × (1 + global_frac·g + local_frac·l_e)`
@@ -21,26 +23,21 @@
 //!    tail ([`GaussianArrival::critical_probability`]); averaging over
 //!    the quadrature weights integrates `g` out.
 //!
-//! The remaining approximation error (the bounded-divergence contract of
-//! DESIGN.md §4.7) has three sources: Clark's Gaussian moment matching
-//! at multi-fanin merges, ignored reconvergent-path correlation of the
-//! *local* components, and the ignored sampling floor
+//! The remaining approximation error (the bounded-divergence contract
+//! the screen's margin rests on, DESIGN.md §4.7 and §4.11) has three
+//! sources: Clark's Gaussian moment matching at multi-fanin merges,
+//! ignored reconvergent-path correlation of the *local* components, and
+//! the ignored sampling floor
 //! `max(delay, 0.05·mean)` (a < 10⁻⁶ tail event at the default ±6 %
 //! local spread). Defect deltas enter through their censored moments
-//! ([`crate::Dist::moments`]), matching what the MC kernels actually
-//! draw.
+//! ([`crate::Dist::moments`]), matching what the MC kernel actually
+//! draws.
 
 use crate::block_sta::GaussianArrival;
 use crate::dynamic::DefectCone;
 use crate::{CircuitTiming, VariationModel};
 use sdd_netlist::logic::Transition;
 use sdd_netlist::{Circuit, EdgeId, GateKind, EXTERNAL};
-
-/// Default number of Gauss–Hermite quadrature points used to integrate
-/// over the die-level factor. 16 points integrate polynomials up to
-/// degree 31 exactly; the integrand (a smooth CDF tail) is far below
-/// the MC noise floor at paper-scale `n_samples` already at this order.
-pub const DEFAULT_QUADRATURE_POINTS: usize = 16;
 
 /// A Gauss–Hermite quadrature rule re-expressed for standard-normal
 /// expectations: `E[f(G)] ≈ Σ w_i · f(g_i)` for `G ~ N(0, 1)`, with the
@@ -121,19 +118,12 @@ impl GaussHermite {
         }
     }
 
-    /// The rule matched to a variation model: one point when there is no
-    /// die-level component (the conditioning variable vanishes),
-    /// [`DEFAULT_QUADRATURE_POINTS`] otherwise.
-    pub fn for_variation(variation: &VariationModel) -> GaussHermite {
-        GaussHermite::for_variation_with(variation, DEFAULT_QUADRATURE_POINTS)
-    }
-
-    /// Like [`for_variation`](GaussHermite::for_variation) but with an
-    /// explicit point count for the die-level integral. Used by callers
-    /// that rank rather than estimate (the screened kernel's stage 1),
-    /// where a coarse rule resolves the ordering at a fraction of the
-    /// default rule's cost. Still collapses to the exact one-point rule
-    /// when the integrand does not depend on `g`.
+    /// The rule matched to a variation model: `points` points for the
+    /// die-level integral, collapsing to the exact one-point rule when
+    /// there is no die-level component (the integrand does not depend
+    /// on `g`). Callers that rank rather than estimate (the screened
+    /// kernel's stage 1) resolve the ordering with a coarse rule at a
+    /// fraction of a fine rule's cost.
     pub fn for_variation_with(variation: &VariationModel, points: usize) -> GaussHermite {
         if variation.global_frac == 0.0 {
             GaussHermite::single()
@@ -464,6 +454,10 @@ mod tests {
     use sdd_netlist::logic::simulate_pair;
     use sdd_netlist::{CircuitBuilder, NodeId};
 
+    /// A fine rule: 16 points integrate polynomials up to degree 31
+    /// exactly, far below the MC noise floor of the reference here.
+    const POINTS: usize = 16;
+
     #[test]
     fn quadrature_matches_standard_normal_moments() {
         for n in [1, 2, 9, 16, 31] {
@@ -484,10 +478,10 @@ mod tests {
 
     #[test]
     fn quadrature_collapses_without_global_variation() {
-        let q = GaussHermite::for_variation(&VariationModel::new(0.0, 0.08));
+        let q = GaussHermite::for_variation_with(&VariationModel::new(0.0, 0.08), POINTS);
         assert_eq!(q.nodes(), &[(0.0, 1.0)]);
-        let full = GaussHermite::for_variation(&VariationModel::default());
-        assert_eq!(full.len(), DEFAULT_QUADRATURE_POINTS);
+        let full = GaussHermite::for_variation_with(&VariationModel::default(), POINTS);
+        assert_eq!(full.len(), POINTS);
     }
 
     /// Chain a → g1 → g2 → out: no merges, so the analytic arrival is the
@@ -509,7 +503,7 @@ mod tests {
             &[],
             GaussianArrival::ZERO,
             3.0,
-            &GaussHermite::for_variation(&t.variation()),
+            &GaussHermite::for_variation_with(&t.variation(), POINTS),
         );
         // Arrival ~ N(3, 0.01 + 0.04); P(A > 3) = 0.5.
         assert!((probs.baseline[0] - 0.5).abs() < 1e-9);
@@ -662,9 +656,9 @@ mod tests {
                 variance: dv,
             },
             clk,
-            &GaussHermite::for_variation(&t.variation()),
+            &GaussHermite::for_variation_with(&t.variation(), POINTS),
         );
-        assert_eq!(analytic.cone_walks, cones.len() as u64 * 16);
+        assert_eq!(analytic.cone_walks, cones.len() as u64 * POINTS as u64);
 
         // Brute-force MC with the same model.
         let n = 20_000;

@@ -90,7 +90,7 @@ pub fn standard_normal_pdf(x: f64) -> f64 {
 
 /// The standard-normal CDF `Φ(x)`, via an Abramowitz–Stegun style erf
 /// approximation (accurate to ~1e-7, ample for screening and for the
-/// analytic dictionary kernel's tail probabilities).
+/// screened dictionary kernel's analytic tail probabilities).
 pub fn standard_normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }

@@ -106,7 +106,7 @@ impl Dist {
     /// form. For `Normal` (zero-clamped at sample time) and
     /// `TruncatedNormal` this differs from the mean of what [`sample`]
     /// actually draws; use [`moments`] when the censoring matters (the
-    /// analytic dictionary kernel does).
+    /// screened kernel's analytic stage does).
     ///
     /// [`sample`]: Dist::sample
     /// [`moments`]: Dist::moments
@@ -139,8 +139,8 @@ impl Dist {
     /// mass piles up on the bounds rather than being redrawn), so their
     /// true moments differ from the nominal [`Dist::mean`]/[`Dist::std`].
     /// Exact for the remaining variants. This is the moment source for
-    /// the analytic dictionary kernel, where the error would otherwise be
-    /// load-bearing.
+    /// the screened kernel's analytic stage, where the error would
+    /// otherwise be load-bearing.
     pub fn moments(&self) -> (f64, f64) {
         match *self {
             Dist::Deterministic(v) => (v, 0.0),

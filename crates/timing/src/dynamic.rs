@@ -379,7 +379,7 @@ impl DefectCone {
     }
 
     /// The underlying cone view (topologically ordered induced cone with
-    /// cone-local arc renumbering); exposed for the analytic kernel,
+    /// cone-local arc renumbering); exposed for [`crate::analytic`],
     /// which replays the same induced-cone walk on moments instead of
     /// samples.
     pub fn view(&self) -> &ConeView {

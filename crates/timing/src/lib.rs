@@ -27,7 +27,8 @@
 //!   path selection through a defect site (Section H-4).
 //! * [`analytic`] — sampling-free moment propagation over the sensitized
 //!   subcircuit (Gauss–Hermite over the die-level factor, Clark max per
-//!   merge), powering the analytic dictionary kernel.
+//!   merge), the scoring model of the screened dictionary kernel's
+//!   suspect filter.
 //!
 //! ## Example
 //!
