@@ -60,7 +60,10 @@ fn main() {
     let session = layer.session("fig3");
     let mut shown = 0;
     for index in 0..20 {
-        let Some(outcome) = session.diagnose_instance(&design, None, &config, index) else {
+        let Some(outcome) = session
+            .diagnose_instance(&design, &config, index)
+            .expect("paper config diagnoses")
+        else {
             continue;
         };
         if outcome.rankings.is_empty() {

@@ -51,13 +51,11 @@
 
 use sdd_bench::{flag_value, write_metrics_export};
 use sdd_core::evaluate::AccuracyReport;
-use sdd_core::inject::{diagnose_one_instance, CampaignConfig, ClockPolicy, InstanceOutcome};
-use sdd_core::session::{ArtifactLayer, DiagnosisSession};
+use sdd_core::inject::CampaignConfig;
+use sdd_core::session::{ArtifactLayer, Design, DiagnosisSession};
 use sdd_core::{ErrorFunction, MetricsReport, SimKernel};
 use sdd_netlist::generator::generate;
 use sdd_netlist::profiles;
-use sdd_timing::sta;
-use sdd_timing::{CellLibrary, CircuitTiming};
 use std::time::Instant;
 
 fn main() {
@@ -318,34 +316,21 @@ fn main() {
 }
 
 /// The seed engine: the exact per-chip pipeline of the campaign,
-/// executed serially with no dictionary sharing.
+/// executed serially with no dictionary sharing (a new layer, and with
+/// it a fresh cache, per chip).
 fn run_serial_fresh(circuit: &sdd_netlist::Circuit, config: &CampaignConfig) -> AccuracyReport {
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(circuit, &library, config.variation);
-    let circuit_clk = match config.clock {
-        ClockPolicy::CircuitQuantile(q) => Some(
-            sta::static_mc(circuit, &timing, config.sta_samples, config.seed)
-                .expect("circuit has outputs")
-                .clock_at_quantile(q),
-        ),
-        ClockPolicy::TestedQuantile(_) | ClockPolicy::Sweep => None,
-    };
-    let defect_model = sdd_core::SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let design = Design::new(circuit.clone(), config.variation);
     let mut report = AccuracyReport::new(
         circuit.name(),
         config.k_values.clone(),
         ErrorFunction::EXTENDED.to_vec(),
     );
     for i in 0..config.n_instances {
-        let outcome: Option<InstanceOutcome> =
-            diagnose_one_instance(circuit, &timing, &defect_model, circuit_clk, config, i);
-        match outcome {
-            Some(o) if !o.rankings.is_empty() => {
-                report.record(o.injected, &o.rankings, o.n_suspects, o.n_patterns);
-            }
-            Some(o) => report.record_failure(o.n_patterns),
-            None => report.record_failure(0),
-        }
+        let outcome = ArtifactLayer::new()
+            .session("")
+            .diagnose_instance(&design, config, i)
+            .expect("serial chip diagnoses");
+        report.record_outcome(outcome.as_ref());
     }
     report
 }

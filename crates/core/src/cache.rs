@@ -218,10 +218,10 @@ impl Bank {
 /// kernel-blind — analytic matrices are not bit-identical to MC grids
 /// and must never satisfy (or pollute) an MC lookup, nor be
 /// checkpointed to the on-disk `.sdds` store.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct AnalyticBank {
-    /// `M_crt`; `None` until the first build against this key.
-    base: Option<sdd_timing::crit::ProbMatrix>,
+    /// `M_crt`.
+    base: sdd_timing::crit::ProbMatrix,
     suspects: HashMap<EdgeId, AnalyticSuspect>,
 }
 
@@ -236,8 +236,9 @@ pub struct DictionaryCache {
     /// for its key finishes a store load or an ATPG run.
     patterns: KeyedMemo<PatternKey, Option<Arc<PatternSet>>>,
     /// The screen's stage-1 matrices, in their own section (memory-only,
-    /// never store-backed; see [`AnalyticBank`]).
-    analytic: KeyedMemo<StoreKey, AnalyticBank>,
+    /// never store-backed; see [`AnalyticBank`]); `None` until the first
+    /// screen against its key.
+    analytic: KeyedMemo<StoreKey, Option<AnalyticBank>>,
     /// Manufactured chip batches, keyed `(model_fp, seed, n)`:
     /// everything the draw reads, so a memoized batch holds exactly what
     /// resampling would produce. `None` until the first request for its
@@ -493,66 +494,21 @@ impl DictionaryCache {
         })
     }
 
-    /// Fetches (or incrementally computes) the screen's analytic
-    /// probability matrices for the requested suspects from the
-    /// memory-only analytic section (no `.sdds` store traffic, no MC
-    /// counters): `M_crt` plus one [`AnalyticSuspect`] per edge, in
-    /// request order. Books no cache hit or miss: a screened build books
-    /// only its Monte-Carlo bank's lookup, so each build books one.
-    #[allow(clippy::too_many_arguments)]
-    fn analytic_matrices(
-        &self,
-        model_fp: u64,
-        circuit: &Circuit,
-        timing: &CircuitTiming,
-        defect_size: &Dist,
-        patterns: &PatternSet,
-        suspect_edges: &[EdgeId],
-        clk: f64,
-        config: DictionaryConfig,
-        metrics: Option<&MetricsSink>,
-    ) -> (sdd_timing::crit::ProbMatrix, Vec<(EdgeId, AnalyticSuspect)>) {
-        let key = StoreKey::for_model(model_fp, defect_size, patterns, clk, config);
-        self.analytic.with(key, |bank| {
-            let missing: Vec<EdgeId> = suspect_edges
-                .iter()
-                .copied()
-                .filter(|e| !bank.suspects.contains_key(e))
-                .collect();
-            if bank.base.is_none() || !missing.is_empty() {
-                let cones = defect_cones(circuit, &missing);
-                let (m_crt, suspects) = simulate_fail_probs_analytic(
-                    circuit,
-                    timing,
-                    defect_size,
-                    patterns,
-                    &cones,
-                    clk,
-                    metrics,
-                );
-                bank.base.get_or_insert(m_crt);
-                bank.suspects.extend(missing.into_iter().zip(suspects));
-            }
-            let m_crt = bank.base.clone().expect("analytic baseline populated");
-            let ordered: Vec<(EdgeId, AnalyticSuspect)> = suspect_edges
-                .iter()
-                .map(|&e| (e, bank.suspects[&e].clone()))
-                .collect();
-            (m_crt, ordered)
-        })
-    }
-
     /// The suspect filter of [`SimKernel::Screened`]: scores **all**
     /// requested suspects by analytic moment propagation at the coarse
     /// screening quadrature
     /// ([`SCREEN_QUADRATURE_POINTS`](crate::SCREEN_QUADRATURE_POINTS))
     /// on the failing-richest behaviour columns (the
     /// [`ScreenConfig::screen_patterns`](crate::ScreenConfig) budget),
-    /// through the shared in-memory analytic section — so the
-    /// chip-independent matrices are computed once per key and reused
-    /// across chips, redraws and tenants — and returns the top-K
-    /// survivors plus margin, in request order. Books the screen's wall
-    /// clock.
+    /// and returns the top-K survivors plus margin, in request order.
+    ///
+    /// The chip-independent matrices (`M_crt` plus one
+    /// [`AnalyticSuspect`] per edge) live in the memory-only analytic
+    /// section: computed once per key, extended by the suspects it
+    /// lacks, and scored in place, so they are reused across chips,
+    /// redraws and tenants without a copy. Books the screen's wall
+    /// clock, but no cache hit or miss: a screened build books only its
+    /// Monte-Carlo bank's lookup, so each build books one.
     #[allow(clippy::too_many_arguments)]
     fn screen(
         &self,
@@ -574,20 +530,40 @@ impl DictionaryCache {
             .iter()
             .map(|&j| patterns.patterns()[j].clone())
             .collect();
-        let (m_a, analytic) = self.analytic_matrices(
-            model_fp,
-            circuit,
-            timing,
-            defect_size,
-            &screen_patterns,
-            suspect_edges,
-            clk,
-            config,
-            metrics,
-        );
-        let pairs: Vec<(EdgeId, &AnalyticSuspect)> =
-            analytic.iter().map(|(e, s)| (*e, s)).collect();
-        let survivors = screen_survivors(&m_a, &pairs, behavior, &cols, config.screen);
+        let key = StoreKey::for_model(model_fp, defect_size, &screen_patterns, clk, config);
+        let survivors = self.analytic.with(key, |slot| {
+            let missing: Vec<EdgeId> = suspect_edges
+                .iter()
+                .copied()
+                .filter(|e| !slot.as_ref().is_some_and(|b| b.suspects.contains_key(e)))
+                .collect();
+            let bank = match slot {
+                Some(bank) if missing.is_empty() => bank,
+                _ => {
+                    let cones = defect_cones(circuit, &missing);
+                    let (base, fresh) = simulate_fail_probs_analytic(
+                        circuit,
+                        timing,
+                        defect_size,
+                        &screen_patterns,
+                        &cones,
+                        clk,
+                        metrics,
+                    );
+                    let bank = slot.get_or_insert_with(|| AnalyticBank {
+                        base,
+                        suspects: HashMap::new(),
+                    });
+                    bank.suspects.extend(missing.into_iter().zip(fresh));
+                    bank
+                }
+            };
+            let pairs: Vec<(EdgeId, &AnalyticSuspect)> = suspect_edges
+                .iter()
+                .map(|&e| (e, &bank.suspects[&e]))
+                .collect();
+            screen_survivors(&bank.base, &pairs, behavior, &cols, config.screen)
+        });
         if let Some(m) = metrics {
             m.add(Counter::ScreenNanos, t_screen.elapsed().as_nanos() as u64);
         }

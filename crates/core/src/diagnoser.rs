@@ -3,7 +3,7 @@
 use crate::cache::DictionaryCache;
 use crate::dictionary::{DictionaryConfig, ProbabilisticDictionary};
 use crate::error_fn::{phi_sparse, ErrorFunction};
-use crate::metrics::MetricsSink;
+use crate::metrics::{MetricsSink, Phase};
 use crate::suspects::collect_suspects;
 use crate::{BehaviorMatrix, DiagnosisError};
 use sdd_atpg::PatternSet;
@@ -201,7 +201,10 @@ impl<'a> Diagnoser<'a> {
 
     /// Diagnoses with every error function over one shared dictionary.
     /// Returns `(function, full ranking)` pairs in
-    /// [`ErrorFunction::ALL`] order.
+    /// [`ErrorFunction::EXTENDED`] order. With
+    /// [`with_metrics`](Self::with_metrics), the build is charged to
+    /// [`Phase::Dictionary`] (also when it fails) and the ranking to
+    /// [`Phase::Rank`].
     ///
     /// # Errors
     ///
@@ -211,11 +214,22 @@ impl<'a> Diagnoser<'a> {
         &self,
         behavior: &BehaviorMatrix,
     ) -> Result<Vec<(ErrorFunction, Vec<RankedSite>)>, DiagnosisError> {
-        let dictionary = self.build_dictionary(behavior)?;
-        Ok(ErrorFunction::EXTENDED
-            .into_iter()
-            .map(|f| (f, self.rank(&dictionary, behavior, f)))
-            .collect())
+        let dictionary = self.timed(Phase::Dictionary, || self.build_dictionary(behavior))?;
+        Ok(self.timed(Phase::Rank, || {
+            ErrorFunction::EXTENDED
+                .into_iter()
+                .map(|f| (f, self.rank(&dictionary, behavior, f)))
+                .collect()
+        }))
+    }
+
+    /// Runs `f`, charging its wall time to `phase` of the metrics sink
+    /// when there is one.
+    fn timed<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
+        match self.metrics {
+            Some(metrics) => metrics.time(phase, f),
+            None => f(),
+        }
     }
 }
 

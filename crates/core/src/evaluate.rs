@@ -7,6 +7,7 @@
 
 use crate::diagnoser::RankedSite;
 use crate::error_fn::ErrorFunction;
+use crate::inject::InstanceOutcome;
 use crate::metrics::{CampaignMetrics, InstanceTrace};
 use sdd_netlist::EdgeId;
 use serde::{Deserialize, Serialize};
@@ -117,6 +118,19 @@ impl AccuracyReport {
         self.avg_suspects = self.avg_suspects * t / (t + 1.0);
         self.avg_patterns = (self.avg_patterns * t + n_patterns as f64) / (t + 1.0);
         self.trials += 1;
+    }
+
+    /// Records one campaign chip: its rankings when diagnosis produced
+    /// some, a failure (with its applied patterns) when it did not, and a
+    /// pattern-less failure when the chip never failed a test (`None`).
+    pub fn record_outcome(&mut self, outcome: Option<&InstanceOutcome>) {
+        match outcome {
+            Some(o) if !o.rankings.is_empty() => {
+                self.record(o.injected, &o.rankings, o.n_suspects, o.n_patterns);
+            }
+            Some(o) => self.record_failure(o.n_patterns),
+            None => self.record_failure(0),
+        }
     }
 
     /// Success rate in percent for `(k index, function index)`.

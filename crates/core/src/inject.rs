@@ -9,12 +9,12 @@
 //! injected arc is contained in the top-`K` answer.
 
 use crate::cache::DictionaryCache;
-use crate::defect::SingleDefectModel;
 use crate::diagnoser::{Diagnoser, DiagnoserConfig, RankedSite};
 use crate::dictionary::DictionaryConfig;
 use crate::error_fn::ErrorFunction;
 use crate::evaluate::AccuracyReport;
 use crate::metrics::{Counter, InstanceTrace, MetricsSink, Phase, TraceOutcome};
+use crate::session::Design;
 use crate::{BehaviorMatrix, CaptureModel, DiagnosisError, ObservedBehavior};
 use rayon::prelude::*;
 use sdd_atpg::fault::{PathDelayFault, TransitionDirection};
@@ -22,7 +22,7 @@ use sdd_atpg::path_atpg::generate_candidate_tests;
 use sdd_atpg::podem::{PiAssignment, PodemConfig};
 use sdd_atpg::PatternSet;
 use sdd_netlist::{Circuit, EdgeId};
-use sdd_timing::{path, sta, CellLibrary, CircuitTiming, TimingInstance, VariationModel};
+use sdd_timing::{path, CircuitTiming, TimingInstance, VariationModel};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -334,23 +334,6 @@ pub fn tested_delay_samples_from_batch(
     worst.into_iter().collect()
 }
 
-/// The clock for [`ClockPolicy::TestedQuantile`]: the given quantile of
-/// [`tested_delay_samples`].
-///
-/// # Panics
-///
-/// Panics if `n_samples == 0` or the pattern set is empty.
-pub fn tested_clock(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    patterns: &PatternSet,
-    quantile: f64,
-    n_samples: usize,
-    seed: u64,
-) -> f64 {
-    tested_delay_samples(circuit, timing, patterns, n_samples, seed).quantile(quantile)
-}
-
 /// Outcome of diagnosing one injected chip (exposed for the worked
 /// examples and figure reproductions).
 #[derive(Debug, Clone)]
@@ -516,7 +499,7 @@ pub fn patterns_through_site_with(
 /// metrics sink. The report's metrics are the delta against the sink's
 /// state at entry, so a long-lived session reports per-campaign numbers.
 pub(crate) fn run_campaign_on_with(
-    circuit: &Circuit,
+    design: &Design,
     config: &CampaignConfig,
     cache: &DictionaryCache,
     metrics: &MetricsSink,
@@ -524,45 +507,18 @@ pub(crate) fn run_campaign_on_with(
     let start = Instant::now();
     let baseline = metrics.snapshot(std::time::Duration::ZERO);
     let trace_baseline = metrics.trace_seq();
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(circuit, &library, config.variation);
-    let model_fp = crate::store::fingerprint_model(circuit, &timing);
-    let circuit_clk = match config.clock {
-        ClockPolicy::CircuitQuantile(q) => Some(
-            sta::static_mc(circuit, &timing, config.sta_samples, config.seed)?.clock_at_quantile(q),
-        ),
-        ClockPolicy::TestedQuantile(_) | ClockPolicy::Sweep => None,
-    };
-    let defect_model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let circuit_clk = design.circuit_clk(config)?;
     let mut report = AccuracyReport::new(
-        circuit.name(),
+        design.circuit().name(),
         config.k_values.clone(),
         ErrorFunction::EXTENDED.to_vec(),
     );
     let outcomes: Vec<Option<InstanceOutcome>> = (0..config.n_instances)
         .into_par_iter()
-        .map(|i| {
-            diagnose_instance_impl(
-                circuit,
-                &timing,
-                model_fp,
-                &defect_model,
-                circuit_clk,
-                config,
-                i,
-                cache,
-                metrics,
-            )
-        })
+        .map(|i| diagnose_instance_impl(design, circuit_clk, config, i, cache, metrics))
         .collect();
-    for outcome in outcomes {
-        match outcome {
-            Some(o) if !o.rankings.is_empty() => {
-                report.record(o.injected, &o.rankings, o.n_suspects, o.n_patterns);
-            }
-            Some(o) => report.record_failure(o.n_patterns),
-            None => report.record_failure(0),
-        }
+    for outcome in &outcomes {
+        report.record_outcome(outcome.as_ref());
     }
     let elapsed = start.elapsed();
     report.metrics = metrics.snapshot(elapsed).since(&baseline, elapsed);
@@ -573,40 +529,13 @@ pub(crate) fn run_campaign_on_with(
     Ok(report)
 }
 
-/// Injects, observes and diagnoses the `index`-th chip of a campaign.
+/// The per-chip body behind
+/// [`crate::session::DiagnosisSession::diagnose_instance`] and the
+/// campaign, which fans it out over the thread pool: diagnosing the
+/// same chip index through the same cache yields a bit-identical
+/// outcome regardless of thread count or cache population order.
 /// Returns `None` when no observable failing configuration could be
 /// drawn within the redraw budget.
-///
-/// `circuit_clk` is the campaign-level clock for
-/// [`ClockPolicy::CircuitQuantile`]; pass `None` under
-/// [`ClockPolicy::TestedQuantile`] and the clock is estimated per test
-/// session.
-pub fn diagnose_one_instance(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    defect_model: &SingleDefectModel,
-    circuit_clk: Option<f64>,
-    config: &CampaignConfig,
-    index: usize,
-) -> Option<InstanceOutcome> {
-    diagnose_instance_impl(
-        circuit,
-        timing,
-        crate::store::fingerprint_model(circuit, timing),
-        defect_model,
-        circuit_clk,
-        config,
-        index,
-        &DictionaryCache::new(),
-        &MetricsSink::new(),
-    )
-}
-
-/// The per-chip body behind [`diagnose_one_instance`] and
-/// [`crate::session::DiagnosisSession::diagnose_instance`]. This is what
-/// the campaign fans out over the thread pool: diagnosing the same chip
-/// index through the same cache yields a bit-identical outcome
-/// regardless of thread count or cache population order.
 ///
 /// Every timer, cache event and store event of this instance lands in a
 /// private scratch [`MetricsSink`] first;
@@ -615,21 +544,16 @@ pub fn diagnose_one_instance(
 /// and the [`InstanceTrace`] from the very same numbers — so the
 /// aggregate counters, the histograms and the traces agree exactly.
 ///
-/// `model_fp` is the caller's one
-/// [`fingerprint_model`](crate::store::fingerprint_model) of (circuit,
-/// timing): it keys the tested-delay chip batch of every redraw.
-#[allow(clippy::too_many_arguments)]
+/// `circuit_clk` is [`Design::circuit_clk`] of `config`.
 pub(crate) fn diagnose_instance_impl(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    model_fp: u64,
-    defect_model: &SingleDefectModel,
+    design: &Design,
     circuit_clk: Option<f64>,
     config: &CampaignConfig,
     index: usize,
     cache: &DictionaryCache,
     metrics: &MetricsSink,
 ) -> Option<InstanceOutcome> {
+    let (circuit, timing) = (design.circuit(), design.timing());
     let local = MetricsSink::new();
     let chip = timing.sample_instance_indexed(config.seed ^ 0xC41F, index as u64);
     let atpg = AtpgConfig::from_campaign(config);
@@ -649,7 +573,7 @@ pub(crate) fn diagnose_instance_impl(
         let defect_seed = config
             .seed
             .wrapping_add(1 + index as u64 * 131 + attempt as u64 * 7919);
-        let defect = defect_model.sample_defect(circuit, defect_seed);
+        let defect = design.defect_model().sample_defect(circuit, defect_seed);
         last_edge = Some(defect.edge);
         last_delta = defect.delta;
         // Patterns (and with them the tested-delay clock ladder) are
@@ -685,9 +609,7 @@ pub(crate) fn diagnose_instance_impl(
         let failing_chip = defect.apply(&chip);
         let behavior = local.time(Phase::Observe, || {
             observe_behavior(
-                circuit,
-                timing,
-                model_fp,
+                design,
                 &patterns,
                 &failing_chip,
                 circuit_clk,
@@ -707,27 +629,21 @@ pub(crate) fn diagnose_instance_impl(
     }
     let (outcome, clk, n_suspects, rankings) = match &observed {
         Some((patterns, behavior)) => {
-            let diagnoser = Diagnoser::new(
+            let diagnosed = Diagnoser::new(
                 circuit,
                 timing,
                 patterns,
-                defect_model.size_dist(),
-                DiagnoserConfig {
-                    dictionary: config.dictionary,
-                },
+                design.defect_model().size_dist(),
+                DiagnoserConfig::new(config.dictionary),
             )
             .with_cache(cache)
-            .with_metrics(&local);
-            let built = local.time(Phase::Dictionary, || diagnoser.build_dictionary(behavior));
-            match built {
-                Ok(dictionary) => {
-                    let rankings: Vec<Vec<RankedSite>> = local.time(Phase::Rank, || {
-                        ErrorFunction::EXTENDED
-                            .into_iter()
-                            .map(|f| diagnoser.rank(&dictionary, behavior, f))
-                            .collect()
-                    });
-                    let n_suspects = rankings.first().map(|r| r.len()).unwrap_or(0);
+            .with_metrics(&local)
+            .diagnose_all(behavior);
+            match diagnosed {
+                Ok(all) => {
+                    let rankings: Vec<Vec<RankedSite>> =
+                        all.into_iter().map(|(_, ranking)| ranking).collect();
+                    let n_suspects = rankings.first().map_or(0, Vec::len);
                     (
                         TraceOutcome::Diagnosed,
                         Some(behavior.clk()),
@@ -769,11 +685,8 @@ pub(crate) fn diagnose_instance_impl(
 /// Chooses the cut-off period per the campaign's [`ClockPolicy`] and
 /// records the behaviour matrix. Returns `None` when a clock sweep never
 /// makes the chip fail (the caller redraws the defect).
-#[allow(clippy::too_many_arguments)]
 fn observe_behavior(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    model_fp: u64,
+    design: &Design,
     patterns: &PatternSet,
     failing_chip: &TimingInstance,
     circuit_clk: Option<f64>,
@@ -781,6 +694,7 @@ fn observe_behavior(
     cache: &DictionaryCache,
     metrics: &MetricsSink,
 ) -> Option<BehaviorMatrix> {
+    let circuit = design.circuit();
     if let Some(clk) = circuit_clk {
         return Some(BehaviorMatrix::observe_with(
             circuit,
@@ -796,7 +710,7 @@ fn observe_behavior(
     // seed): memoize them campaign-wide so the Box-Muller sampling cost
     // — the bulk of a warm observe phase — is paid once instead of once
     // per chip. Values are bit-identical to a fresh draw.
-    let batch = cache.batch(model_fp, timing, config.seed ^ 0x7E57, n);
+    let batch = cache.batch(design.model_fp(), design.timing(), config.seed ^ 0x7E57, n);
     let samples = tested_delay_samples_from_batch(circuit, patterns, &batch);
     // One clock-independent capture serves every clock the policy tries.
     let observed = ObservedBehavior::capture(circuit, patterns, failing_chip, config.capture);
@@ -804,7 +718,7 @@ fn observe_behavior(
         ClockPolicy::TestedQuantile(q) => Some(observed.matrix_at(samples.quantile(q))),
         ClockPolicy::Sweep => sweep_ladder(&observed, &samples, config.sweep_extra_steps),
         ClockPolicy::CircuitQuantile(_) => {
-            unreachable!("campaign precomputes the circuit-level clock")
+            unreachable!("Design::circuit_clk supplies the circuit-level clock")
         }
     }
 }
@@ -815,6 +729,7 @@ mod tests {
     use crate::session::ArtifactLayer;
     use sdd_netlist::generator::{generate, GeneratorConfig};
     use sdd_netlist::profiles;
+    use sdd_timing::CellLibrary;
 
     fn small_comb() -> Circuit {
         generate(&GeneratorConfig::small("camp", 21))
@@ -948,9 +863,9 @@ mod tests {
         // fails.
         let (mut chose, mut never) = (0, 0);
         for c in oracle_circuits() {
-            let t = oracle_timing(&c);
-            let fp = crate::store::fingerprint_model(&c, &t);
-            let ps = PatternSet::random(&c, 6, 9);
+            let design = Design::new(c, VariationModel::new(0.04, 0.06));
+            let (c, t) = (design.circuit(), design.timing());
+            let ps = PatternSet::random(c, 6, 9);
             let cache = DictionaryCache::new();
             let edges: Vec<EdgeId> = c.edge_ids().collect();
             let mut chips: Vec<TimingInstance> = (0..3u64)
@@ -974,8 +889,8 @@ mod tests {
                     for (i, chip) in chips.iter().enumerate() {
                         let sink = MetricsSink::new();
                         let got =
-                            observe_behavior(&c, &t, fp, &ps, chip, None, &config, &cache, &sink);
-                        let want = scalar_sweep(&c, &t, &ps, chip, &config);
+                            observe_behavior(&design, &ps, chip, None, &config, &cache, &sink);
+                        let want = scalar_sweep(c, t, &ps, chip, &config);
                         assert_eq!(got, want, "{} chip {i} extra {extra} {capture:?}", c.name());
                         match got {
                             Some(_) => chose += 1,
@@ -1107,24 +1022,17 @@ mod tests {
         // pay one pattern-cache lookup per *draw*; repeated sites now
         // reuse the first draw's handle, so per-chip pattern-cache
         // traffic is bounded by the number of distinct sites drawn.
-        let c = generate(&profiles::S27.to_config(9))
-            .unwrap()
-            .to_combinational()
-            .unwrap();
-        let library = CellLibrary::default_025um();
-        let t = CircuitTiming::characterize(&c, &library, VariationModel::default());
-        let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+        let design = Design::generate(&profiles::S27, 9, VariationModel::default()).unwrap();
+        let (c, model) = (design.circuit(), design.defect_model());
         // A fixed, absurdly slack clock: every draw passes, every chip
         // walks the full redraw budget.
         let cfg = CampaignConfig::quick(4).with_clock(ClockPolicy::CircuitQuantile(0.95));
-        let fp = crate::store::fingerprint_model(&c, &t);
         let cache = DictionaryCache::new();
         let sink = MetricsSink::new();
         let mut saw_repeat = false;
         for index in 0..12usize {
             let seq = sink.trace_seq();
-            let out =
-                diagnose_instance_impl(&c, &t, fp, &model, Some(1e9), &cfg, index, &cache, &sink);
+            let out = diagnose_instance_impl(&design, Some(1e9), &cfg, index, &cache, &sink);
             assert!(out.is_none(), "chip {index} failed under a 1e9 clock");
             let trace = sink
                 .traces_since(seq)
@@ -1138,7 +1046,7 @@ mod tests {
                     let defect_seed = cfg
                         .seed
                         .wrapping_add(1 + index as u64 * 131 + attempt as u64 * 7919);
-                    model.sample_defect(&c, defect_seed).edge
+                    model.sample_defect(c, defect_seed).edge
                 })
                 .collect();
             let lookups = trace.pattern_cache_hits + trace.pattern_cache_misses;
@@ -1159,15 +1067,13 @@ mod tests {
 
     #[test]
     fn single_instance_outcome_is_coherent() {
-        let c = small_comb();
-        let library = CellLibrary::default_025um();
-        let t = CircuitTiming::characterize(&c, &library, VariationModel::default());
-        let clk = sta::static_mc(&c, &t, 100, 1)
-            .expect("static MC runs")
-            .clock_at_quantile(0.95);
-        let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
-        let cfg = CampaignConfig::quick(4);
-        if let Some(o) = diagnose_one_instance(&c, &t, &model, Some(clk), &cfg, 0) {
+        let design = Design::new(small_comb(), VariationModel::default());
+        let cfg = CampaignConfig::quick(4).with_clock(ClockPolicy::CircuitQuantile(0.95));
+        let outcome = ArtifactLayer::new()
+            .session("")
+            .diagnose_instance(&design, &cfg, 0)
+            .unwrap();
+        if let Some(o) = outcome {
             assert!(o.delta > 0.0);
             assert!(o.n_patterns > 0);
             if !o.rankings.is_empty() {

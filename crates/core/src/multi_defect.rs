@@ -8,14 +8,14 @@
 //! injected arc is contained in the top-K answer (the failure-analysis
 //! lab finds *a* defect, repairs or deprocesses, and iterates).
 
-use crate::defect::SingleDefectModel;
 use crate::diagnoser::{Diagnoser, DiagnoserConfig};
 use crate::error_fn::ErrorFunction;
 use crate::evaluate::is_success;
 use crate::inject::{patterns_through_site, sweep_ladder, tested_delay_samples, CampaignConfig};
+use crate::session::Design;
 use crate::{BehaviorMatrix, DiagnosisError, ObservedBehavior};
 use sdd_netlist::{Circuit, EdgeId};
-use sdd_timing::{CellLibrary, CircuitTiming, TimingInstance};
+use sdd_timing::TimingInstance;
 use serde::{Deserialize, Serialize};
 
 /// Accuracy of a multi-defect campaign, per error function and `K`.
@@ -98,9 +98,7 @@ pub fn run_multi_defect_campaign(
     defects_per_chip: usize,
 ) -> Result<MultiDefectReport, DiagnosisError> {
     assert!(defects_per_chip >= 1, "need at least one defect");
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(circuit, &library, config.variation);
-    let defect_model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let design = Design::new(circuit.clone(), config.variation);
     let functions = ErrorFunction::EXTENDED.to_vec();
     let mut report = MultiDefectReport {
         circuit: circuit.name().to_owned(),
@@ -112,26 +110,20 @@ pub fn run_multi_defect_campaign(
     };
     for index in 0..config.n_instances {
         report.trials += 1;
-        let chip = timing.sample_instance_indexed(config.seed ^ 0x3D5A, index as u64);
-        let Some((injected, patterns, behavior)) = observe_multi(
-            circuit,
-            &timing,
-            &defect_model,
-            config,
-            &chip,
-            defects_per_chip,
-            index,
-        ) else {
+        let chip = design
+            .timing()
+            .sample_instance_indexed(config.seed ^ 0x3D5A, index as u64);
+        let Some((injected, patterns, behavior)) =
+            observe_multi(&design, config, &chip, defects_per_chip, index)
+        else {
             continue; // never failed: miss everywhere
         };
         let diagnoser = Diagnoser::new(
             circuit,
-            &timing,
+            design.timing(),
             &patterns,
-            defect_model.size_dist(),
-            DiagnoserConfig {
-                dictionary: config.dictionary,
-            },
+            design.defect_model().size_dist(),
+            DiagnoserConfig::new(config.dictionary),
         );
         let Ok(all) = diagnoser.diagnose_all(&behavior) else {
             continue;
@@ -152,23 +144,32 @@ pub fn run_multi_defect_campaign(
 /// observable failing configuration arises within the redraw budget.
 #[allow(clippy::type_complexity)]
 fn observe_multi(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    defect_model: &SingleDefectModel,
+    design: &Design,
     config: &CampaignConfig,
     chip: &TimingInstance,
     m: usize,
     index: usize,
 ) -> Option<(Vec<EdgeId>, sdd_atpg::PatternSet, BehaviorMatrix)> {
+    let (circuit, timing) = (design.circuit(), design.timing());
     for attempt in 0..config.max_redraws {
         let base_seed = config
             .seed
             .wrapping_add(7 + index as u64 * 977 + attempt as u64 * 6271);
         let defects: Vec<_> = (0..m)
-            .map(|d| defect_model.sample_defect(circuit, base_seed.wrapping_add(d as u64 * 31)))
+            .map(|d| {
+                design
+                    .defect_model()
+                    .sample_defect(circuit, base_seed.wrapping_add(d as u64 * 31))
+            })
             .collect();
-        let patterns =
-            patterns_through_site_cfg(circuit, timing, defects[0].edge, config, base_seed);
+        let patterns = patterns_through_site(
+            circuit,
+            timing,
+            defects[0].edge,
+            config.n_paths,
+            config.max_patterns,
+            base_seed,
+        );
         if patterns.is_empty() {
             continue;
         }
@@ -189,23 +190,6 @@ fn observe_multi(
         }
     }
     None
-}
-
-fn patterns_through_site_cfg(
-    circuit: &Circuit,
-    timing: &CircuitTiming,
-    site: EdgeId,
-    config: &CampaignConfig,
-    seed: u64,
-) -> sdd_atpg::PatternSet {
-    patterns_through_site(
-        circuit,
-        timing,
-        site,
-        config.n_paths,
-        config.max_patterns,
-        seed,
-    )
 }
 
 #[cfg(test)]

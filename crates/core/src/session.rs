@@ -43,15 +43,14 @@
 
 use crate::cache::{DictionaryCache, KeyedMemo};
 use crate::defect::SingleDefectModel;
-use crate::diagnoser::{Diagnoser, RankedSite};
+use crate::diagnoser::{Diagnoser, DiagnoserConfig, RankedSite};
 use crate::dictionary::{DictionaryConfig, SimKernel};
-use crate::error_fn::ErrorFunction;
 use crate::evaluate::AccuracyReport;
 use crate::inject::{
-    diagnose_instance_impl, run_campaign_on_with, CampaignConfig, InstanceOutcome,
+    diagnose_instance_impl, run_campaign_on_with, CampaignConfig, ClockPolicy, InstanceOutcome,
 };
 use crate::metrics::{
-    InstanceTrace, MetricsReport, MetricsSink, Phase, TraceOutcome, METRICS_SCHEMA_VERSION,
+    InstanceTrace, MetricsReport, MetricsSink, TraceOutcome, METRICS_SCHEMA_VERSION,
 };
 use crate::store::{fingerprint_model, DictionaryStore};
 use crate::{BehaviorMatrix, DiagnosisError, SddError};
@@ -59,7 +58,7 @@ use sdd_atpg::PatternSet;
 use sdd_netlist::generator::generate;
 use sdd_netlist::profiles::{self, BenchmarkProfile};
 use sdd_netlist::Circuit;
-use sdd_timing::{CellLibrary, CircuitTiming, Dist, VariationModel};
+use sdd_timing::{sta, CellLibrary, CircuitTiming, Dist, VariationModel};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -120,24 +119,43 @@ impl ArtifactLayerBuilder {
     }
 }
 
-/// A profiled benchmark generated at a seed, scan-cut to its
-/// combinational core and characterized with the default 0.25 µm
-/// library under a variation model, plus the paper's Section I defect
-/// model and the model fingerprint that keys its cache entries. Build
-/// one with [`Design::generate`], or get the layer's shared one with
-/// [`ArtifactLayer::design`].
+/// The environment every diagnosis of one circuit runs in: the
+/// combinational netlist, its statistical timing under a variation model
+/// (default 0.25 µm library), the paper's Section I defect model, the
+/// model fingerprint that keys its cache entries, and the memoized
+/// circuit-level clocks of [`ClockPolicy::CircuitQuantile`]. Build one
+/// with [`Design::new`] or [`Design::generate`], or get the layer's
+/// shared one with [`ArtifactLayer::design`].
 #[derive(Debug)]
 pub struct Design {
     circuit: Circuit,
     timing: CircuitTiming,
     defect_model: SingleDefectModel,
     model_fp: u64,
+    /// One clock per (`sta_samples`, seed, quantile bits), `None` until
+    /// its first request finishes.
+    clocks: KeyedMemo<(usize, u64, u64), Option<f64>>,
 }
 
 impl Design {
-    /// Generates, scan-cuts and characterizes `profile` at `seed` under
-    /// `variation` — the environment of a campaign with that seed and
-    /// variation.
+    /// Characterizes the combinational `circuit` with the default
+    /// 0.25 µm library under `variation` and attaches the Section I
+    /// defect model — the environment of a campaign with that variation.
+    pub fn new(circuit: Circuit, variation: VariationModel) -> Design {
+        let library = CellLibrary::default_025um();
+        let timing = CircuitTiming::characterize(&circuit, &library, variation);
+        let model_fp = fingerprint_model(&circuit, &timing);
+        Design {
+            circuit,
+            timing,
+            defect_model: SingleDefectModel::paper_section_i(library.nominal_cell_delay()),
+            model_fp,
+            clocks: KeyedMemo::default(),
+        }
+    }
+
+    /// Generates and scan-cuts `profile` at `seed`, then builds its
+    /// [`Design::new`] under `variation`.
     ///
     /// # Errors
     ///
@@ -148,15 +166,7 @@ impl Design {
         variation: VariationModel,
     ) -> Result<Design, SddError> {
         let circuit = generate(&profile.to_config(seed))?.to_combinational()?;
-        let library = CellLibrary::default_025um();
-        let timing = CircuitTiming::characterize(&circuit, &library, variation);
-        let model_fp = fingerprint_model(&circuit, &timing);
-        Ok(Design {
-            circuit,
-            timing,
-            defect_model: SingleDefectModel::paper_section_i(library.nominal_cell_delay()),
-            model_fp,
-        })
+        Ok(Design::new(circuit, variation))
     }
 
     /// The combinational (scan-cut) netlist.
@@ -172,6 +182,38 @@ impl Design {
     /// The Section I single-defect model.
     pub fn defect_model(&self) -> &SingleDefectModel {
         &self.defect_model
+    }
+
+    /// The [`fingerprint_model`] of (circuit, timing).
+    pub(crate) fn model_fp(&self) -> u64 {
+        self.model_fp
+    }
+
+    /// The campaign-level clock of `config` under
+    /// [`ClockPolicy::CircuitQuantile`] (the quantile of a
+    /// `sta_samples`-sized static Monte-Carlo run at the campaign seed),
+    /// computed at most once per key; `None` under the per-session
+    /// policies, which choose their clock while observing.
+    ///
+    /// # Errors
+    ///
+    /// Static-timing errors (a circuit without outputs, zero samples).
+    pub(crate) fn circuit_clk(
+        &self,
+        config: &CampaignConfig,
+    ) -> Result<Option<f64>, DiagnosisError> {
+        let ClockPolicy::CircuitQuantile(q) = config.clock else {
+            return Ok(None);
+        };
+        let key = (config.sta_samples, config.seed, q.to_bits());
+        self.clocks.with(key, |slot| {
+            if slot.is_none() {
+                let sta =
+                    sta::static_mc(&self.circuit, &self.timing, config.sta_samples, config.seed)?;
+                *slot = Some(sta.clock_at_quantile(q));
+            }
+            Ok(*slot)
+        })
     }
 }
 
@@ -421,23 +463,26 @@ impl DiagnosisSession {
     }
 
     /// Runs the defect-injection campaign on a profiled synthetic
-    /// benchmark (generates the circuit, applies the scan cut, then runs
-    /// [`run_campaign_on`](Self::run_campaign_on)).
+    /// benchmark: builds its [`Design::generate`] at the campaign seed
+    /// and variation, then runs the campaign like
+    /// [`run_campaign_on`](Self::run_campaign_on).
     ///
     /// # Errors
     ///
-    /// Propagates circuit-generation errors.
+    /// [`DiagnosisError::ZeroSamples`] for a configuration diagnosis
+    /// cannot run (refused before any work); circuit-generation errors.
     pub fn run_campaign(
         &self,
         profile: &BenchmarkProfile,
         config: &CampaignConfig,
     ) -> Result<AccuracyReport, SddError> {
-        let circuit = generate(&profile.to_config(config.seed))?.to_combinational()?;
-        self.run_campaign_on(&circuit, config)
+        let cfg = self.checked_config(config)?;
+        self.campaign(&Design::generate(profile, cfg.seed, cfg.variation)?, &cfg)
     }
 
     /// Runs the defect-injection campaign on an explicit combinational
-    /// circuit, through the layer's cache, store and thread pool.
+    /// circuit ([`Design::new`] under the campaign's variation), through
+    /// the layer's cache, store and thread pool.
     ///
     /// Chips fan out in parallel yet the report is bit-identical for any
     /// thread count, any cache population order, and whether banks were
@@ -447,16 +492,32 @@ impl DiagnosisSession {
     ///
     /// # Errors
     ///
-    /// Returns an error for degenerate configurations; individual chips
-    /// whose diagnosis fails are *scored* as failures, not errors.
+    /// [`DiagnosisError::ZeroSamples`] for a configuration diagnosis
+    /// cannot run (refused before any work); static-timing errors.
+    /// Individual chips whose diagnosis fails are *scored* as failures,
+    /// not errors.
     pub fn run_campaign_on(
         &self,
         circuit: &Circuit,
         config: &CampaignConfig,
     ) -> Result<AccuracyReport, SddError> {
-        let start = Instant::now();
+        let cfg = self.checked_config(config)?;
+        self.campaign(&Design::new(circuit.clone(), cfg.variation), &cfg)
+    }
+
+    /// [`effective_config`](Self::effective_config), refused by
+    /// [`CampaignConfig::validate`] when diagnosis cannot run it.
+    fn checked_config(&self, config: &CampaignConfig) -> Result<CampaignConfig, DiagnosisError> {
         let cfg = self.effective_config(config);
-        let run = || run_campaign_on_with(circuit, &cfg, self.layer.cache(), &self.metrics);
+        cfg.validate()?;
+        Ok(cfg)
+    }
+
+    /// The campaign behind both entry points, under an already
+    /// effective configuration.
+    fn campaign(&self, design: &Design, cfg: &CampaignConfig) -> Result<AccuracyReport, SddError> {
+        let start = Instant::now();
+        let run = || run_campaign_on_with(design, cfg, self.layer.cache(), &self.metrics);
         let report = self.layer.install(run)?;
         // Make the campaign's checkpoints durable before reporting: a
         // caller that exits right after this call must find them on the
@@ -469,45 +530,46 @@ impl DiagnosisSession {
 
     /// Injects, observes and diagnoses the `index`-th chip of a
     /// campaign on `design`, through the layer's cache and this
-    /// session's metrics. Returns `None` when no observable failing
+    /// session's metrics. Returns `Ok(None)` when no observable failing
     /// configuration could be drawn within the redraw budget (see
-    /// [`CampaignConfig::max_redraws`]).
+    /// [`CampaignConfig::max_redraws`]). Under
+    /// [`ClockPolicy::CircuitQuantile`] the clock is the design's
+    /// memoized one, shared by every chip and session of the design.
     ///
-    /// `circuit_clk` is the campaign-level clock for
-    /// [`crate::inject::ClockPolicy::CircuitQuantile`]; pass `None`
-    /// under the tested-quantile and sweep policies.
+    /// # Errors
+    ///
+    /// [`DiagnosisError::ZeroSamples`] for a configuration diagnosis
+    /// cannot run (refused before any work); static-timing errors.
     pub fn diagnose_instance(
         &self,
         design: &Design,
-        circuit_clk: Option<f64>,
         config: &CampaignConfig,
         index: usize,
-    ) -> Option<InstanceOutcome> {
+    ) -> Result<Option<InstanceOutcome>, DiagnosisError> {
         let start = Instant::now();
-        let cfg = self.effective_config(config);
-        let run = || {
-            diagnose_instance_impl(
-                &design.circuit,
-                &design.timing,
-                design.model_fp,
-                &design.defect_model,
-                circuit_clk,
+        let cfg = self.checked_config(config)?;
+        let run = || -> Result<_, DiagnosisError> {
+            let clk = design.circuit_clk(&cfg)?;
+            Ok(diagnose_instance_impl(
+                design,
+                clk,
                 &cfg,
                 index,
                 self.layer.cache(),
                 &self.metrics,
-            )
+            ))
         };
-        let outcome = self.layer.install(run);
+        let outcome = self.layer.install(run)?;
         self.metrics
             .record_session_latency(start.elapsed().as_nanos() as u64);
-        outcome
+        Ok(outcome)
     }
 
     /// Diagnoses an externally observed behaviour matrix — the serving
     /// entry point: a client that tested a real chip submits the applied
     /// patterns and the observed pass/fail matrix, and gets every error
-    /// function's full ranking back ([`ErrorFunction::EXTENDED`] order).
+    /// function's full ranking back ([`crate::ErrorFunction::EXTENDED`]
+    /// order).
     ///
     /// Dictionary construction routes through the shared cache under the
     /// session's dictionary/kernel override (falling back to
@@ -531,31 +593,24 @@ impl DiagnosisSession {
         let start = Instant::now();
         let dictionary = self.override_dictionary(DictionaryConfig::default());
         let local = MetricsSink::new();
-        let result = self.layer.install(|| {
-            let diagnoser = Diagnoser::new(
+        let result: Result<Vec<Vec<RankedSite>>, _> = self.layer.install(|| {
+            let all = Diagnoser::new(
                 circuit,
                 timing,
                 patterns,
                 *defect_size,
-                crate::diagnoser::DiagnoserConfig::new(dictionary),
+                DiagnoserConfig::new(dictionary),
             )
             .with_cache(self.layer.cache())
-            .with_metrics(&local);
-            let built = local.time(Phase::Dictionary, || diagnoser.build_dictionary(behavior));
-            built.map(|dict| {
-                local.time(Phase::Rank, || {
-                    ErrorFunction::EXTENDED
-                        .into_iter()
-                        .map(|f| diagnoser.rank(&dict, behavior, f))
-                        .collect::<Vec<_>>()
-                })
-            })
+            .with_metrics(&local)
+            .diagnose_all(behavior)?;
+            Ok(all.into_iter().map(|(_, ranking)| ranking).collect())
         });
         let scratch = local.snapshot(Duration::ZERO);
         let (outcome, n_suspects) = match &result {
             Ok(rankings) => (
                 TraceOutcome::Diagnosed,
-                rankings.first().map(|r| r.len()).unwrap_or(0),
+                rankings.first().map_or(0, Vec::len),
             ),
             Err(_) => (TraceOutcome::DictionaryFailed, 0),
         };
@@ -615,6 +670,69 @@ mod tests {
         assert!(report.traces.iter().all(|t| t.tenant == "t-42"));
         report.validate().expect("session report validates");
         assert!(report.counters.session_latency.count() >= 1);
+    }
+
+    #[test]
+    fn circuit_quantile_clock_is_memoized_once_per_key() {
+        let design = Design::generate(&profiles::S27, 4, VariationModel::default()).unwrap();
+        let session = ArtifactLayer::new().session("");
+        // A tight clock (most of s27's defects escape at 0.95).
+        let cfg = CampaignConfig::quick(4).with_clock(ClockPolicy::CircuitQuantile(0.05));
+        let want = sta::static_mc(design.circuit(), design.timing(), cfg.sta_samples, cfg.seed)
+            .unwrap()
+            .clock_at_quantile(0.05);
+        let mut observed = 0;
+        for index in 0..4 {
+            let outcome = session.diagnose_instance(&design, &cfg, index).unwrap();
+            if let Some(o) = outcome {
+                assert_eq!(o.trace.clk.map(f64::to_bits), Some(want.to_bits()));
+                observed += 1;
+            }
+        }
+        assert!(observed > 0, "no chip was observed under the circuit clock");
+        assert_eq!(design.clocks.len(), 1, "one config, one clock");
+        let memo = design
+            .clocks
+            .with((cfg.sta_samples, cfg.seed, 0.05f64.to_bits()), |c| *c);
+        assert_eq!(memo.map(f64::to_bits), Some(want.to_bits()));
+        // Another quantile is another key; the per-session policies
+        // take no circuit clock at all.
+        let tail = cfg.clone().with_clock(ClockPolicy::CircuitQuantile(0.95));
+        session.diagnose_instance(&design, &tail, 0).unwrap();
+        assert_eq!(design.clocks.len(), 2);
+        let sweep = CampaignConfig::quick(4);
+        session.diagnose_instance(&design, &sweep, 0).unwrap();
+        assert_eq!(design.circuit_clk(&sweep).unwrap(), None);
+        assert_eq!(design.clocks.len(), 2);
+    }
+
+    #[test]
+    fn zero_sample_configs_are_refused_at_the_session_entry_points() {
+        let session = ArtifactLayer::new().session("");
+        let mut no_sta = CampaignConfig::quick(1);
+        no_sta.sta_samples = 0;
+        let mut no_mc = CampaignConfig::quick(1);
+        no_mc.dictionary.n_samples = 0;
+        let field = |e: SddError| match e {
+            SddError::Diagnosis(DiagnosisError::ZeroSamples { field }) => field,
+            other => panic!("expected a zero-samples error, got {other:?}"),
+        };
+        let refused = session.run_campaign(&profiles::S27, &no_sta).unwrap_err();
+        assert_eq!(field(refused), "sta_samples");
+        let design = Design::generate(&profiles::S27, 1, VariationModel::default()).unwrap();
+        let refused = session
+            .run_campaign_on(design.circuit(), &no_mc)
+            .unwrap_err();
+        assert_eq!(field(refused), "dictionary.n_samples");
+        for (config, want) in [(&no_sta, "sta_samples"), (&no_mc, "dictionary.n_samples")] {
+            match session.diagnose_instance(&design, config, 0) {
+                Err(DiagnosisError::ZeroSamples { field }) => assert_eq!(field, want),
+                other => panic!("expected a zero-samples error, got {other:?}"),
+            }
+        }
+        // Refused before any work: no chip traced, no pattern set built.
+        assert_eq!(session.metrics().trace_seq(), 0);
+        assert_eq!(session.layer().cache().num_pattern_keys(), 0);
     }
 
     #[test]

@@ -36,8 +36,8 @@
 use sdd_core::behavior::{CaptureModel, ObservedBehavior};
 use sdd_core::defect::InjectedDefect;
 use sdd_core::evaluate::AccuracyReport;
-use sdd_core::inject::{diagnose_one_instance, CampaignConfig};
-use sdd_core::session::ArtifactLayer;
+use sdd_core::inject::CampaignConfig;
+use sdd_core::session::{ArtifactLayer, Design};
 use sdd_core::{Diagnoser, DiagnoserConfig, DictionaryConfig, ErrorFunction};
 use sdd_core::{ProbabilisticDictionary, ScreenConfig, SimKernel};
 use sdd_netlist::generator::generate;
@@ -210,20 +210,19 @@ fn screened_survivors_contain_the_full_mc_top_1() {
     let mut pruned_somewhere = false;
     let mut separated_and_pruned = false;
     for (name, c) in circuits() {
-        let t = CircuitTiming::characterize(
-            &c,
-            &CellLibrary::default_025um(),
-            VariationModel::new(0.04, 0.06),
-        );
-        let model = sdd_core::SingleDefectModel::paper_section_i(
-            CellLibrary::default_025um().nominal_cell_delay(),
-        );
+        let design = Design::new(c, VariationModel::new(0.04, 0.06));
+        let diagnose = |config: &CampaignConfig, index: usize| {
+            ArtifactLayer::new()
+                .session("")
+                .diagnose_instance(&design, config, index)
+                .unwrap()
+        };
         let batched = quick_config(SimKernel::Batched, 23);
         let mut screened = quick_config(SimKernel::Screened, 23);
         screened.dictionary.screen = ScreenConfig::new().with_top_k(3).with_margin(EPSILON);
         for index in 0..8 {
-            let full = diagnose_one_instance(&c, &t, &model, None, &batched, index);
-            let tiered = diagnose_one_instance(&c, &t, &model, None, &screened, index);
+            let full = diagnose(&batched, index);
+            let tiered = diagnose(&screened, index);
             assert_eq!(
                 full.is_some(),
                 tiered.is_some(),

@@ -5,14 +5,16 @@
 //! session's report also validates when its pool has nothing else to
 //! do, where per-worker kernel times would add up past the phase, and
 //! one long-lived session reports per-campaign deltas while its lifetime
-//! report accumulates.
+//! report accumulates. A campaign is its chips' per-chip diagnoses
+//! folded into one report.
 
 use sdd_atpg::PatternSet;
 use sdd_core::dictionary::SimKernel;
-use sdd_core::inject::CampaignConfig;
-use sdd_core::session::ArtifactLayer;
+use sdd_core::evaluate::AccuracyReport;
+use sdd_core::inject::{CampaignConfig, ClockPolicy};
+use sdd_core::session::{ArtifactLayer, Design};
 use sdd_core::testutil::TestDir;
-use sdd_core::{CaptureModel, ObservedBehavior};
+use sdd_core::{CaptureModel, ErrorFunction, ObservedBehavior};
 use sdd_netlist::generator::generate_combinational;
 use sdd_netlist::profiles;
 use sdd_timing::{sta, CellLibrary, CircuitTiming, Dist, VariationModel};
@@ -229,4 +231,35 @@ fn untenanted_lifetime_report_validates_across_campaigns() {
     lifetime
         .validate()
         .expect("two-campaign lifetime report validates");
+}
+
+#[test]
+fn circuit_quantile_campaign_equals_its_chips_folded_one_by_one() {
+    // A tight clock: at 0.95 every s27 defect of this seed escapes.
+    let config = CampaignConfig::quick(5).with_clock(ClockPolicy::CircuitQuantile(0.05));
+    let circuit = generate_combinational(&profiles::S27, config.seed).expect("s27 generates");
+    let campaign = ArtifactLayer::new()
+        .session("campaign")
+        .run_campaign_on(&circuit, &config)
+        .expect("campaign");
+    let design = Design::new(circuit, config.variation);
+    let session = ArtifactLayer::new().session("chips");
+    let mut folded = AccuracyReport::new(
+        design.circuit().name(),
+        config.k_values.clone(),
+        ErrorFunction::EXTENDED.to_vec(),
+    );
+    let mut diagnosed = 0;
+    for index in 0..config.n_instances {
+        let outcome = session
+            .diagnose_instance(&design, &config, index)
+            .expect("chip");
+        diagnosed += usize::from(outcome.as_ref().is_some_and(|o| !o.rankings.is_empty()));
+        folded.record_outcome(outcome.as_ref());
+    }
+    assert!(
+        diagnosed > 0,
+        "no chip was diagnosed under the circuit clock"
+    );
+    assert_eq!(campaign, folded);
 }

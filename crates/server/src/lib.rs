@@ -12,6 +12,8 @@
 //!   [`DiagnosisSession`] run) or `behavior` (an externally
 //!   observed behaviour matrix plus its applied patterns). The server
 //!   streams one `outcome` response per chip/behaviour, then `done`.
+//!   A submit's responses end at its first `done`, `error` or `busy`:
+//!   a submit that fails answers `error` alone, never `error` + `done`.
 //! * `metrics` — the tenant's [`MetricsReport`] (schema v1: counters,
 //!   per-phase and session-latency histograms, tenant-tagged traces).
 //! * `ping` — liveness probe, answered inline with `pong`.
@@ -22,21 +24,20 @@
 //! Malformed, oversized (> [`MAX_LINE_BYTES`]) or unparseable requests
 //! yield a structured `error` response and the connection stays alive.
 //! A submit whose config diagnosis cannot run (a zero Monte-Carlo sample
-//! count) is answered with an `error` naming the field and then `done`,
-//! before any work starts. A submit whose diagnosis panics is answered
-//! with an `error` and then `done`, and its worker goes on serving the
-//! queue.
+//! count) is answered with one `error` naming the field, before any work
+//! starts. A submit whose diagnosis panics is answered with one `error`
+//! (after any outcomes already streamed), and its worker goes on serving
+//! the queue.
 //! When the bounded admission queue is full, `submit` is answered with
 //! an explicit `busy` response instead of blocking — backpressure is the
 //! client's to handle.
 
 use sdd_core::diagnoser::RankedSite;
 use sdd_core::dictionary::SimKernel;
-use sdd_core::inject::{CampaignConfig, ClockPolicy};
+use sdd_core::inject::CampaignConfig;
 use sdd_core::metrics::{MetricsExport, MetricsReport};
 use sdd_core::session::{ArtifactLayer, Design, DiagnosisSession};
 use sdd_core::{BehaviorMatrix, ErrorFunction};
-use sdd_timing::sta;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -342,26 +343,6 @@ fn parse_kernel(name: &str) -> Result<Option<SimKernel>, String> {
     }
 }
 
-/// The campaign's circuit-level clock under
-/// [`ClockPolicy::CircuitQuantile`] (a `sta_samples`-sized static
-/// Monte-Carlo run), `None` under the other policies. Only chip submits
-/// need it: a behaviour submit carries its own `clk`.
-fn circuit_clk(design: &Design, config: &CampaignConfig) -> Result<Option<f64>, String> {
-    match config.clock {
-        ClockPolicy::CircuitQuantile(q) => Ok(Some(
-            sta::static_mc(
-                design.circuit(),
-                design.timing(),
-                config.sta_samples,
-                config.seed,
-            )
-            .map_err(|e| format!("static timing: {e}"))?
-            .clock_at_quantile(q),
-        )),
-        ClockPolicy::TestedQuantile(_) | ClockPolicy::Sweep => Ok(None),
-    }
-}
-
 fn function_names() -> Vec<String> {
     ErrorFunction::EXTENDED
         .into_iter()
@@ -370,23 +351,28 @@ fn function_names() -> Vec<String> {
 }
 
 fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
-    let tenant = request.tenant.clone();
-    let kernel = match parse_kernel(&request.kernel) {
-        Ok(k) => k,
-        Err(e) => {
-            let mut r = Response::error(e);
-            r.tenant = tenant;
-            return write_response(writer, &r);
-        }
+    // A submit's responses end at its first `done`, `error` or `busy`:
+    // a failing submit answers `error` alone, after any outcomes it
+    // already streamed.
+    let mut end = match serve_submit(state, &request, writer) {
+        Ok(()) => Response::kind("done"),
+        Err(e) => Response::error(e),
     };
-    let session = match state.tenants.session(&tenant, kernel, request.top_k) {
-        Ok(s) => s,
-        Err(e) => {
-            let mut r = Response::error(e);
-            r.tenant = tenant;
-            return write_response(writer, &r);
-        }
-    };
+    end.tenant = request.tenant;
+    write_response(writer, &end);
+}
+
+/// Streams the `outcome` responses of one submit; an error ends the
+/// submit in place of `done`.
+fn serve_submit(
+    state: &ServerState,
+    request: &Request,
+    writer: &SharedWriter,
+) -> Result<(), String> {
+    let kernel = parse_kernel(&request.kernel)?;
+    let session = state
+        .tenants
+        .session(&request.tenant, kernel, request.top_k)?;
     let config = request
         .config
         .clone()
@@ -395,6 +381,9 @@ fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
     // design from the same effective configuration so the served
     // outcomes are bit-identical to an in-process run.
     let config = session.effective_config(&config);
+    // Refused before any work starts: no design is built and no chip
+    // batch is drawn.
+    config.validate().map_err(|e| e.to_string())?;
     // Built once per (profile, seed, variation) by the shared layer.
     let design = || {
         state
@@ -403,42 +392,22 @@ fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
             .design(&request.circuit, config.seed, config.variation)
             .map_err(|e| e.to_string())
     };
-
-    if let Err(e) = config.validate() {
-        // Refused before any work starts: no design is built and no
-        // chip batch is drawn.
-        let mut r = Response::error(e.to_string());
-        r.tenant = tenant.clone();
-        write_response(writer, &r);
-    } else if let Some(behavior) = &request.behavior {
-        let outcome =
-            design().and_then(|design| diagnose_wire_behavior(&session, &design, behavior));
-        let mut r = match outcome {
-            Ok(rankings) => {
-                let mut r = Response::kind("outcome");
-                r.detected = !rankings.is_empty();
-                r.functions = function_names();
-                r.rankings = rankings;
-                r
-            }
-            Err(e) => Response::error(e),
-        };
-        r.tenant = tenant.clone();
+    if let Some(behavior) = &request.behavior {
+        let rankings = diagnose_wire_behavior(&session, &*design()?, behavior)?;
+        let mut r = Response::kind("outcome");
+        r.tenant = request.tenant.clone();
+        r.detected = !rankings.is_empty();
+        r.functions = function_names();
+        r.rankings = rankings;
         write_response(writer, &r);
     } else if !request.chips.is_empty() {
-        let env = design().and_then(|design| Ok((circuit_clk(&design, &config)?, design)));
-        let (clk, design) = match env {
-            Ok(pair) => pair,
-            Err(e) => {
-                let mut r = Response::error(e);
-                r.tenant = tenant;
-                return write_response(writer, &r);
-            }
-        };
+        let design = design()?;
         for &chip in &request.chips {
-            let outcome = session.diagnose_instance(&design, clk, &config, chip as usize);
+            let outcome = session
+                .diagnose_instance(&design, &config, chip as usize)
+                .map_err(|e| format!("diagnosis: {e}"))?;
             let mut r = Response::kind("outcome");
-            r.tenant = tenant.clone();
+            r.tenant = request.tenant.clone();
             r.chip = chip;
             if let Some(o) = outcome {
                 r.detected = !o.rankings.is_empty();
@@ -449,13 +418,9 @@ fn handle_submit(state: &ServerState, request: Request, writer: &SharedWriter) {
             write_response(writer, &r);
         }
     } else {
-        let mut r = Response::error("submit carries neither chips nor behavior");
-        r.tenant = tenant;
-        return write_response(writer, &r);
+        return Err("submit carries neither chips nor behavior".into());
     }
-    let mut done = Response::kind("done");
-    done.tenant = tenant;
-    write_response(writer, &done);
+    Ok(())
 }
 
 fn diagnose_wire_behavior(
@@ -835,11 +800,8 @@ fn worker_loop(state: Arc<ServerState>, rx: Arc<Mutex<Receiver<Job>>>) {
                         .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
                         .unwrap_or("unknown panic");
                     let mut r = Response::error(format!("request failed: {what}"));
-                    r.tenant = tenant.clone();
+                    r.tenant = tenant;
                     write_response(&writer, &r);
-                    let mut done = Response::kind("done");
-                    done.tenant = tenant;
-                    write_response(&writer, &done);
                 }
             }
             Ok(Job::Poison) | Err(_) => return,
@@ -936,8 +898,8 @@ impl Client {
     }
 
     /// Collects the streamed responses of one `submit`: every `outcome`
-    /// until the matching `done` (a `busy` or `error` response is
-    /// returned alone).
+    /// until the `done` that ends it. A `busy` or `error` response also
+    /// ends it and is returned as the last element.
     ///
     /// # Errors
     ///

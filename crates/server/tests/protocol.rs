@@ -1,7 +1,8 @@
 //! Protocol-robustness regression tests: malformed, oversized or
 //! garbage request lines, and retired kernel names, must each produce a
 //! structured `error` response and leave the connection serving
-//! follow-up requests. Also
+//! follow-up requests, and a failed submit ends at its `error`, with
+//! nothing left for the connection's next submit to read. Also
 //! pins the screened-kernel protocol surface: `"kernel": "screened"` +
 //! `top_k` submits serve rankings bit-identical to an in-process
 //! screened session, and behaviour submits under a circuit-quantile
@@ -61,7 +62,7 @@ fn screened_submit_is_bit_identical_to_in_process_screened_session() {
     let mut compared = 0;
     for (chip, response) in responses.iter().enumerate() {
         assert_eq!(response.op, "outcome", "{response:?}");
-        let local = session.diagnose_instance(&design, None, &config, chip);
+        let local = session.diagnose_instance(&design, &config, chip).unwrap();
         match local {
             Some(local) => {
                 assert_eq!(response.injected, Some(local.injected.index() as u64));
@@ -310,23 +311,6 @@ fn within<T: Send + 'static>(limit: Duration, exchange: impl FnOnce() -> T + Sen
         .expect("the server did not answer in time")
 }
 
-/// Every response of one submit, up to and including its `done`.
-fn responses_until_done(client: &mut Client, request: &Request) -> Vec<Response> {
-    client.send(request).expect("send");
-    let mut out = Vec::new();
-    loop {
-        let response = client
-            .recv()
-            .expect("recv")
-            .expect("server closed mid-stream");
-        let done = response.op == "done";
-        out.push(response);
-        if done {
-            return out;
-        }
-    }
-}
-
 #[test]
 fn panicking_submit_costs_one_error_and_keeps_the_only_worker() {
     let server = Server::bind(ServerConfig {
@@ -368,22 +352,24 @@ fn panicking_submit_costs_one_error_and_keeps_the_only_worker() {
     let good = submit("good", &config);
     let (bad_answers, served) = within(Duration::from_secs(120), move || {
         let mut client = connect(addr);
-        let bad_answers: Vec<Vec<Response>> = bad
-            .iter()
-            .map(|r| responses_until_done(&mut client, r))
-            .collect();
-        assert_alive(&mut client);
+        let mut bad_answers: Vec<Vec<Response>> = Vec::new();
+        for r in &bad {
+            bad_answers.push(client.submit(r).expect("bad submit"));
+            // The `error` ended the submit: a stray `done` would answer
+            // this ping instead of `pong`.
+            assert_alive(&mut client);
+        }
         let served = connect(addr).submit(&good).expect("good submit");
         (bad_answers, served)
     });
     for (answers, wanted) in bad_answers.iter().zip(wanted) {
         let ops: Vec<&str> = answers.iter().map(|r| r.op.as_str()).collect();
-        assert_eq!(&ops[ops.len() - 2..], ["error", "done"], "{answers:?}");
+        assert_eq!(ops.last(), Some(&"error"), "{answers:?}");
         assert!(
-            ops[..ops.len() - 2].iter().all(|&op| op == "outcome"),
+            ops[..ops.len() - 1].iter().all(|&op| op == "outcome"),
             "{answers:?}"
         );
-        let error = &answers[answers.len() - 2];
+        let error = &answers[answers.len() - 1];
         assert_eq!(error.tenant, "bad");
         for part in wanted {
             assert!(error.error.contains(part), "{part:?} in {error:?}");
@@ -398,7 +384,7 @@ fn panicking_submit_costs_one_error_and_keeps_the_only_worker() {
     let mut compared = 0;
     for (chip, response) in served.iter().enumerate() {
         assert_eq!(response.op, "outcome", "{response:?}");
-        let local = session.diagnose_instance(&design, None, &config, chip);
+        let local = session.diagnose_instance(&design, &config, chip).unwrap();
         assert_eq!(
             response.injected,
             local.as_ref().map(|l| l.injected.index() as u64)
@@ -409,4 +395,42 @@ fn panicking_submit_costs_one_error_and_keeps_the_only_worker() {
         }
     }
     assert!(compared > 0, "at least one chip must produce a ranking");
+}
+
+#[test]
+fn a_failed_submit_leaves_no_stray_response_on_its_connection() {
+    // A submit's responses end at its first `done`, `error` or `busy`:
+    // after a refused config and a behaviour that fails to parse, the
+    // next submit on the same connection reads its own outcomes.
+    let config = CampaignConfig::quick(5);
+    let mut no_sta = config.clone();
+    no_sta.sta_samples = 0;
+    let submit = |config: &CampaignConfig| {
+        let mut r = Request::new("submit");
+        r.tenant = "t".into();
+        r.circuit = "s27".into();
+        r.chips = vec![0, 1, 2];
+        r.config = Some(config.clone());
+        r
+    };
+    let mut empty_behavior = submit(&config);
+    empty_behavior.chips.clear();
+    empty_behavior.behavior = Some(WireBehavior {
+        patterns: Vec::new(),
+        fails: Vec::new(),
+        clk: 1.0,
+    });
+    let mut client = connect(start_server());
+    for (bad, wanted) in [
+        (submit(&no_sta), "`sta_samples`"),
+        (empty_behavior, "no patterns"),
+    ] {
+        let refused = client.submit(&bad).expect("bad submit");
+        assert_eq!(refused.len(), 1, "{refused:?}");
+        assert_eq!(refused[0].op, "error", "{refused:?}");
+        assert!(refused[0].error.contains(wanted), "{refused:?}");
+        let served = client.submit(&submit(&config)).expect("good submit");
+        assert_eq!(served.len(), 3, "one outcome per chip: {served:?}");
+        assert!(served.iter().all(|r| r.op == "outcome"), "{served:?}");
+    }
 }

@@ -7,20 +7,21 @@
 //! cargo run --release --example diagnose_failing_chip
 //! ```
 
-use sdd::diagnosis::defect::SingleDefectModel;
-use sdd::diagnosis::inject::{diagnose_one_instance, CampaignConfig};
+use sdd::diagnosis::inject::CampaignConfig;
+use sdd::diagnosis::session::{ArtifactLayer, Design};
 use sdd::diagnosis::ErrorFunction;
 use sdd::netlist::generator::generate;
 use sdd::netlist::profiles;
-use sdd::timing::{CellLibrary, CircuitTiming};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = CampaignConfig::paper(11);
     let profile = profiles::by_name("s1238").expect("s1238 profile exists");
     let circuit = generate(&profile.to_config(config.seed))?.to_combinational()?;
-    let library = CellLibrary::default_025um();
-    let timing = CircuitTiming::characterize(&circuit, &library, config.variation);
-    let defect_model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    // Timing, defect model and clocks: the environment every chip of
+    // this design is diagnosed in.
+    let design = Design::new(circuit, config.variation);
+    let circuit = design.circuit();
+    let session = ArtifactLayer::new().session("");
 
     println!(
         "design: {} — {} gates, {} arcs (candidate defect sites)\n",
@@ -37,9 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut diagnosed = 0;
     let mut hits_at_5 = 0;
     for chip in 0..8 {
-        let Some(outcome) =
-            diagnose_one_instance(&circuit, &timing, &defect_model, None, &config, chip)
-        else {
+        let Some(outcome) = session.diagnose_instance(&design, &config, chip)? else {
             println!("chip {chip}: no observable failure (defect escaped)");
             continue;
         };

@@ -2,7 +2,8 @@
 //! four crates, on small fixtures where the expected outcome is known.
 
 use sdd::diagnosis::defect::InjectedDefect;
-use sdd::diagnosis::inject::{diagnose_one_instance, patterns_through_site, tested_delay_samples};
+use sdd::diagnosis::inject::{patterns_through_site, tested_delay_samples};
+use sdd::diagnosis::session::Design;
 use sdd::prelude::*;
 
 fn fixture() -> (sdd::netlist::Circuit, CircuitTiming, CellLibrary) {
@@ -25,13 +26,13 @@ fn fixture() -> (sdd::netlist::Circuit, CircuitTiming, CellLibrary) {
 
 #[test]
 fn full_pipeline_produces_consistent_rankings() {
-    let (circuit, timing, library) = fixture();
-    let model = SingleDefectModel::paper_section_i(library.nominal_cell_delay());
+    let (circuit, _, _) = fixture();
+    let design = Design::new(circuit, VariationModel::default());
+    let session = ArtifactLayer::new().session("");
     let config = CampaignConfig::quick(3);
     let mut any = false;
     for chip in 0..4 {
-        let Some(outcome) = diagnose_one_instance(&circuit, &timing, &model, None, &config, chip)
-        else {
+        let Some(outcome) = session.diagnose_instance(&design, &config, chip).unwrap() else {
             continue;
         };
         if outcome.rankings.is_empty() {
