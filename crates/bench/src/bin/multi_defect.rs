@@ -11,17 +11,20 @@
 //!     [-- --quick] [--circuit s1196] [--seed 2] [--m 2]
 //! ```
 //!
-//! Runs the `m = 1` baseline next to the requested `m` (default 2) so
-//! the dictionary-model mismatch cost is visible per (K, error
-//! function) cell. The binary asserts the structural invariants the
-//! integration suite pins (monotone any-hit in K, deterministic
-//! reruns), so a CI `--quick` invocation doubles as a smoke test.
+//! Runs the `m = 1` baseline next to the requested `m` (default 2) on
+//! one shared layer, so the dictionary-model mismatch cost is visible
+//! per (K, error function) cell. The binary asserts that the `m = 1`
+//! leg equals the single-defect campaign of the same configuration,
+//! that hit counts are monotone in K, and that a rerun on a fresh layer
+//! is bit-identical, so a CI `--quick` invocation doubles as a smoke
+//! test.
 
 use sdd_bench::flag_value;
 use sdd_core::inject::CampaignConfig;
-use sdd_core::multi_defect::run_multi_defect_campaign;
+use sdd_core::session::{ArtifactLayer, DiagnosisSession};
 use sdd_netlist::generator::generate;
 use sdd_netlist::profiles;
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 fn main() {
@@ -31,10 +34,9 @@ fn main() {
     let seed: u64 = flag_value(&args, "--seed")
         .and_then(|s| s.parse().ok())
         .unwrap_or(2);
-    let m: usize = flag_value(&args, "--m")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
-    assert!(m >= 1, "--m must be at least 1");
+    let m: NonZeroUsize = flag_value(&args, "--m")
+        .map(|s| s.parse().expect("--m must be a positive integer"))
+        .unwrap_or(NonZeroUsize::new(2).expect("2 is nonzero"));
 
     let profile = profiles::by_name(&circuit_name)
         .unwrap_or_else(|| panic!("unknown circuit profile `{circuit_name}`"));
@@ -60,50 +62,68 @@ fn main() {
     );
 
     let total = Instant::now();
-    let reports: Vec<_> = [1, m]
-        .iter()
-        .map(|&defects| {
+    let session = ArtifactLayer::new().session("");
+    let reports: Vec<_> = [NonZeroUsize::MIN, m]
+        .into_iter()
+        .map(|defects| {
             let t0 = Instant::now();
-            let report = run_multi_defect_campaign(&circuit, &config, defects)
-                .expect("multi-defect campaign runs");
-            // Smoke invariants: any-hit counts are monotone in K, and a
-            // rerun is bit-identical (the campaign is seed-determined).
+            let run = |session: &DiagnosisSession| {
+                session
+                    .run_multi_defect_campaign_on(&circuit, &config, defects)
+                    .expect("multi-defect campaign runs")
+            };
+            let report = run(&session);
             for f_ix in 0..report.functions.len() {
                 let mut last = 0;
-                for k_ix in 0..report.k_values.len() {
+                for row in &report.successes {
                     assert!(
-                        report.any_hit[k_ix][f_ix] >= last,
+                        row[f_ix] >= last,
                         "any-hit not monotone in K at m={defects}"
                     );
-                    last = report.any_hit[k_ix][f_ix];
+                    last = row[f_ix];
                 }
             }
-            let again = run_multi_defect_campaign(&circuit, &config, defects)
-                .expect("multi-defect campaign reruns");
+            // The campaign is seed-determined: a cold layer gives the
+            // report the warm shared one did.
+            let again = run(&ArtifactLayer::new().session(""));
             assert_eq!(report, again, "m={defects} campaign is not deterministic");
-            println!("  [m = {defects} done in {:.1?}]", t0.elapsed());
+            if defects == NonZeroUsize::MIN {
+                let single = session
+                    .run_campaign_on(&circuit, &config)
+                    .expect("single-defect campaign runs");
+                assert_eq!(
+                    report, single,
+                    "m=1 leg differs from the single-defect campaign"
+                );
+            }
+            let c = &report.metrics;
+            println!(
+                "  [m = {defects} done in {:.1?}; pattern cache: {} hits / {} misses, \
+                 dictionary cache: {} hits / {} misses]",
+                t0.elapsed(),
+                c.pattern_cache_hits,
+                c.pattern_cache_misses,
+                c.dict_cache_hits,
+                c.dict_cache_misses
+            );
             report
         })
         .collect();
 
-    let base = &reports[0];
-    let multi = &reports[1];
+    let (base, multi) = (&reports[0], &reports[1]);
     println!("\n  any-hit %, m=1 -> m={m} (per K, per error function):");
     print!("  {:>6}", "K");
-    for f_ix in 0..base.functions.len() {
-        print!(
-            " {:>16}",
-            base.function(f_ix).expect("function in range").name()
-        );
+    for f in &base.functions {
+        print!(" {:>16}", f.name());
     }
     println!();
-    for k_ix in 0..base.k_values.len() {
-        print!("  {:>6}", base.k_value(k_ix).expect("K in range"));
+    for (k_ix, k) in base.k_values.iter().enumerate() {
+        print!("  {k:>6}");
         for f_ix in 0..base.functions.len() {
             print!(
                 " {:>7.0} -> {:>4.0}",
-                base.any_hit_percent(k_ix, f_ix),
-                multi.any_hit_percent(k_ix, f_ix)
+                base.success_percent(k_ix, f_ix),
+                multi.success_percent(k_ix, f_ix)
             );
         }
         println!();

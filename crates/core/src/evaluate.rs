@@ -93,6 +93,21 @@ impl AccuracyReport {
         n_suspects: usize,
         n_patterns: usize,
     ) {
+        self.record_any(injected, &[], rankings, n_suspects, n_patterns);
+    }
+
+    /// [`record`](Self::record) for a chip carrying defects on
+    /// `injected` and `others`: a cell succeeds when *any* of them is in
+    /// the top `K` (the failure-analysis lab finds a defect, repairs it
+    /// and iterates).
+    fn record_any(
+        &mut self,
+        injected: EdgeId,
+        others: &[EdgeId],
+        rankings: &[Vec<RankedSite>],
+        n_suspects: usize,
+        n_patterns: usize,
+    ) {
         assert_eq!(
             rankings.len(),
             self.functions.len(),
@@ -104,7 +119,8 @@ impl AccuracyReport {
         self.trials += 1;
         for (k_ix, &k) in self.k_values.iter().enumerate() {
             for (f_ix, ranking) in rankings.iter().enumerate() {
-                if is_success(ranking, injected, k) {
+                let mut arcs = std::iter::once(&injected).chain(others);
+                if arcs.any(|&e| is_success(ranking, e, k)) {
                     self.successes[k_ix][f_ix] += 1;
                 }
             }
@@ -121,12 +137,19 @@ impl AccuracyReport {
     }
 
     /// Records one campaign chip: its rankings when diagnosis produced
-    /// some, a failure (with its applied patterns) when it did not, and a
-    /// pattern-less failure when the chip never failed a test (`None`).
+    /// some (a hit when any injected arc is in the top `K`), a failure
+    /// (with its applied patterns) when it did not, and a pattern-less
+    /// failure when the chip never failed a test (`None`).
     pub fn record_outcome(&mut self, outcome: Option<&InstanceOutcome>) {
         match outcome {
             Some(o) if !o.rankings.is_empty() => {
-                self.record(o.injected, &o.rankings, o.n_suspects, o.n_patterns);
+                self.record_any(
+                    o.injected,
+                    &o.other_injected,
+                    &o.rankings,
+                    o.n_suspects,
+                    o.n_patterns,
+                );
             }
             Some(o) => self.record_failure(o.n_patterns),
             None => self.record_failure(0),
@@ -191,6 +214,31 @@ mod tests {
         assert_eq!(r.success_percent(1, 0), 100.0); // K=2, method I
         assert!((r.avg_suspects - 15.0).abs() < 1e-9);
         assert!((r.avg_patterns - 7.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn any_injected_arc_in_the_top_k_is_a_hit() {
+        let mut r = AccuracyReport::new("demo", vec![1, 2], vec![ErrorFunction::MethodI]);
+        let outcome = InstanceOutcome {
+            injected: EdgeId::from_index(9),
+            other_injected: vec![EdgeId::from_index(4)],
+            delta: 0.1,
+            n_patterns: 3,
+            n_suspects: 2,
+            rankings: vec![vec![site(1, 0.9), site(4, 0.8)]],
+            trace: crate::metrics::InstanceTrace::new(
+                crate::metrics::TraceOutcome::Diagnosed,
+                &CampaignMetrics::default(),
+            ),
+        };
+        r.record_outcome(Some(&outcome));
+        assert_eq!(r.successes, vec![vec![0], vec![1]]);
+        let single = InstanceOutcome {
+            other_injected: Vec::new(),
+            ..outcome
+        };
+        r.record_outcome(Some(&single));
+        assert_eq!(r.successes, vec![vec![0], vec![1]]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! For each circuit: manufacture `N` chip instances from the statistical
 //! timing model; on each, inject one delay defect with random location
-//! and random size (Definition D.10, sizes per Section I); generate
+//! and random size (Definition D.10, sizes per Section I; `m ≥ 2`
+//! defects per chip for paper future-work direction 3); generate
 //! path-delay tests through the fault site over its statistically-longest
 //! paths (Section H-4); observe the behaviour matrix at the cut-off
 //! period; diagnose with every error function; and score success = the
@@ -24,6 +25,7 @@ use sdd_atpg::PatternSet;
 use sdd_netlist::{Circuit, EdgeId};
 use sdd_timing::{path, CircuitTiming, TimingInstance, VariationModel};
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 /// Configuration of a defect-injection campaign.
@@ -338,8 +340,12 @@ pub fn tested_delay_samples_from_batch(
 /// examples and figure reproductions).
 #[derive(Debug, Clone)]
 pub struct InstanceOutcome {
-    /// The arc that actually carries the defect.
+    /// The arc that actually carries the defect (the first defect of a
+    /// multi-defect chip: the one its patterns were generated through).
     pub injected: EdgeId,
+    /// The arcs carrying defects `2..m` of a multi-defect chip; empty
+    /// for single-defect chips.
+    pub other_injected: Vec<EdgeId>,
     /// The injected defect size.
     pub delta: f64,
     /// Patterns applied.
@@ -495,12 +501,14 @@ pub fn patterns_through_site_with(
 }
 
 /// The campaign body behind [`crate::session::DiagnosisSession`]: fan
-/// chips out over the *current* rayon pool against the given cache and
-/// metrics sink. The report's metrics are the delta against the sink's
-/// state at entry, so a long-lived session reports per-campaign numbers.
+/// chips carrying `defects_per_chip` defects each out over the
+/// *current* rayon pool against the given cache and metrics sink. The
+/// report's metrics are the delta against the sink's state at entry, so
+/// a long-lived session reports per-campaign numbers.
 pub(crate) fn run_campaign_on_with(
     design: &Design,
     config: &CampaignConfig,
+    defects_per_chip: NonZeroUsize,
     cache: &DictionaryCache,
     metrics: &MetricsSink,
 ) -> Result<AccuracyReport, DiagnosisError> {
@@ -515,7 +523,17 @@ pub(crate) fn run_campaign_on_with(
     );
     let outcomes: Vec<Option<InstanceOutcome>> = (0..config.n_instances)
         .into_par_iter()
-        .map(|i| diagnose_instance_impl(design, circuit_clk, config, i, cache, metrics))
+        .map(|i| {
+            diagnose_instance_impl(
+                design,
+                circuit_clk,
+                config,
+                i,
+                defects_per_chip,
+                cache,
+                metrics,
+            )
+        })
         .collect();
     for outcome in &outcomes {
         report.record_outcome(outcome.as_ref());
@@ -537,6 +555,12 @@ pub(crate) fn run_campaign_on_with(
 /// Returns `None` when no observable failing configuration could be
 /// drawn within the redraw budget.
 ///
+/// Each draw injects `defects_per_chip` independent defects (paper
+/// future-work direction 3). Patterns target the first defect's site
+/// and diagnosis keeps the single-defect dictionary; defects `2..m` are
+/// the un-modelled reality whose cost the multi-defect campaign
+/// measures. At `m = 1` the draw sequence is the single-defect one.
+///
 /// Every timer, cache event and store event of this instance lands in a
 /// private scratch [`MetricsSink`] first;
 /// [`MetricsSink::record_instance`] then folds the scratch snapshot
@@ -550,6 +574,7 @@ pub(crate) fn diagnose_instance_impl(
     circuit_clk: Option<f64>,
     config: &CampaignConfig,
     index: usize,
+    defects_per_chip: NonZeroUsize,
     cache: &DictionaryCache,
     metrics: &MetricsSink,
 ) -> Option<InstanceOutcome> {
@@ -561,6 +586,7 @@ pub(crate) fn diagnose_instance_impl(
     let mut last_edge: Option<EdgeId> = None;
     let mut last_delta = 0.0f64;
     let mut last_patterns = 0usize;
+    let mut other_injected: Vec<EdgeId> = Vec::new();
     let mut observed: Option<(std::sync::Arc<PatternSet>, crate::BehaviorMatrix)> = None;
     // Redraws can land on a site this instance already paid the pattern
     // lookup for (the site seed is a pure function of the edge, so the
@@ -606,7 +632,20 @@ pub(crate) fn diagnose_instance_impl(
         if patterns.is_empty() {
             continue;
         }
-        let failing_chip = defect.apply(&chip);
+        let mut failing_chip = defect.apply(&chip);
+        other_injected.clear();
+        for d in 1..defects_per_chip.get() {
+            // Hashed on (chip, attempt, d): off the arithmetic ladder of
+            // first-defect seeds above.
+            let mut h = crate::format::StableHasher::new();
+            h.write(b"extra defect");
+            for key in [config.seed, index as u64, attempt as u64, d as u64] {
+                h.write_u64(key);
+            }
+            let extra = design.defect_model().sample_defect(circuit, h.finish());
+            failing_chip.add_extra_delay(extra.edge, extra.delta);
+            other_injected.push(extra.edge);
+        }
         let behavior = local.time(Phase::Observe, || {
             observe_behavior(
                 design,
@@ -674,6 +713,7 @@ pub(crate) fn diagnose_instance_impl(
     metrics.record_instance(&scratch, trace.clone());
     observed.map(|_| InstanceOutcome {
         injected: last_edge.expect("observed implies a defect was drawn"),
+        other_injected,
         delta: last_delta,
         n_patterns: last_patterns,
         n_suspects,
@@ -1032,7 +1072,15 @@ mod tests {
         let mut saw_repeat = false;
         for index in 0..12usize {
             let seq = sink.trace_seq();
-            let out = diagnose_instance_impl(&design, Some(1e9), &cfg, index, &cache, &sink);
+            let out = diagnose_instance_impl(
+                &design,
+                Some(1e9),
+                &cfg,
+                index,
+                NonZeroUsize::MIN,
+                &cache,
+                &sink,
+            );
             assert!(out.is_none(), "chip {index} failed under a 1e9 clock");
             let trace = sink
                 .traces_since(seq)
@@ -1063,6 +1111,27 @@ mod tests {
             saw_repeat,
             "no chip ever re-drew a site; pick a seed that collides to keep this test meaningful"
         );
+    }
+
+    #[test]
+    fn extra_defects_ride_along_the_first() {
+        let design = Design::generate(&profiles::S27, 9, VariationModel::default()).unwrap();
+        let cfg = CampaignConfig::quick(4);
+        let cache = DictionaryCache::new();
+        let sink = MetricsSink::new();
+        let mut observed = 0;
+        for index in 0..6usize {
+            for m in 1..=3usize {
+                let m = NonZeroUsize::new(m).unwrap();
+                let Some(o) = diagnose_instance_impl(&design, None, &cfg, index, m, &cache, &sink)
+                else {
+                    continue;
+                };
+                observed += 1;
+                assert_eq!(o.other_injected.len(), m.get() - 1);
+            }
+        }
+        assert!(observed > 0, "no chip was ever observed failing");
     }
 
     #[test]

@@ -64,7 +64,6 @@ pub mod evaluate;
 pub mod format;
 pub mod inject;
 pub mod metrics;
-pub mod multi_defect;
 pub mod session;
 pub mod store;
 pub mod suspects;

@@ -59,6 +59,7 @@ use sdd_netlist::generator::generate;
 use sdd_netlist::profiles::{self, BenchmarkProfile};
 use sdd_netlist::Circuit;
 use sdd_timing::{sta, CellLibrary, CircuitTiming, Dist, VariationModel};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -477,7 +478,8 @@ impl DiagnosisSession {
         config: &CampaignConfig,
     ) -> Result<AccuracyReport, SddError> {
         let cfg = self.checked_config(config)?;
-        self.campaign(&Design::generate(profile, cfg.seed, cfg.variation)?, &cfg)
+        let design = Design::generate(profile, cfg.seed, cfg.variation)?;
+        self.campaign(&design, &cfg, NonZeroUsize::MIN)
     }
 
     /// Runs the defect-injection campaign on an explicit combinational
@@ -501,8 +503,29 @@ impl DiagnosisSession {
         circuit: &Circuit,
         config: &CampaignConfig,
     ) -> Result<AccuracyReport, SddError> {
+        self.run_multi_defect_campaign_on(circuit, config, NonZeroUsize::MIN)
+    }
+
+    /// [`run_campaign_on`](Self::run_campaign_on) with
+    /// `defects_per_chip` independent segment defects injected into
+    /// every chip, diagnosed under the single-defect dictionary (paper
+    /// future-work direction 3). Patterns are generated through the
+    /// first defect's site; a `(K, function)` cell scores a hit when
+    /// *any* injected arc is in the top `K`. `defects_per_chip = 1` is
+    /// exactly [`run_campaign_on`](Self::run_campaign_on).
+    ///
+    /// # Errors
+    ///
+    /// As [`run_campaign_on`](Self::run_campaign_on).
+    pub fn run_multi_defect_campaign_on(
+        &self,
+        circuit: &Circuit,
+        config: &CampaignConfig,
+        defects_per_chip: NonZeroUsize,
+    ) -> Result<AccuracyReport, SddError> {
         let cfg = self.checked_config(config)?;
-        self.campaign(&Design::new(circuit.clone(), cfg.variation), &cfg)
+        let design = Design::new(circuit.clone(), cfg.variation);
+        self.campaign(&design, &cfg, defects_per_chip)
     }
 
     /// [`effective_config`](Self::effective_config), refused by
@@ -513,11 +536,17 @@ impl DiagnosisSession {
         Ok(cfg)
     }
 
-    /// The campaign behind both entry points, under an already
+    /// The campaign behind every entry point, under an already
     /// effective configuration.
-    fn campaign(&self, design: &Design, cfg: &CampaignConfig) -> Result<AccuracyReport, SddError> {
+    fn campaign(
+        &self,
+        design: &Design,
+        cfg: &CampaignConfig,
+        defects_per_chip: NonZeroUsize,
+    ) -> Result<AccuracyReport, SddError> {
         let start = Instant::now();
-        let run = || run_campaign_on_with(design, cfg, self.layer.cache(), &self.metrics);
+        let cache = self.layer.cache();
+        let run = || run_campaign_on_with(design, cfg, defects_per_chip, cache, &self.metrics);
         let report = self.layer.install(run)?;
         // Make the campaign's checkpoints durable before reporting: a
         // caller that exits right after this call must find them on the
@@ -555,6 +584,7 @@ impl DiagnosisSession {
                 clk,
                 &cfg,
                 index,
+                NonZeroUsize::MIN,
                 self.layer.cache(),
                 &self.metrics,
             ))

@@ -1,20 +1,19 @@
-//! Integration tests for the multi-defect campaign against the
-//! single-defect Table-I campaign.
+//! Integration tests for the multi-defect campaign
+//! ([`DiagnosisSession::run_multi_defect_campaign_on`]).
 //!
-//! With `defects_per_chip = 1` the multi-defect campaign is the same
-//! experiment as the single-defect campaign — one segment defect per
-//! chip, single-defect dictionary, any-hit scoring degenerating to the
-//! plain top-K hit — but the two paths deliberately use different seed
-//! keying (chip draws, defect draws and redraw schedules differ), so
-//! the comparison is *statistical*, not bit-exact: the success rates
-//! must agree within binomial noise at the campaign size.
+//! The multi-defect campaign is the single-defect campaign body with
+//! extra defects applied to each chip before observation, so with
+//! `defects_per_chip = 1` it *is* the Table-I campaign: the reports
+//! must be equal, not merely statistically close.
 
+use sdd_core::evaluate::AccuracyReport;
 use sdd_core::inject::CampaignConfig;
-use sdd_core::multi_defect::run_multi_defect_campaign;
-use sdd_core::session::ArtifactLayer;
+use sdd_core::session::{ArtifactLayer, DiagnosisSession};
+use sdd_core::{DiagnosisError, SddError};
 use sdd_netlist::generator::generate;
 use sdd_netlist::profiles;
 use sdd_netlist::Circuit;
+use std::num::NonZeroUsize;
 
 fn small() -> Circuit {
     generate(&profiles::S27.to_config(3))
@@ -23,103 +22,88 @@ fn small() -> Circuit {
         .unwrap()
 }
 
-/// A quick config with enough chips for rate comparison: 30 trials puts
-/// the std of a per-cell rate difference at ≤ 13 points.
+/// A quick config with 30 chips.
 fn config(seed: u64) -> CampaignConfig {
     let mut cfg = CampaignConfig::quick(seed);
     cfg.n_instances = 30;
     cfg
 }
 
-/// The pre-declared seeds of the rate comparison. One seed's mean gap
-/// is noisy (it spans about −6…+20 points over these seeds), so the
-/// bias bound applies to the gap pooled over all of them.
-const SEEDS: std::ops::RangeInclusive<u64> = 5..=14;
+fn defects(m: usize) -> NonZeroUsize {
+    NonZeroUsize::new(m).expect("positive defect count")
+}
+
+fn run(session: &DiagnosisSession, c: &Circuit, cfg: &CampaignConfig, m: usize) -> AccuracyReport {
+    session
+        .run_multi_defect_campaign_on(c, cfg, defects(m))
+        .expect("multi-defect campaign runs")
+}
+
+fn layer_with_threads(n: usize) -> ArtifactLayer {
+    ArtifactLayer::builder()
+        .num_threads(n)
+        .build()
+        .expect("layer builds")
+}
+
+fn assert_monotone_in_k(report: &AccuracyReport) {
+    for f_ix in 0..report.functions.len() {
+        let mut last = 0;
+        for row in &report.successes {
+            assert!(row[f_ix] >= last, "non-monotone in K");
+            last = row[f_ix];
+        }
+    }
+}
 
 #[test]
-fn single_defect_multi_campaign_matches_single_defect_rates() {
+fn single_defect_multi_campaign_equals_single_defect_campaign() {
     let c = small();
-    let mut gaps = Vec::new();
-    for seed in SEEDS {
+    for seed in [5, 9, 14] {
         let cfg = config(seed);
-        let multi = run_multi_defect_campaign(&c, &cfg, 1).expect("multi campaign runs");
+        let multi = run(&ArtifactLayer::new().session(""), &c, &cfg, 1);
         let single = ArtifactLayer::new()
             .session("")
             .run_campaign_on(&c, &cfg)
             .expect("single campaign runs");
-
-        // Same experiment shape.
+        assert_eq!(multi, single, "seed {seed}: m = 1 differs from Table I");
         assert_eq!(multi.trials, cfg.n_instances);
-        assert_eq!(single.trials, cfg.n_instances);
-        assert_eq!(multi.k_values, single.k_values);
-        assert_eq!(multi.functions, single.functions);
-
-        // Statistical agreement on every seed: every (K, function) cell
-        // within 4σ of the binomial noise on a rate difference at 30
-        // trials (σ ≈ 13 points → 52).
-        let mut sum_diff = 0.0;
-        let mut cells = 0.0;
-        for k_ix in 0..multi.k_values.len() {
-            for f_ix in 0..multi.functions.len() {
-                let m = multi.any_hit_percent(k_ix, f_ix);
-                let s = single.success_percent(k_ix, f_ix);
-                assert!(
-                    (m - s).abs() <= 52.0,
-                    "seed {seed} K={} f={:?}: multi(m=1) {m:.0}% vs single {s:.0}% \
-                     disagree beyond noise",
-                    multi.k_values[k_ix],
-                    multi.functions[f_ix],
-                );
-                sum_diff += m - s;
-                cells += 1.0;
-            }
-        }
-        gaps.push(sum_diff / cells);
-
-        // Any-hit rates are monotone in K, like the single-defect rates.
-        for f_ix in 0..multi.functions.len() {
-            let mut last = 0;
-            for k_ix in 0..multi.k_values.len() {
-                assert!(multi.any_hit[k_ix][f_ix] >= last, "non-monotone in K");
-                last = multi.any_hit[k_ix][f_ix];
-            }
-        }
     }
-    // The grand mean over every seed and cell — where the noise
-    // averages down — within 20 points.
-    let pooled = gaps.iter().sum::<f64>() / gaps.len() as f64;
-    let per_seed: Vec<String> = SEEDS
-        .zip(&gaps)
-        .map(|(s, g)| format!("{s}:{g:+.1}"))
-        .collect();
-    println!(
-        "mean rate gap per seed {}; pooled {pooled:+.1}",
-        per_seed.join(" ")
-    );
-    assert!(
-        pooled.abs() <= 20.0,
-        "pooled mean rate gap {pooled:.1} points over seeds {SEEDS:?} (per seed {per_seed:?}): \
-         m=1 campaign is biased vs single-defect campaign",
-    );
 }
 
 #[test]
-fn double_defect_campaign_smoke() {
-    // m = 2 rides the same machinery: it must run to completion, score
-    // every chip, stay deterministic, and keep monotonicity in K.
+fn double_defect_campaign_is_deterministic_across_threads_and_warmth() {
     let c = small();
     let mut cfg = config(5);
-    cfg.n_instances = 8;
-    let a = run_multi_defect_campaign(&c, &cfg, 2).expect("m=2 campaign runs");
-    assert_eq!(a.defects_per_chip, 2);
-    assert_eq!(a.trials, 8);
-    let b = run_multi_defect_campaign(&c, &cfg, 2).expect("m=2 campaign reruns");
-    assert_eq!(a, b, "m=2 campaign is not deterministic");
-    for f_ix in 0..a.functions.len() {
-        let mut last = 0;
-        for k_ix in 0..a.k_values.len() {
-            assert!(a.any_hit[k_ix][f_ix] >= last, "non-monotone in K");
-            last = a.any_hit[k_ix][f_ix];
+    cfg.n_instances = 12;
+    let serial = run(&layer_with_threads(1).session(""), &c, &cfg, 2);
+    assert_eq!(serial.trials, cfg.n_instances);
+    assert_eq!(serial.traces.len(), cfg.n_instances, "every chip is traced");
+    assert_monotone_in_k(&serial);
+    let parallel = run(&layer_with_threads(4).session(""), &c, &cfg, 2);
+    assert_eq!(serial, parallel, "m = 2 report depends on thread count");
+    // A layer warmed by the m = 1 campaign of the same config serves
+    // the m = 2 chips' pattern sets from its cache; the answers stay.
+    let warmed = layer_with_threads(2).session("");
+    let single = run(&warmed, &c, &cfg, 1);
+    assert_ne!(single, serial, "the second defect changed no answer");
+    let warm = run(&warmed, &c, &cfg, 2);
+    assert_eq!(serial, warm, "m = 2 report depends on cache warmth");
+    assert!(warm.metrics.pattern_cache_hits > 0, "warm layer never hit");
+}
+
+#[test]
+fn zero_clock_samples_are_refused_before_any_chip() {
+    let c = small();
+    let mut cfg = config(5);
+    cfg.sta_samples = 0;
+    let session = ArtifactLayer::new().session("");
+    match session.run_multi_defect_campaign_on(&c, &cfg, defects(2)) {
+        Err(SddError::Diagnosis(DiagnosisError::ZeroSamples { field })) => {
+            assert_eq!(field, "sta_samples");
         }
+        other => panic!("expected a zero-samples error, got {other:?}"),
     }
+    assert_eq!(session.metrics().trace_seq(), 0, "a chip was traced");
+    assert_eq!(session.layer().cache().num_pattern_keys(), 0);
 }
